@@ -73,8 +73,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,10 +164,31 @@ def instance_to_json(g: WeightedGraph) -> str:
                       separators=(",", ":"))
 
 
-def instance_from_json(text: str) -> WeightedGraph:
+def _json_object(text: str) -> dict:
     obj = json.loads(text)
-    return WeightedGraph(obj["n"], tuple(obj["weights"]),
-                         tuple((u, v) for u, v in obj["edges"]))
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    return obj
+
+
+def _int_list(raw, what: str) -> tuple:
+    if not isinstance(raw, list) or any(type(x) is not int for x in raw):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(raw)
+
+
+def _edge_list(raw) -> tuple:
+    if not isinstance(raw, list):
+        raise ValueError("edges must be a list of [u, v] pairs")
+    return tuple(_int_list(p, "an edge") for p in raw)
+
+
+def instance_from_json(text: str) -> WeightedGraph:
+    obj = _json_object(text)
+    if type(obj["n"]) is not int:
+        raise ValueError("n must be an integer")
+    return WeightedGraph(obj["n"], _int_list(obj["weights"], "weights"),
+                         _edge_list(obj["edges"]))
 
 
 def save_instance(g: WeightedGraph, path: str) -> None:
@@ -192,10 +213,10 @@ def edit_to_json(edit: Edit) -> str:
 
 
 def edit_from_json(text: str) -> Edit:
-    obj = json.loads(text)
+    obj = _json_object(text)
     if obj["kind"] == "edges":
-        return Edit("edges", edges=tuple((u, v) for u, v in obj["edges"]))
-    return Edit("weights", weights=tuple(obj["weights"]))
+        return Edit("edges", edges=_edge_list(obj["edges"]))
+    return Edit("weights", weights=_int_list(obj["weights"], "weights"))
 
 
 def save_edit(edit: Edit, path: str) -> None:

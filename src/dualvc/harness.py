@@ -20,7 +20,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from math import ceil, e, log
 from typing import Sequence, TextIO
@@ -92,18 +92,36 @@ class BenchPlan:
             raise ValueError("plan has no cells")
 
 
-_CELL_KEYS = {"variant", "algorithm", "alpha", "trials", "budget", "seed",
-              "kind", "n", "m", "d", "w_max"}
+_CELL_KEYS = {f.name for f in fields(BenchCell)}
+_REQUIRED_CELL_KEYS = {f.name for f in fields(BenchCell)
+                       if f.default is MISSING}
+_STR_CELL_KEYS = {"variant", "algorithm", "kind"}
 
 
 def plan_from_json(data: dict) -> BenchPlan:
+    """Plan from parsed JSON; a malformed plan raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a plan must be a JSON object")
+    raw_cells = data.get("cells", [])
+    out = data.get("out", "results.csv")
+    if not isinstance(raw_cells, list) or not isinstance(out, str):
+        raise ValueError('a plan needs a "cells" list and a string "out"')
     cells = []
-    for raw in data.get("cells", []):
+    for raw in raw_cells:
+        if not isinstance(raw, dict):
+            raise ValueError(f"a cell must be a JSON object, got {raw!r}")
         unknown = set(raw) - _CELL_KEYS
         if unknown:
             raise ValueError(f"unknown cell keys: {sorted(unknown)}")
+        missing = _REQUIRED_CELL_KEYS - set(raw)
+        if missing:
+            raise ValueError(f"missing cell keys: {sorted(missing)}")
+        for key, value in raw.items():
+            if key not in _STR_CELL_KEYS and type(value) is not int:
+                raise ValueError(f"cell key {key!r} must be an integer, "
+                                 f"got {value!r}")
         cells.append(BenchCell(**raw))
-    return BenchPlan(tuple(cells), data.get("out", "results.csv"))
+    return BenchPlan(tuple(cells), out)
 
 
 def load_plan(path: str) -> BenchPlan:
@@ -183,15 +201,10 @@ def build_instance(cell: BenchCell, trial: int) -> DynamicInstance:
 def verify_final(instance: DynamicInstance, alpha: int,
                  coeff_rows: Sequence[Sequence]) -> None:
     """Independent re-check of a reported success; raises RuntimeError."""
-    a = canonicalize_alpha(alpha)
-    values = [RadicalValue(a, row) for row in coeff_rows]
-    if not oracle.validate_mfds_naive(instance.graph_star, values):
-        raise RuntimeError(
-            "reported success failed the independent maximality check")
-    y = DualSolution(instance.graph_star, a, values, w_max=instance.w_max)
-    _cover, cert = dual_mod.extract_cover(y)
-    if not cert.ok:
-        raise RuntimeError("tight-vertex cover failed its weight certificate")
+    defect = oracle.success_defect(instance.graph_star,
+                                   canonicalize_alpha(alpha), coeff_rows)
+    if defect is not None:
+        raise RuntimeError(defect)
 
 
 def run_trial(cell: BenchCell, trial: int) -> BenchRecord:

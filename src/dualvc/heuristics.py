@@ -21,10 +21,12 @@ covers quarter-exponent values as integer coefficient vectors; both are
 mirrored by a slow reference path over RadicalValues used in tests.
 
 Reproducibility contract: randomness comes from ``random.Random(seed)``
-(Mersenne Twister, platform-independent).  Per step, ea draws one uniform
-for the binomial selection count and (if nonzero) one sample of that many
-edge ids; rls draws one randrange; the fifth variants draw one direction
-bit *before* their selection draws.
+(Mersenne Twister).  The stream also depends on CPython's
+``random.sample``/``randrange`` internals, so it is pinned per CPython
+version by the golden rows in ``perfbench/golden/``.  Per step, ea draws
+one uniform for the binomial selection count and (if nonzero) one sample
+of that many edge ids; rls draws one randrange; the fifth variants draw
+one direction bit *before* their selection draws.
 """
 
 from __future__ import annotations

@@ -260,25 +260,6 @@ class RadicalValue:
         return f"RadicalValue(alpha={self.alpha.alpha}, {list(self.coeffs)})"
 
 
-# functional aliases ----------------------------------------------------------
-
-
-def radical_add(a: RadicalValue, b: RadicalValue) -> RadicalValue:
-    return a + b
-
-
-def radical_sub(a: RadicalValue, b: RadicalValue) -> RadicalValue:
-    return a - b
-
-
-def radical_scale(a: RadicalValue, k: Rational) -> RadicalValue:
-    return a.scale(k)
-
-
-def radical_sign(a: RadicalValue) -> int:
-    return a.sign()
-
-
 # ---------------------------------------------------------------------------
 # step exponents: sigma = alpha^(q/4), q an integer in [0, q_max]
 # ---------------------------------------------------------------------------

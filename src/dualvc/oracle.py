@@ -1,20 +1,25 @@
-"""Slow, obviously-correct validators used to cross-check the fast layers.
+"""Independent from-scratch validators: they cross-check the fast layers
+and certify every success the harness reports.
 
 Nothing here shares caching or incremental logic with the rest of the
 package: loads are recomputed from scratch, covers are found by exhaustive
 or branch-and-bound search, and maximal solutions are enumerated over an
-integer grid.  Size limits keep every call desk-scale.
+integer grid.  The success certificate (``success_defect``, also behind
+``validate_mfds_naive``) works on integer coefficient columns, so it costs
+little next to the search it checks; the searches keep size limits that
+keep every call desk-scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence, Union
+from itertools import chain, product
+from math import lcm
+from typing import Optional, Sequence, Union
 
 from .dual import FitnessOutcome
 from .graph import WeightedGraph
-from .numeric import RadicalValue
+from .numeric import Alpha, Rational, RadicalValue, sign_of_coeffs
 
 Value = Union[int, RadicalValue]
 
@@ -100,40 +105,123 @@ def exhaustive_min_wvc(g: WeightedGraph) -> ExactCoverResult:
         frozenset(v for v in range(g.n) if (mask >> v) & 1), w)
 
 
-def _loads(g: WeightedGraph, values: Sequence[Value]) -> list:
-    values = list(values)
+# ---------------------------------------------------------------------------
+# slack signs and the success certificate
+#
+# Edge values are taken apart into coordinate columns (``cols[k][e]`` is the
+# beta^k coefficient of y(e)), scaled once to ints over their common
+# denominator.  Each vertex load is summed once per coordinate, and each
+# sign is a plain integer comparison unless an irrational coordinate is
+# nonzero.
+# ---------------------------------------------------------------------------
+
+_NOT_MAXIMAL = "reported success failed the independent maximality check"
+
+
+def _columns(values: Sequence) -> tuple[Optional[Alpha], list]:
+    """Coordinate columns of ints, Fractions, RadicalValues or a mix."""
     rad = next((v for v in values if isinstance(v, RadicalValue)), None)
     if rad is None:
-        zero: Value = 0
-    else:
-        zero = RadicalValue.zero(rad.alpha)
-        values = [v if isinstance(v, RadicalValue)
-                  else RadicalValue.from_rational(rad.alpha, v)
-                  for v in values]
-    loads: list = [zero] * g.n
-    for e, (u, v) in enumerate(g.edges):
-        loads[u] = loads[u] + values[e]
-        loads[v] = loads[v] + values[e]
-    return loads
+        return None, [list(values)]
+    pad = (0,) * (rad.alpha.basis_dim - 1)
+    rows = []
+    for v in values:
+        if not isinstance(v, RadicalValue):
+            rows.append((v,) + pad)
+        elif v.alpha == rad.alpha:
+            rows.append(v.coeffs)
+        else:
+            raise ValueError(f"mixed alphas: {rad.alpha!r} vs {v.alpha!r}")
+    return rad.alpha, [list(col) for col in zip(*rows)]
 
 
-def _cmp_to_weight(load: Value, w: int) -> int:
-    """Sign of load - w for int or RadicalValue loads."""
-    if isinstance(load, RadicalValue):
-        c = load.coeffs
-        return RadicalValue(load.alpha, (c[0] - w,) + c[1:]).sign()
-    return (load > w) - (load < w)
+def _integer_columns(cols: list) -> tuple[list, int]:
+    """Columns as ints over their common denominator, and that denominator;
+    only the rational column is kept when every irrational one is 0."""
+    den = 1
+    if not set(map(type, chain.from_iterable(cols))) <= {int}:
+        den = lcm(*(c.denominator for col in cols for c in col))
+        cols = [[c.numerator * (den // c.denominator) for c in col]
+                for col in cols]
+    if not any(any(col) for col in cols[1:]):
+        cols = cols[:1]
+    return cols, den
+
+
+def _signs(cols: list, alpha: Optional[Alpha]) -> list:
+    """Exact sign of every vector given by its integer coordinate columns."""
+    if len(cols) == 1:
+        return [(c > 0) - (c < 0) for c in cols[0]]
+    out = []
+    for vec in zip(*cols):
+        if any(vec[1:]):
+            out.append(sign_of_coeffs(vec, alpha))
+        else:
+            out.append((vec[0] > 0) - (vec[0] < 0))
+    return out
+
+
+def _slack_signs(g: WeightedGraph, alpha: Optional[Alpha], cols: list,
+                 den: int) -> list:
+    """Sign of load(v) - W(v) per vertex: +1 violated, 0 tight, -1 slack."""
+    loads = []
+    for col in cols:
+        load = [0] * g.n
+        for (u, v), c in zip(g.edges, col):
+            load[u] += c
+            load[v] += c
+        loads.append(load)
+    loads[0] = [x - w * den for x, w in zip(loads[0], g.weights)]
+    return _signs(loads, alpha)
+
+
+def _defect(g: WeightedGraph, alpha: Optional[Alpha],
+            cols: list) -> Optional[str]:
+    """Why edge values given as coordinate columns fail the success
+    certificate, or None."""
+    cols, den = _integer_columns(cols)
+    if -1 in _signs(cols, alpha):
+        return "reported solution has a negative value"
+    slack = _slack_signs(g, alpha, cols, den)
+    if 1 in slack:
+        return _NOT_MAXIMAL
+    tight = [s == 0 for s in slack]
+    # every edge has a tight endpoint, i.e. the tight vertices cover it
+    if not all(tight[u] or tight[v] for u, v in g.edges):
+        return _NOT_MAXIMAL
+    cover_weight = sum(w for w, t in zip(g.weights, tight) if t)
+    two_sum_minus_cover = [[2 * sum(col)] for col in cols]
+    two_sum_minus_cover[0][0] -= cover_weight * den
+    if _signs(two_sum_minus_cover, alpha)[0] < 0:
+        return "tight-vertex cover failed its weight certificate"
+    return None
+
+
+def success_defect(g: WeightedGraph, alpha: Alpha,
+                   rows: Sequence[Sequence[Rational]]) -> Optional[str]:
+    """Why coefficient rows (one per edge, int or Fraction coefficients
+    over the basis of `alpha`) fail to certify a maximal feasible solution
+    whose tight vertices cover g within twice the value sum, or None."""
+    if len(rows) != g.m:
+        return f"reported solution has {len(rows)} rows for {g.m} edges"
+    dim = alpha.basis_dim
+    if any(len(row) != dim for row in rows):
+        return f"reported solution rows must have {dim} coefficients"
+    return _defect(g, alpha, [list(col) for col in zip(*rows)] or [[]])
 
 
 def validate_mfds_naive(g: WeightedGraph, values: Sequence[Value]) -> bool:
-    """Full-recompute check that `values` is a maximal feasible solution."""
+    """Full-recompute check that `values` (ints, Fractions, RadicalValues or
+    a mix) form a maximal feasible solution."""
     if len(values) != g.m:
         raise ValueError(f"{len(values)} values for {g.m} edges")
-    loads = _loads(g, values)
-    cmp = [_cmp_to_weight(loads[v], g.weights[v]) for v in range(g.n)]
-    if any(c > 0 for c in cmp):
-        return False
-    return all(cmp[u] == 0 or cmp[v] == 0 for u, v in g.edges)
+    return _defect(g, *_columns(values)) is None
+
+
+def _violated(g: WeightedGraph, values: Sequence[Value]) -> list[int]:
+    alpha, cols = _columns(values)
+    slack = _slack_signs(g, alpha, *_integer_columns(cols))
+    return [v for v, s in enumerate(slack) if s > 0]
 
 
 def reference_fitness(g: WeightedGraph, values: Sequence[Value],
@@ -148,9 +236,7 @@ def reference_fitness(g: WeightedGraph, values: Sequence[Value],
     """
     if len(values) != g.m or len(proposed) != g.m:
         raise ValueError("value vectors must match the edge count")
-    loads = _loads(g, values)
-    violated = [v for v in range(g.n)
-                if _cmp_to_weight(loads[v], g.weights[v]) > 0]
+    violated = _violated(g, values)
     alpha = values[0].alpha if g.m else None
     assert alpha is not None, "reference_fitness needs at least one edge"
     zero = RadicalValue.zero(alpha)
@@ -158,10 +244,7 @@ def reference_fitness(g: WeightedGraph, values: Sequence[Value],
         total = zero
         for e in range(g.m):
             total = total + (proposed[e] - values[e])
-        new_loads = _loads(g, proposed)
-        feasible = all(_cmp_to_weight(new_loads[v], g.weights[v]) <= 0
-                       for v in range(g.n))
-        value = total if feasible else -total
+        value = -total if _violated(g, proposed) else total
         return FitnessOutcome(value, value.sign() >= 0)
     viol_edges = set()
     for v in violated:

@@ -4,12 +4,13 @@ import io
 import json
 import math
 import os
+from fractions import Fraction
 
 import pytest
 
 from dualvc.cli import main as cli_main
-from dualvc.dual import DualSolution, dump_dual
-from dualvc.graph import WeightedGraph, load_instance, save_instance
+from dualvc.dual import DualSolution, dump_dual, extract_cover, is_mfds
+from dualvc.graph import Edit, WeightedGraph, load_instance, save_instance
 from dualvc.harness import (CSV_HEADER, SOLVE_HEADER, BenchCell, BenchPlan,
                             BenchRecord, RunLogger, bound_shape,
                             build_instance, contrast_bound, decode_wmax,
@@ -18,7 +19,8 @@ from dualvc.harness import (CSV_HEADER, SOLVE_HEADER, BenchCell, BenchPlan,
                             run_trial, scaling_plan, scaling_report,
                             summarize, thread_count, verify_final)
 from dualvc.heuristics import RunConfig, run
-from dualvc.instances import hard_instance
+from dualvc.instances import hard_instance, make_dynamic, random_dynamic
+from dualvc.numeric import RadicalValue, canonicalize_alpha
 from dualvc.oracle import validate_mfds_naive
 
 
@@ -66,6 +68,21 @@ def test_plan_validation_and_json():
         plan_from_json({"cells": [dict(
             variant="E", algorithm="rls", alpha=2, trials=1, budget=10,
             seed=1, n=4, m=3, d=1, w_max=4, color="red")]})
+
+
+def test_plan_from_json_rejects_malformed_cells_with_value_error():
+    good = dict(variant="E", algorithm="rls", alpha=2, trials=1, budget=10,
+                seed=1, n=4, m=3, d=1, w_max=4)
+    plan_from_json({"cells": [good]})
+    with pytest.raises(ValueError, match="missing cell keys"):
+        plan_from_json({"cells": [{"variant": "E"}]})
+    for bad in ({"cells": [dict(good, trials="3")]},    # not an integer
+                {"cells": [3]},                         # not an object
+                {"cells": {"variant": "E"}},            # not a list
+                {"cells": [good], "out": 5},            # path not a string
+                [good]):                                # plan not an object
+        with pytest.raises(ValueError):
+            plan_from_json(bad)
 
 
 def test_load_plan(tmp_path):
@@ -145,6 +162,95 @@ def test_verify_final_accepts_and_rejects():
     bad = ((0, 0, 0, 0),) * inst.graph_star.m
     with pytest.raises(RuntimeError):
         verify_final(inst, 2, bad)
+
+
+def test_verify_final_rejects_negative_values_and_wrong_shapes():
+    # unit triangle: [2, -1, -1] overloads no vertex and leaves every edge
+    # a tight endpoint, but it is no dual solution
+    g = WeightedGraph(3, (1, 1, 1), ((0, 1), (1, 2), (0, 2)))
+    inst = make_dynamic(g, (1, 0, 0), Edit("weights", weights=(1, 1, 1)),
+                        "W")
+    verify_final(inst, 2, ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
+    for rows in (((2, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0)),   # negative
+                 ((1, 0, 0, 0), (0, 0, 0, 0)),                   # row missing
+                 ((1, 0), (0, 0), (0, 0))):                      # wrong dim
+        with pytest.raises(RuntimeError):
+            verify_final(inst, 2, rows)
+    # path 2-0-1-3 with y(0,1) = -1 passes every check but the sign one
+    path = WeightedGraph(4, (1, 1, 3, 3), ((0, 1), (0, 2), (1, 3)))
+    inst = make_dynamic(path, (0, 1, 1), Edit("weights", weights=(1, 1, 3, 3)),
+                        "W")
+    verify_final(inst, 2, ((0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)))
+    with pytest.raises(RuntimeError, match="negative"):
+        verify_final(inst, 2, ((-1, 0, 0, 0), (2, 0, 0, 0), (2, 0, 0, 0)))
+
+
+def fraction_success():
+    """A run from half-weight Fraction values on a 5-cycle (alpha 9) that
+    ends maximal with Fraction coefficients."""
+    g = WeightedGraph(5, (11,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    y0 = DualSolution.from_coeffs(g, 9, [(Fraction(11, 2), 0)] * 5)
+    inst = make_dynamic(g, y0.y, Edit("weights", weights=(9, 11, 13, 11, 11)),
+                        "W")
+    return inst, RunConfig("rls", 9, inst.w_max, 400, 1)
+
+
+# (instance seed, algorithm, alpha, run seed) on small random W- instances:
+# successes at field degree 4 (alpha 2, 3), 2 (alpha 9) and 1 (alpha 16)
+DIFFERENTIAL_RUNS = [(3, "ea_fifth", 2, 3), (3, "ea_fifth", 3, 3),
+                     (20, "ea_fifth", 9, 20), (1, "rls_fifth", 16, 1)]
+
+
+def differential_successes():
+    for inst_seed, algorithm, alpha, seed in DIFFERENTIAL_RUNS:
+        inst = random_dynamic("W-", 6, 7, 2, 32, seed=inst_seed)
+        yield inst, RunConfig(algorithm, alpha, inst.w_max, 5000, seed)
+    yield fraction_success()
+
+
+def reference_accepts(inst, alpha, rows):
+    """The RadicalValue path: DualSolution state, is_mfds, extract_cover."""
+    try:
+        y = DualSolution.from_coeffs(inst.graph_star, alpha, rows,
+                                     w_max=inst.w_max)
+    except ValueError:          # negative value or wrong row count
+        return False
+    return is_mfds(y) and extract_cover(y)[1].ok
+
+
+def corruptions(inst, alpha, rows):
+    """Raise one value past feasibility, halve one positive value (its edge
+    loses both tight endpoints), negate one, drop one row."""
+    a = canonicalize_alpha(alpha)
+    e = next(i for i, row in enumerate(rows)
+             if RadicalValue(a, row).sign() > 0)
+
+    def with_row(row):
+        return rows[:e] + (tuple(row),) + rows[e + 1:]
+
+    return {"raised": with_row((rows[e][0] + inst.w_max + 1,) + rows[e][1:]),
+            "lowered": with_row(Fraction(c) / 2 for c in rows[e]),
+            "negated": with_row(-c for c in rows[e]),
+            "dropped": rows[:-1]}
+
+
+def test_verify_final_agrees_with_radical_value_path():
+    degrees = set()
+    saw_fraction = False
+    for inst, cfg in differential_successes():
+        result = run(inst, cfg)
+        assert result.success and result.evaluations > 0
+        rows = result.final_coeffs
+        degrees.add(canonicalize_alpha(cfg.alpha).basis_dim)
+        saw_fraction |= any(isinstance(c, Fraction) and c.denominator > 1
+                            for row in rows for c in row)
+        assert reference_accepts(inst, cfg.alpha, rows)
+        verify_final(inst, cfg.alpha, rows)
+        for name, bad in corruptions(inst, cfg.alpha, rows).items():
+            assert not reference_accepts(inst, cfg.alpha, bad), name
+            with pytest.raises(RuntimeError):
+                verify_final(inst, cfg.alpha, bad)
+    assert degrees == {1, 2, 4} and saw_fraction
 
 
 # -- plan execution ------------------------------------------------------------------
@@ -425,6 +531,21 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert cli_main(["bench"]) == 2                   # no --config
     assert cli_main(["verify", "--graph", "/nonexistent.json",
                      "--dual", "/nonexistent.txt"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_malformed_graph_files_exit_two(tmp_path, capsys):
+    dp = str(tmp_path / "y.dual")
+    with open(dp, "w") as fh:
+        fh.write("alpha 2\n")
+    gp = tmp_path / "g.json"
+    for text in ('{"n": "2", "weights": [1, 1], "edges": []}',
+                 '{"n": 2, "weights": ["1", 1], "edges": []}',
+                 '{"n": 2, "weights": [1, 1], "edges": [[0, "1"]]}',
+                 '{"n": 2, "weights": [1, 1], "edges": [0]}',
+                 '[2]'):
+        gp.write_text(text)
+        assert cli_main(["verify", "--graph", str(gp), "--dual", dp]) == 2
     capsys.readouterr()
 
 

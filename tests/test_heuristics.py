@@ -2,10 +2,11 @@
 
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 
-from dualvc.dual import DualSolution
+from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
 from dualvc.heuristics import (ALGORITHMS, PROPOSERS, MutationRecord,
                                RunConfig, StepState, _binomial_cdf,
@@ -323,19 +324,36 @@ def test_run_is_deterministic():
     assert run(inst, cfg) == run(inst, cfg)
 
 
-EQUIV_INSTANCES = [
-    hard_instance("E+", 3, 2),
-    hard_instance("W-", 2, 2),
-    random_dynamic("E", 8, 10, 2, 8, seed=5),
-    random_dynamic("W", 8, 10, 3, 8, seed=7),
+def fraction_start_instance():
+    """A 5-cycle held at half its vertex weights (alpha 9), reloaded from
+    its dump, then hit by a mixed weight edit."""
+    g = WeightedGraph(5, (11,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    y = DualSolution.from_coeffs(g, 9, [(Fraction(11, 2), 0)] * 5)
+    y = parse_dual(dump_dual(y), g)
+    assert all(v.coeffs == (Fraction(11, 2), 0) for v in y.y)
+    return make_dynamic(g, y.y, Edit("weights", weights=(9, 11, 13, 11, 11)),
+                        "W")
+
+
+# (alpha, instance): field degree 4 (alpha 2), 2 (alpha 9) and 1 (alpha 16)
+EQUIV_CASES = [
+    (2, hard_instance("E+", 3, 2)),
+    (2, hard_instance("W-", 2, 2)),
+    (2, random_dynamic("E", 8, 10, 2, 8, seed=5)),
+    (2, random_dynamic("W", 8, 10, 3, 8, seed=7)),
+    (9, hard_instance("E+", 2, 9)),
+    (9, random_dynamic("W", 8, 10, 3, 64, seed=7)),
+    (9, fraction_start_instance()),
+    (16, hard_instance("W-", 2, 16)),
+    (16, random_dynamic("E", 8, 10, 2, 64, seed=3)),
 ]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_engine_matches_reference_path(algorithm):
-    for inst in EQUIV_INSTANCES:
+    for alpha, inst in EQUIV_CASES:
         for seed in (1, 2):
-            cfg = RunConfig(algorithm, 2, inst.w_max, 400, seed,
+            cfg = RunConfig(algorithm, alpha, inst.w_max, 400, seed,
                             checkpoint_every=64)
             fast = run(inst, cfg)
             slow = run_reference(inst, cfg)

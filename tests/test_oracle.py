@@ -102,6 +102,22 @@ def test_validate_mfds_int_values():
         validate_mfds_naive(g, (1, 1))
 
 
+def test_validate_mfds_rejects_negative_values():
+    # [2, -1, -1] overloads no vertex of the unit triangle and leaves every
+    # edge a tight endpoint, but it is no dual solution
+    g = WeightedGraph(3, (1, 1, 1), ((0, 1), (1, 2), (0, 2)))
+    assert not validate_mfds_naive(g, (2, -1, -1))
+    assert not validate_mfds_naive(g, [rv(2), rv(-1), rv(-1)])
+    assert not validate_mfds_naive(g, (Fraction(3, 2), Fraction(-1, 2),
+                                       Fraction(-1, 2)))
+    # path 2-0-1-3 with y(0,1) = -1: feasible, every edge has a tight end,
+    # and the cover {0, 1} weighs 2 <= 2 * sum(y) = 6; only the sign fails
+    path = WeightedGraph(4, (1, 1, 3, 3), ((0, 1), (0, 2), (1, 3)))
+    assert not validate_mfds_naive(path, (-1, 2, 2))
+    assert not validate_mfds_naive(path, [rv(-1), rv(2), rv(2)])
+    assert validate_mfds_naive(path, (0, 1, 1))
+
+
 def test_validate_mfds_mixed_value_types():
     # int zeros mixed with radical values must lift cleanly
     g = WeightedGraph(4, (2, 2, 1, 1), ((0, 1), (2, 3)))
