@@ -6,18 +6,15 @@ from .numeric import (TAU, Alpha, RadicalValue, canonicalize_alpha,
                       float_sign, float_value, interval_sign, q_max_for,
                       sign_of_coeffs, step_value)
 from .graph import Edit, EditDiff, WeightedGraph, apply_edit, canonical_edge
-from .dual import (CoverCertificate, DualSolution, FitnessOutcome,
-                   extract_cover, fitness, is_mfds, sign, violating_edges,
-                   violating_vertices)
-from .oracle import (ExactCoverResult, enumerate_mfds, exact_min_wvc,
-                     exhaustive_min_wvc, reference_fitness,
+from .dual import CoverCertificate, DualSolution, extract_cover, is_mfds, sign
+from .oracle import (ExactCoverResult, FitnessOutcome, enumerate_mfds,
+                     exact_min_wvc, exhaustive_min_wvc, reference_fitness,
                      validate_mfds_naive)
 from .instances import (HARD_VARIANTS, VARIANTS, DynamicInstance, derive_seed,
                         greedy_mfds, hard_instance, make_dynamic,
                         random_dynamic, random_edit, random_instance)
-from .heuristics import (ALGORITHMS, Checkpoint, MutationRecord, RunConfig,
-                         RunResult, StepState, TransitionRecord, run,
-                         run_reference, select_and_adapt)
+from .heuristics import (ALGORITHMS, Checkpoint, RunConfig, RunResult,
+                         TransitionRecord, run, run_reference)
 from .harness import (BenchCell, BenchPlan, BenchRecord, ScalingCell,
                       ScalingReport, bound_shape, execute_plan,
                       format_scaling_report, read_records, run_trial,
@@ -30,16 +27,14 @@ __all__ = [
     "float_value", "interval_sign", "q_max_for", "sign_of_coeffs",
     "step_value",
     "Edit", "EditDiff", "WeightedGraph", "apply_edit", "canonical_edge",
-    "CoverCertificate", "DualSolution", "FitnessOutcome", "extract_cover",
-    "fitness", "is_mfds", "sign", "violating_edges", "violating_vertices",
-    "ExactCoverResult", "enumerate_mfds", "exact_min_wvc",
+    "CoverCertificate", "DualSolution", "extract_cover", "is_mfds", "sign",
+    "ExactCoverResult", "FitnessOutcome", "enumerate_mfds", "exact_min_wvc",
     "exhaustive_min_wvc", "reference_fitness", "validate_mfds_naive",
     "HARD_VARIANTS", "VARIANTS", "DynamicInstance", "derive_seed",
     "greedy_mfds", "hard_instance", "make_dynamic", "random_dynamic",
     "random_edit", "random_instance",
-    "ALGORITHMS", "Checkpoint", "MutationRecord", "RunConfig", "RunResult",
-    "StepState", "TransitionRecord", "run", "run_reference",
-    "select_and_adapt",
+    "ALGORITHMS", "Checkpoint", "RunConfig", "RunResult", "TransitionRecord",
+    "run", "run_reference",
     "BenchCell", "BenchPlan", "BenchRecord", "ScalingCell", "ScalingReport",
     "bound_shape", "execute_plan", "format_scaling_report", "read_records",
     "run_trial", "scaling_report",

@@ -1,5 +1,5 @@
-"""Dual-solution layer: edge LP values, vertex loads, the acceptance
-functional, maximality testing, and cover extraction.
+"""Dual solutions: edge LP values over RadicalValues, vertex loads, the
+solution sign, maximality testing, cover extraction, and the dump format.
 
 A dual-solution assigns a non-negative value y(e) to every edge.  A vertex
 is *violated* when the sum of incident values exceeds its weight and *tight*
@@ -9,10 +9,10 @@ endpoint, i.e. no single value can be raised.  The tight vertices of an
 MFDS cover every edge with total weight at most twice the value sum, which
 is the 2-approximation certificate this package is built around.
 
-This module is the exact reference path: every quantity is a RadicalValue
-and every comparison is decided exactly.  The search loop in
-:mod:`dualvc.heuristics` uses specialized engines that are cross-checked
-against this module.
+Every quantity is a RadicalValue and every comparison is decided exactly.
+The harness and the command line use it to load, check and dump
+solutions; the search itself runs on the engines in
+:mod:`dualvc.heuristics`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _PAD = 4  # dump lines always carry 4 coefficient columns
 
 
 class DualSolution:
-    """Edge values plus incrementally maintained vertex loads."""
+    """Edge values plus their vertex loads."""
 
     __slots__ = ("graph", "alpha", "w_max", "y", "load")
 
@@ -73,42 +73,6 @@ class DualSolution:
         return cls(graph, a, [RadicalValue(a, row) for row in coeff_rows],
                    w_max)
 
-    def copy(self) -> "DualSolution":
-        out = DualSolution.__new__(DualSolution)
-        out.graph = self.graph
-        out.alpha = self.alpha
-        out.w_max = self.w_max
-        out.y = list(self.y)
-        out.load = list(self.load)
-        return out
-
-    def set_value(self, e: int, value: RadicalValue) -> None:
-        """Point update keeping the load cache coherent."""
-        if value.alpha != self.alpha:
-            raise ValueError("value alpha mismatch")
-        if value.sign() < 0:
-            raise ValueError(f"negative LP value {value!r}")
-        old = self.y[e]
-        delta = value - old
-        if delta.is_zero():
-            return
-        u, v = self.graph.edges[e]
-        self.y[e] = value
-        self.load[u] = self.load[u] + delta
-        self.load[v] = self.load[v] + delta
-
-    def recomputed_loads(self) -> list[RadicalValue]:
-        """Loads from scratch (cache-coherence checks)."""
-        zero = RadicalValue.zero(self.alpha)
-        loads = [zero] * self.graph.n
-        for e, (u, v) in enumerate(self.graph.edges):
-            loads[u] = loads[u] + self.y[e]
-            loads[v] = loads[v] + self.y[e]
-        return loads
-
-    def weight_value(self, v: int) -> RadicalValue:
-        return RadicalValue.from_rational(self.alpha, self.graph.weights[v])
-
     def slack_sign(self, v: int) -> int:
         """Sign of load(v) - W(v): +1 violated, 0 tight, -1 slack."""
         w = self.graph.weights[v]
@@ -124,12 +88,6 @@ class DualSolution:
 
 
 @dataclass(frozen=True)
-class FitnessOutcome:
-    value: RadicalValue
-    accept: bool
-
-
-@dataclass(frozen=True)
 class CoverCertificate:
     covers_all_edges: bool
     cover_weight: int
@@ -141,58 +99,12 @@ class CoverCertificate:
         return self.covers_all_edges and self.weight_ok
 
 
-def violating_vertices(y: DualSolution) -> frozenset[int]:
-    """Vertices whose load exceeds their weight."""
-    return frozenset(v for v in range(y.graph.n) if y.slack_sign(v) > 0)
-
-
-def violating_edges(y: DualSolution) -> frozenset[int]:
-    """Edges incident to at least one violated vertex."""
-    out: set[int] = set()
-    for v in violating_vertices(y):
-        out.update(y.graph.adjacency(v))
-    return frozenset(out)
-
-
 def sign(y: DualSolution) -> int:
     """-1 iff some vertex is violated, else +1."""
     for v in range(y.graph.n):
         if y.slack_sign(v) > 0:
             return -1
     return 1
-
-
-def fitness(y: DualSolution, yp: DualSolution) -> FitnessOutcome:
-    """The acceptance functional comparing a proposal yp against y.
-
-    Feasible y: the signed total change, negated when yp is infeasible, so
-    any proposal creating a violation (or any strict decrease) is rejected.
-    Infeasible y: decreases on edges at violated vertices count positively;
-    any change elsewhere is penalized by m * W_max per unit of absolute
-    change.  Ties (value 0) are accepted.
-    """
-    if yp.graph is not y.graph and yp.graph != y.graph:
-        raise ValueError("mismatched graphs")
-    if yp.alpha != y.alpha:
-        raise ValueError("mismatched alphas")
-    zero = RadicalValue.zero(y.alpha)
-    if sign(y) > 0:
-        total = zero
-        for e in range(y.graph.m):
-            total = total + (yp.y[e] - y.y[e])
-        value = total if sign(yp) > 0 else -total
-        return FitnessOutcome(value, value.sign() >= 0)
-    viol = violating_edges(y)
-    gain = zero
-    off = zero
-    for e in range(y.graph.m):
-        diff = y.y[e] - yp.y[e]
-        if e in viol:
-            gain = gain + diff
-        elif not diff.is_zero():
-            off = off + (diff if diff.sign() > 0 else -diff)
-    value = gain - off.scale(y.graph.m * y.w_max)
-    return FitnessOutcome(value, value.sign() >= 0)
 
 
 def is_mfds(y: DualSolution) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional
+from typing import Literal, Optional
 
 Edge = tuple[int, int]
 
@@ -70,22 +70,6 @@ class WeightedGraph:
         if not (0 <= v < self.n):
             raise ValueError(f"unknown vertex {v}")
         return self._adj[v]
-
-
-def incident_edges(g: WeightedGraph, v: int) -> frozenset[int]:
-    """Ids of the edges incident to v."""
-    return frozenset(g.adjacency(v))
-
-
-def edge_neighborhood(g: WeightedGraph, s: Iterable[int]) -> frozenset[int]:
-    """Ids of edges sharing an endpoint with any edge in s, excluding s."""
-    sset = frozenset(s)
-    out: set[int] = set()
-    for e in sset:
-        u, v = g.edges[e]
-        out.update(g._adj[u])
-        out.update(g._adj[v])
-    return frozenset(out - sset)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ alpha^(q(e)/4), clamped at zero.  One call of the acceptance functional is
 one *evaluation* — the unit every budget and result counts — and proposals
 that select nothing still cost one.  Acceptance is decided exactly: the
 integer engine covers ea/rls on integer-valued starts, the vector engine
-covers quarter-exponent values as integer coefficient vectors; both are
-mirrored by a slow reference path over RadicalValues used in tests.
+covers quarter-exponent values as integer coefficient vectors.  Tests hold
+both against ``run_reference``, a slow replay of the same draws over
+RadicalValues in which :mod:`dualvc.oracle` decides every evaluation.
 
 Reproducibility contract: randomness comes from ``random.Random(seed)``
 (Mersenne Twister).  The stream also depends on CPython's
@@ -33,14 +34,14 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Callable, Optional, Sequence
 
-from . import dual as dual_mod
-from .dual import DualSolution
+from . import oracle
 from .instances import DynamicInstance
 from .numeric import (Alpha, RadicalValue, canonicalize_alpha, float_value,
                       q_max_for, sign_of_coeffs, step_coeffs, step_value)
@@ -106,31 +107,6 @@ class RunConfig:
             raise ValueError("budget must be >= 1")
 
 
-@dataclass
-class StepState:
-    q: list[int]
-    alpha: Alpha
-    q_max: int
-
-    @classmethod
-    def fresh(cls, m: int, alpha: int, w_max: int) -> "StepState":
-        a = canonicalize_alpha(alpha)
-        return cls([0] * m, a, q_max_for(a, w_max))
-
-    def sigma(self, e: int) -> RadicalValue:
-        return step_value(self.q[e], self.alpha)
-
-
-@dataclass
-class MutationRecord:
-    algorithm: str
-    edges: tuple[int, ...]
-    direction: int
-    changes: tuple[tuple[int, RadicalValue, RadicalValue], ...]
-    accepted: Optional[bool] = None
-    demoted: tuple[int, ...] = ()
-
-
 @dataclass(frozen=True)
 class Checkpoint:
     evaluations: int
@@ -163,118 +139,6 @@ class TransitionRecord:
     changed: tuple  # tuples (edge, old, new) for actual changes
     changed_was_violating: tuple  # bool per changed edge, wrt pre-step state
     demoted: tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# reference path: RadicalValue proposals over DualSolution
-# ---------------------------------------------------------------------------
-
-
-def _propose(algorithm: str, y: DualSolution, steps: StepState,
-             rng: random.Random, selection: list[int],
-             direction: int) -> MutationRecord:
-    zero = RadicalValue.zero(y.alpha)
-    changes = []
-    for e in selection:
-        old = y.y[e]
-        moved = old + steps.sigma(e).scale(direction)
-        new = moved if moved.sign() >= 0 else zero
-        changes.append((e, old, new))
-    return MutationRecord(algorithm, tuple(selection), direction,
-                          tuple(changes))
-
-
-def propose_ea(y: DualSolution, steps: StepState,
-               rng: random.Random) -> MutationRecord:
-    return _propose("ea", y, steps, rng,
-                    draw_ea_selection(rng, y.graph.m), dual_mod.sign(y))
-
-
-def propose_rls(y: DualSolution, steps: StepState,
-                rng: random.Random) -> MutationRecord:
-    return _propose("rls", y, steps, rng,
-                    draw_rls_selection(rng, y.graph.m), dual_mod.sign(y))
-
-
-def propose_ea_fifth(y: DualSolution, steps: StepState,
-                     rng: random.Random) -> MutationRecord:
-    d = draw_direction(rng)
-    return _propose("ea_fifth", y, steps, rng,
-                    draw_ea_selection(rng, y.graph.m), d)
-
-
-def propose_rls_fifth(y: DualSolution, steps: StepState,
-                      rng: random.Random) -> MutationRecord:
-    d = draw_direction(rng)
-    return _propose("rls_fifth", y, steps, rng,
-                    draw_rls_selection(rng, y.graph.m), d)
-
-
-PROPOSERS: dict[str, Callable] = {
-    "ea": propose_ea,
-    "rls": propose_rls,
-    "ea_fifth": propose_ea_fifth,
-    "rls_fifth": propose_rls_fifth,
-}
-
-
-def compute_i_prime(y: DualSolution, record: MutationRecord,
-                    yp: DualSolution) -> frozenset[int]:
-    """Rejected-ea demotion set: selected edges with a violated endpoint in
-    the proposal, none of whose violated endpoints is shared with another
-    selected edge."""
-    violated = dual_mod.violating_vertices(yp)
-    cnt: dict[int, int] = {}
-    for e in record.edges:
-        u, v = y.graph.edges[e]
-        cnt[u] = cnt.get(u, 0) + 1
-        cnt[v] = cnt.get(v, 0) + 1
-    out = []
-    for e in record.edges:
-        eps = [w for w in y.graph.edges[e] if w in violated]
-        if eps and all(cnt[w] == 1 for w in eps):
-            out.append(e)
-    return frozenset(out)
-
-
-def select_and_adapt(y: DualSolution, steps: StepState,
-                     record: MutationRecord
-                     ) -> tuple[DualSolution, StepState, bool]:
-    """One evaluation of the acceptance functional plus the step-size update.
-
-    Acceptance: values move to the proposal and every selected edge is
-    promoted (q + 4, capped).  Rejection: ea demotes its shared-endpoint-free
-    violating edges and rls its single edge by a full step (q - 4), but only
-    while feasible; the fifth variants demote the whole selection by a
-    quarter step (q - 1) unconditionally.  Floors at q = 0.
-    """
-    yp = y.copy()
-    for e, _old, new in record.changes:
-        yp.set_value(e, new)
-    outcome = dual_mod.fitness(y, yp)
-    if outcome.accept:
-        for e in record.edges:
-            steps.q[e] = min(steps.q[e] + 4, steps.q_max)
-        record.accepted = True
-        return yp, steps, True
-    record.accepted = False
-    algo = record.algorithm
-    if algo == "ea":
-        if dual_mod.sign(y) > 0:
-            demoted = compute_i_prime(y, record, yp)
-            for e in demoted:
-                steps.q[e] = max(steps.q[e] - 4, 0)
-            record.demoted = tuple(sorted(demoted))
-    elif algo == "rls":
-        if dual_mod.sign(y) > 0:
-            (e,) = record.edges
-            steps.q[e] = max(steps.q[e] - 4, 0)
-            record.demoted = (e,)
-    else:  # fifth variants: quarter-step demotion of the whole selection
-        for e in record.edges:
-            steps.q[e] = max(steps.q[e] - 1, 0)
-        record.demoted = tuple(record.edges)
-    return y, steps, False
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +411,9 @@ def _decide_decrease_infeasible(eng, selection, q):
 
 
 def _i_prime_from(eng, selection, add, cnt):
-    """Engine-side mirror of compute_i_prime on a rejected increase."""
+    """Demotion set of a rejected ea increase: selected edges with a
+    violated endpoint in the proposal, none of whose violated endpoints is
+    shared with another selected edge."""
     violated = set()
     for v, extra in add.items():
         if eng._slack_sign(eng._vadd(eng.load[v], extra),
@@ -656,52 +522,103 @@ def run(instance: DynamicInstance, config: RunConfig,
                      eng.sign_now())
 
 
-def run_reference(instance: DynamicInstance, config: RunConfig) -> RunResult:
-    """Slow mirror of run() over DualSolution/RadicalValue state; consumes
-    the random stream identically so results must match evaluation for
-    evaluation."""
-    alpha = canonicalize_alpha(config.alpha)
-    g = instance.graph_star
-    if all(isinstance(v, int) for v in instance.y_init):
-        y = DualSolution.from_ints(g, alpha, instance.y_init,
-                                   w_max=config.w_max)
+# ---------------------------------------------------------------------------
+# reference replay: the same draws, every evaluation decided by the oracle
+# ---------------------------------------------------------------------------
+
+
+def _reference_sign(g, y) -> int:
+    return -1 if oracle.violated(g, y) else 1
+
+
+def _reference_step(g, y: list, q: list, q_cap: int, algorithm: str,
+                    selection: Sequence[int], direction: int,
+                    w_max: int) -> tuple[list, bool, tuple[int, ...]]:
+    """One evaluation recomputed from scratch over RadicalValues.
+
+    Moves each selected edge by sigma(e) = alpha^(q(e)/4) in `direction`,
+    clamped at zero, and accepts by ``oracle.reference_fitness``.  Updates
+    `q` in place: acceptance promotes the selection (q + 4, capped at
+    q_cap).  Rejection demotes by a quarter step (q - 1) the whole
+    selection of a fifth variant, and, only while y is feasible, by a full
+    step (q - 4) the single edge of rls, or those edges of ea that have a
+    violated endpoint in the proposal and share none of their violated
+    endpoints with another selected edge.  Floors at q = 0.
+    Returns (values after the step, accepted, demoted edges).
+    """
+    alpha = y[0].alpha
+    zero = RadicalValue.zero(alpha)
+    proposed = list(y)
+    for e in selection:
+        moved = y[e] + step_value(q[e], alpha).scale(direction)
+        proposed[e] = moved if moved.sign() >= 0 else zero
+    if oracle.reference_fitness(g, y, proposed, w_max).accept:
+        for e in selection:
+            q[e] = min(q[e] + 4, q_cap)
+        return proposed, True, ()
+    if algorithm.endswith("fifth"):
+        demoted = tuple(selection)
+        step = 1
+    elif _reference_sign(g, y) < 0:
+        return y, False, ()
+    elif algorithm == "rls":
+        demoted = tuple(selection)
+        step = 4
     else:
-        vals = []
-        for v in instance.y_init:
-            if isinstance(v, RadicalValue):
-                vals.append(v)
-            elif isinstance(v, tuple):
-                vals.append(RadicalValue(alpha, v))
-            else:
-                vals.append(RadicalValue.from_rational(alpha, v))
-        y = DualSolution(g, alpha, vals, w_max=config.w_max)
-    steps = StepState.fresh(g.m, config.alpha, config.w_max)
+        violated = set(oracle.violated(g, proposed))
+        touches = Counter(w for e in selection for w in g.edges[e])
+        out = []
+        for e in selection:
+            ends = [w for w in g.edges[e] if w in violated]
+            if ends and all(touches[w] == 1 for w in ends):
+                out.append(e)
+        demoted = tuple(out)
+        step = 4
+    for e in demoted:
+        q[e] = max(q[e] - step, 0)
+    return y, False, demoted
+
+
+def run_reference(instance: DynamicInstance, config: RunConfig) -> RunResult:
+    """Slow replay of run(): the same random draws, each evaluation decided
+    by ``_reference_step`` and each maximality test by
+    ``oracle.validate_mfds_naive``, so results must match run() evaluation
+    for evaluation."""
+    alpha = canonicalize_alpha(config.alpha)
+    q_cap = q_max_for(alpha, config.w_max)
+    g = instance.graph_star
+    y = [v if isinstance(v, RadicalValue)
+         else RadicalValue(alpha, v) if isinstance(v, tuple)
+         else RadicalValue.from_rational(alpha, v)
+         for v in instance.y_init]
+    q = [0] * g.m
     rng = random.Random(config.seed)
-    propose = PROPOSERS[config.algorithm]
+    fifth = config.algorithm.endswith("fifth")
+    draw = (draw_ea_selection if config.algorithm.startswith("ea")
+            else draw_rls_selection)
     evals = 0
     accepted_n = 0
     trajectory = []
 
     def checkpoint():
         trajectory.append(Checkpoint(
-            evals, float_value(y.sum_y()),
-            len(dual_mod.violating_vertices(y)),
-            min(steps.q) if steps.q else 0,
-            max(steps.q) if steps.q else 0))
+            evals, float_value(sum(y, RadicalValue.zero(alpha))),
+            len(oracle.violated(g, y)),
+            min(q) if q else 0, max(q) if q else 0))
 
-    success = dual_mod.is_mfds(y)
+    success = oracle.validate_mfds_naive(g, y)
     while not success and evals < config.budget and g.m > 0:
-        record = propose(y, steps, rng)
-        y, steps, accepted = select_and_adapt(y, steps, record)
+        d = draw_direction(rng) if fifth else _reference_sign(g, y)
+        selection = draw(rng, g.m)
+        y, accepted, _ = _reference_step(g, y, q, q_cap, config.algorithm,
+                                         selection, d, config.w_max)
         evals += 1
         if accepted:
             accepted_n += 1
-            if dual_mod.is_mfds(y):
-                success = True
+            success = oracle.validate_mfds_naive(g, y)
         if evals % config.checkpoint_every == 0:
             checkpoint()
     if not trajectory or trajectory[-1].evaluations != evals:
         checkpoint()
-    final = tuple(tuple(v.coeffs) for v in y.y)
-    return RunResult(evals, success, final, tuple(trajectory), accepted_n,
-                     dual_mod.sign(y))
+    return RunResult(evals, success, tuple(tuple(v.coeffs) for v in y),
+                     tuple(trajectory), accepted_n, _reference_sign(g, y))

@@ -134,16 +134,8 @@ def make_dynamic(g: WeightedGraph, y_orig: Sequence, edit: Edit,
     _check_tag(requested, derived, edit)
     w_max = max(g.max_weight(), g_star.max_weight())
     old_ids = g.edge_ids()
-    zero = 0 if all(isinstance(v, int) for v in y_orig) else None
-    y_init = []
-    for e in g_star.edges:
-        if e in old_ids:
-            y_init.append(y_orig[old_ids[e]])
-        elif zero is not None:
-            y_init.append(0)
-        else:
-            sample = next(v for v in y_orig if not isinstance(v, int))
-            y_init.append(type(sample).zero(sample.alpha))
+    y_init = [y_orig[old_ids[e]] if e in old_ids else 0
+              for e in g_star.edges]
     return DynamicInstance(g, tuple(y_orig), edit, g_star, d, diff,
                            requested, derived, w_max, tuple(y_init))
 

@@ -172,8 +172,6 @@ class RadicalValue:
         a = _as_alpha(alpha)
         return cls(a, (Fraction(value),) + (Fraction(0),) * (a.basis_dim - 1))
 
-    from_int = from_rational
-
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -445,7 +443,3 @@ def float_sign(a: RadicalValue, tau: float = TAU,
     if v < -tau:
         return -1
     return a.sign() if escalate else 0
-
-
-def float_step_value(q: StepExponent, alpha: Union[int, Alpha]) -> float:
-    return float_value(step_value(q, _as_alpha(alpha)))

@@ -1,5 +1,6 @@
-"""Independent from-scratch validators: they cross-check the fast layers
-and certify every success the harness reports.
+"""Independent from-scratch validators: they decide every evaluation of
+the reference replay the engines are tested against, and certify every
+success the harness reports.
 
 Nothing here shares caching or incremental logic with the rest of the
 package: loads are recomputed from scratch, covers are found by exhaustive
@@ -17,7 +18,6 @@ from itertools import chain, product
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .dual import FitnessOutcome
 from .graph import WeightedGraph
 from .numeric import Alpha, Rational, RadicalValue, sign_of_coeffs
 
@@ -218,36 +218,46 @@ def validate_mfds_naive(g: WeightedGraph, values: Sequence[Value]) -> bool:
     return _defect(g, *_columns(values)) is None
 
 
-def _violated(g: WeightedGraph, values: Sequence[Value]) -> list[int]:
+def violated(g: WeightedGraph, values: Sequence[Value]) -> list[int]:
+    """Vertices whose load, recomputed from scratch, exceeds their weight."""
     alpha, cols = _columns(values)
     slack = _slack_signs(g, alpha, *_integer_columns(cols))
     return [v for v, s in enumerate(slack) if s > 0]
 
 
+@dataclass(frozen=True)
+class FitnessOutcome:
+    value: RadicalValue
+    accept: bool
+
+
 def reference_fitness(g: WeightedGraph, values: Sequence[Value],
                       proposed: Sequence[Value],
                       w_max: int) -> FitnessOutcome:
-    """From-scratch evaluation of the acceptance functional.
+    """From-scratch evaluation of the acceptance functional comparing a
+    proposal against the current values.
 
-    Mirrors dual.fitness without touching DualSolution: violated vertices,
-    their incident edges, and both branch formulas are recomputed directly.
-    Values must be RadicalValues (use DualSolution.from_ints upstream for
-    integer data).
+    Feasible values: the signed total change, negated when the proposal is
+    infeasible, so any proposal creating a violation (or any strict
+    decrease) is rejected.  Infeasible values: decreases on edges at
+    violated vertices count positively; any change elsewhere is penalized
+    by m * w_max per unit of absolute change.  Ties (value 0) are accepted.
+    Values must be RadicalValues over one alpha.
     """
     if len(values) != g.m or len(proposed) != g.m:
         raise ValueError("value vectors must match the edge count")
-    violated = _violated(g, values)
+    overloaded = violated(g, values)
     alpha = values[0].alpha if g.m else None
     assert alpha is not None, "reference_fitness needs at least one edge"
     zero = RadicalValue.zero(alpha)
-    if not violated:
+    if not overloaded:
         total = zero
         for e in range(g.m):
             total = total + (proposed[e] - values[e])
-        value = -total if _violated(g, proposed) else total
+        value = -total if violated(g, proposed) else total
         return FitnessOutcome(value, value.sign() >= 0)
     viol_edges = set()
-    for v in violated:
+    for v in overloaded:
         viol_edges.update(g.adjacency(v))
     gain = zero
     off = zero

@@ -20,19 +20,20 @@ from math import ceil
 
 import pytest
 
-from dualvc.dual import DualSolution, extract_cover, fitness, is_mfds
+from dualvc.dual import DualSolution, extract_cover
 from dualvc.graph import WeightedGraph
 from dualvc.harness import (BenchCell, BenchPlan, contrast_bound,
                             execute_plan, format_scaling_report, run_trial,
                             scaling_plan, scaling_report)
-from dualvc.heuristics import ALGORITHMS, RunConfig, run
+from dualvc.heuristics import ALGORITHMS, RunConfig, _VecEngine, run
 from dualvc.instances import (VARIANTS, derive_seed, hard_instance,
                               random_dynamic)
 from dualvc.numeric import (TAU, RadicalValue, canonicalize_alpha,
                             float_sign, float_value, q_max_for,
                             sign_of_coeffs, step_value)
-from dualvc.oracle import (enumerate_mfds, exact_min_wvc, reference_fitness,
-                           validate_mfds_naive)
+from dualvc.oracle import enumerate_mfds, exact_min_wvc, validate_mfds_naive
+
+from engine_decisions import engine_agrees
 
 A2 = canonicalize_alpha(2)
 ALPHA = 2
@@ -270,8 +271,11 @@ def _random_values(rng, m):
 
 
 def test_criterion_4_fitness_and_maximality_match_the_oracle(capsys):
-    """The incremental acceptance functional and maximality predicate agree
-    exactly with full recomputation on 1e4 randomized cases each."""
+    """The engine's incremental acceptance decisions and maximality
+    predicate agree exactly with full recomputation on 1e4 randomized cases
+    each: random values, step exponents, selection and direction, decided
+    by the engine as run() dispatches them and by the oracle's
+    reference_fitness on the same clamped proposal."""
     rng = random.Random(4040)
     fit_cases = mfds_cases = disagreements = 0
     g = _random_case_graph(rng)
@@ -279,19 +283,22 @@ def test_criterion_4_fitness_and_maximality_match_the_oracle(capsys):
         if i % 50 == 0:
             g = _random_case_graph(rng)
         vals = _random_values(rng, g.m)
-        props = _random_values(rng, g.m)
         w_cap = g.max_weight()
-        fast = fitness(DualSolution(g, A2, vals, w_max=w_cap),
-                       DualSolution(g, A2, props, w_max=w_cap))
-        ref = reference_fitness(g, vals, props, w_max=w_cap)
-        if fast.accept != ref.accept or not (fast.value - ref.value).is_zero():
+        q_cap = q_max_for(A2, w_cap)
+        q = [rng.randint(0, q_cap) for _ in range(g.m)]
+        selection = rng.sample(range(g.m), rng.randint(0, g.m))
+        direction = rng.choice((1, -1))
+        eng = _VecEngine(g, vals, w_cap, A2, q_cap)
+        if not engine_agrees(eng, vals, q, selection, direction):
             disagreements += 1
         fit_cases += 1
     for i in range(10_000):
         if i % 50 == 0:
             g = _random_case_graph(rng)
         vals = _random_values(rng, g.m)
-        if is_mfds(DualSolution(g, A2, vals)) != validate_mfds_naive(g, vals):
+        w_cap = g.max_weight()
+        eng = _VecEngine(g, vals, w_cap, A2, q_max_for(A2, w_cap))
+        if eng.is_mfds() != validate_mfds_naive(g, vals):
             disagreements += 1
         mfds_cases += 1
     ok = disagreements == 0 and fit_cases == mfds_cases == 10_000

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualvc.graph import (Edit, WeightedGraph, apply_edit, edge_neighborhood,
-                          edit_from_json, edit_to_json, incident_edges,
-                          instance_from_json, instance_to_json, load_edit,
-                          load_instance, save_edit, save_instance)
+from dualvc.graph import (Edit, WeightedGraph, apply_edit, edit_from_json,
+                          edit_to_json, instance_from_json, instance_to_json,
+                          load_edit, load_instance, save_edit, save_instance)
 
 
 def path_graph(n, weights=None):
@@ -58,18 +57,6 @@ def test_empty_graph():
     g = WeightedGraph(0, (), ())
     assert g.m == 0
     assert g.max_weight() == 1   # default for the empty weight vector
-
-
-def test_incident_edges_and_edge_neighborhood():
-    # star with center 0 plus a detached edge (4,5)
-    g = WeightedGraph(6, (1,) * 6, ((0, 1), (0, 2), (0, 3), (4, 5)))
-    assert incident_edges(g, 0) == frozenset({0, 1, 2})
-    assert incident_edges(g, 5) == frozenset({3})
-    # neighborhood of {0} = other star edges, not (4,5), not 0 itself
-    assert edge_neighborhood(g, [0]) == frozenset({1, 2})
-    assert edge_neighborhood(g, [3]) == frozenset()
-    assert edge_neighborhood(g, [0, 3]) == frozenset({1, 2})
-    assert edge_neighborhood(g, []) == frozenset()
 
 
 # -- edits -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Search heuristics: proposals, adaptation, engines vs the reference path."""
+"""Search heuristics: proposals, adaptation, engine vs reference replay."""
 
 import random
 import statistics
@@ -8,14 +8,14 @@ import pytest
 
 from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
-from dualvc.heuristics import (ALGORITHMS, PROPOSERS, MutationRecord,
-                               RunConfig, StepState, _binomial_cdf,
-                               compute_i_prime, draw_direction,
-                               draw_ea_selection, draw_rls_selection,
-                               propose_ea, propose_rls_fifth, run,
-                               run_reference, select_and_adapt)
+from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
+                               _decide_increase, _i_prime_from, _IntEngine,
+                               _reference_step, draw_direction,
+                               draw_ea_selection, draw_rls_selection, run,
+                               run_reference)
 from dualvc.instances import (hard_instance, make_dynamic, random_dynamic)
 from dualvc.numeric import RadicalValue, canonicalize_alpha, q_max_for
+from dualvc.oracle import validate_mfds_naive
 
 A2 = canonicalize_alpha(2)
 
@@ -47,7 +47,6 @@ def test_run_config_validation():
 
 def test_algorithm_registry():
     assert ALGORITHMS == ("ea", "rls", "ea_fifth", "rls_fifth")
-    assert set(PROPOSERS) == set(ALGORITHMS)
 
 
 # -- random draws ----------------------------------------------------------------
@@ -99,159 +98,150 @@ def test_direction_is_fair_coin():
     assert set(draw_direction(rng) for _ in range(64)) == {1, -1}
 
 
-# -- step state -------------------------------------------------------------------
-
-def test_step_state_fresh():
-    steps = StepState.fresh(3, 2, 256)
-    assert steps.q == [0, 0, 0]
-    assert steps.q_max == q_max_for(2, 256) == 36
-    assert steps.sigma(0).as_fraction() == 1
-    steps.q[1] = 8
-    assert steps.sigma(1).as_fraction() == 4
-
-
-# -- proposal draw order ------------------------------------------------------------
+# -- proposals, as seen through run()'s hook stream ---------------------------------
 
 def test_fifth_proposals_draw_direction_before_selection():
-    g = WeightedGraph(6, (4,) * 6, ((0, 1), (2, 3), (4, 5)))
-    y = DualSolution(g, 2)
-    steps = StepState.fresh(g.m, 2, 4)
+    g = WeightedGraph(6, (4,) * 6, ())
+    inst = make_dynamic(g, (), Edit("edges", edges=((0, 1), (2, 3), (4, 5))),
+                        "E+")
     for seed in range(20):
-        rec = propose_rls_fifth(y, steps, random.Random(seed))
+        records = []
+        run(inst, RunConfig("rls_fifth", 2, inst.w_max, 30, seed),
+            hook=records.append)
+        assert records
         ref = random.Random(seed)
-        assert rec.direction == draw_direction(ref)
-        assert list(rec.edges) == draw_rls_selection(ref, g.m)
+        for rec in records:
+            assert rec.direction == draw_direction(ref)
+            assert list(rec.edges) == draw_rls_selection(ref, inst.m)
 
 
 def test_plain_proposals_use_solution_sign_as_direction():
-    g = WeightedGraph(2, (2, 2), ((0, 1),))
-    feas = DualSolution.from_ints(g, 2, (1,))
-    rec = propose_ea(feas, StepState.fresh(1, 2, 2), random.Random(0))
-    assert rec.direction == 1
-    infeas = DualSolution.from_ints(g, 2, (3,))
-    rec = propose_ea(infeas, StepState.fresh(1, 2, 2), random.Random(0))
-    assert rec.direction == -1
+    feas = make_dynamic(WeightedGraph(2, (1, 1), ((0, 1),)), (1,),
+                        Edit("weights", weights=(2, 2)), "W+")   # y = 1
+    infeas = make_dynamic(WeightedGraph(2, (3, 3), ((0, 1),)), (3,),
+                          Edit("weights", weights=(2, 2)), "W-")  # y = 3
+    for inst, first in ((feas, 1), (infeas, -1)):
+        records = []
+        run(inst, RunConfig("ea", 2, inst.w_max, 50, 0), hook=records.append)
+        assert records[0].direction == first
+        assert all(r.direction == r.sign_before for r in records)
 
 
 def test_proposal_clamps_decreases_at_zero():
-    g = WeightedGraph(2, (2, 2), ((0, 1),))
-    y = DualSolution.from_ints(g, 2, (3,))   # infeasible: direction -1
-    steps = StepState.fresh(1, 2, 4)
-    steps.q[0] = 8                            # sigma = 4 > current value
-    rec = propose_ea(y, steps, random.Random(1))
-    (e, old, new) = rec.changes[0]
-    assert old.as_fraction() == 3 and new.is_zero()
+    inst = make_dynamic(WeightedGraph(2, (6, 6), ((0, 1),)), (6,),
+                        Edit("weights", weights=(1, 1)), "W-")
+    records = []
+    run(inst, RunConfig("rls", 2, inst.w_max, 50, 1), hook=records.append)
+    # infeasible, so each step lowers by sigma = 1, 2, 4: the last clamps
+    changes = [r.changed for r in records[:3]]
+    assert changes == [((0, 6, 5),), ((0, 5, 3),), ((0, 3, 0),)]
+    assert all(r.accepted and r.direction == -1 for r in records[:3])
 
 
 # -- the rejected-increase demotion set ----------------------------------------------
 
+def assert_i_prime(g, values, selection, expected):
+    """Both the reference step and the engine demote exactly `expected`
+    when the ea increase of `selection` at q = 0 is rejected."""
+    q_cap = q_max_for(2, g.max_weight())
+    q = [0] * g.m
+    _y, accepted, demoted = _reference_step(
+        g, [rv(v) for v in values], q, q_cap, "ea", selection, 1,
+        g.max_weight())
+    assert not accepted
+    assert set(demoted) == expected
+    eng = _IntEngine(g, values, g.max_weight(), 2, q_cap)
+    accept, _deltas, add, cnt = _decide_increase(eng, selection, [0] * g.m)
+    assert not accept
+    assert set(_i_prime_from(eng, selection, add, cnt)) == expected
+
+
 def test_i_prime_disjoint_edges_both_demotable():
     g = WeightedGraph(4, (1, 1, 1, 1), ((0, 1), (2, 3)))
-    y = DualSolution.from_ints(g, 2, (1, 1))
-    yp = DualSolution.from_ints(g, 2, (2, 2))
-    rec = MutationRecord("ea", (0, 1), 1, ())
-    assert compute_i_prime(y, rec, yp) == frozenset({0, 1})
+    assert_i_prime(g, (1, 1), [0, 1], {0, 1})          # both raised to 2
 
 
 def test_i_prime_shared_violated_vertex_excluded():
     g = WeightedGraph(3, (2, 1, 1), ((0, 1), (0, 2)))
-    y = DualSolution.from_ints(g, 2, (1, 1))
-    yp = DualSolution.from_ints(g, 2, (2, 2))
-    rec = MutationRecord("ea", (0, 1), 1, ())
-    assert compute_i_prime(y, rec, yp) == frozenset()
+    assert_i_prime(g, (1, 1), [0, 1], set())           # both raised to 2
 
 
 def test_i_prime_mixed():
     # star plus a detached edge: only the detached edge demotes
     g = WeightedGraph(5, (1, 1, 1, 1, 1), ((0, 1), (0, 2), (3, 4)))
-    y = DualSolution.from_ints(g, 2, (0, 0, 1))
-    yp = DualSolution.from_ints(g, 2, (1, 0, 2))   # raised edges 0 and 2
-    rec = MutationRecord("ea", (0, 2), 1, ())
-    assert compute_i_prime(y, rec, yp) == frozenset({2})
+    assert_i_prime(g, (0, 0, 1), [0, 2], {2})          # raised to 1 and 2
 
 
-# -- one evaluation of select_and_adapt ----------------------------------------------
+# -- one evaluation of _reference_step ------------------------------------------------
 
-def make_record(algo, y, pairs, direction=1):
-    changes = tuple((e, y.y[e], rv(new)) for e, new in pairs)
-    return MutationRecord(algo, tuple(e for e, _ in pairs), direction,
-                          changes)
+def reference_step(g, values, q, algorithm, selection, direction, w_max):
+    """_reference_step on rational values with q_cap = q_max_for(2, w_max)."""
+    return _reference_step(g, [rv(v) for v in values], q,
+                           q_max_for(2, w_max), algorithm, selection,
+                           direction, w_max)
 
 
 def test_accept_promotes_all_selected_capped():
     g = WeightedGraph(2, (2, 2), ((0, 1),))
-    y = DualSolution.from_ints(g, 2, (2,))
-    steps = StepState.fresh(1, 2, 2)          # q_max = 8
-    steps.q[0] = 7
-    rec = make_record("rls_fifth", y, [(0, 2)], direction=-1)  # no-op
-    y2, steps, accepted = select_and_adapt(y, steps, rec)
-    assert accepted and rec.accepted
-    assert steps.q == [8]                      # 7 + 4 capped at 8
-    assert rec.demoted == ()
+    q = [7]                                    # q_max = 8
+    y2, accepted, demoted = reference_step(g, (0,), q, "rls_fifth", [0], -1,
+                                           2)  # lowering 0 is a no-op
+    assert accepted
+    assert q == [8]                            # 7 + 4 capped at 8
+    assert demoted == ()
+    assert y2[0].is_zero()
 
 
 def test_reject_ea_demotes_i_prime_only():
-    g = WeightedGraph(5, (1, 1, 1, 1, 1), ((0, 1), (0, 2), (3, 4)))
-    y = DualSolution.from_ints(g, 2, (0, 0, 1))
-    steps = StepState.fresh(3, 2, 4)
-    steps.q[:] = [3, 3, 5]
-    rec = make_record("ea", y, [(0, 1), (2, 2)])
-    _, steps, accepted = select_and_adapt(y, steps, rec)
-    assert not accepted and rec.accepted is False
-    assert steps.q == [3, 3, 1]                # only edge 2 demoted, by 4
-    assert rec.demoted == (2,)
+    g = WeightedGraph(5, (2, 2, 1, 1, 1), ((0, 1), (0, 2), (3, 4)))
+    q = [3, 3, 5]
+    # edge 0 rises to 2**(3/4) < 2, edge 2 to 1 + 2**(5/4) > 1
+    _, accepted, demoted = reference_step(g, (0, 0, 1), q, "ea", [0, 2], 1,
+                                          4)
+    assert not accepted
+    assert q == [3, 3, 1]                      # only edge 2 demoted, by 4
+    assert demoted == (2,)
 
 
 def test_reject_rls_demotes_chosen_edge_floored():
     g = WeightedGraph(2, (1, 1), ((0, 1),))
-    y = DualSolution.from_ints(g, 2, (1,))
-    steps = StepState.fresh(1, 2, 1)
-    steps.q[0] = 2
-    rec = make_record("rls", y, [(0, 2)])
-    _, steps, accepted = select_and_adapt(y, steps, rec)
+    q = [2]
+    _, accepted, demoted = reference_step(g, (1,), q, "rls", [0], 1, 1)
     assert not accepted
-    assert steps.q == [0]                      # 2 - 4 floored at 0
-    assert rec.demoted == (0,)
+    assert q == [0]                            # 2 - 4 floored at 0
+    assert demoted == (0,)
 
 
 def test_reject_plain_never_demotes_while_infeasible():
     g = WeightedGraph(4, (1, 1, 5, 5), ((0, 1), (2, 3)))
-    y = DualSolution.from_ints(g, 2, (2, 1))   # vertices 0, 1 overloaded
-    steps = StepState.fresh(2, 2, 5)
-    steps.q[:] = [6, 6]
-    rec = make_record("rls", y, [(1, 0)], direction=-1)  # off-edge decrease
-    _, steps, accepted = select_and_adapt(y, steps, rec)
-    assert not accepted
-    assert steps.q == [6, 6] and rec.demoted == ()
+    q = [6, 6]                                 # vertices 0, 1 overloaded
+    _, accepted, demoted = reference_step(g, (2, 1), q, "rls", [1], -1, 5)
+    assert not accepted                        # off-edge decrease
+    assert q == [6, 6] and demoted == ()
 
 
 def test_reject_fifth_demotes_quarter_step_unconditionally():
     g = WeightedGraph(4, (1, 1, 5, 5), ((0, 1), (2, 3)))
-    y = DualSolution.from_ints(g, 2, (2, 1))
-    steps = StepState.fresh(2, 2, 5)
-    steps.q[:] = [6, 3]
-    rec = make_record("rls_fifth", y, [(1, 0)], direction=-1)
-    _, steps, accepted = select_and_adapt(y, steps, rec)
+    q = [6, 3]
+    _, accepted, demoted = reference_step(g, (2, 1), q, "rls_fifth", [1], -1,
+                                          5)
     assert not accepted
-    assert steps.q == [6, 2] and rec.demoted == (1,)
+    assert q == [6, 2] and demoted == (1,)
     # same while feasible
-    yf = DualSolution.from_ints(WeightedGraph(2, (2, 2), ((0, 1),)), 2, (2,))
-    sf = StepState.fresh(1, 2, 2)
-    rec2 = make_record("ea_fifth", yf, [(0, 3)])
-    _, sf, acc2 = select_and_adapt(yf, sf, rec2)
-    assert not acc2 and sf.q == [0]            # 0 - 1 floored at 0
-    assert rec2.demoted == (0,)
+    qf = [0]
+    _, acc2, dem2 = reference_step(WeightedGraph(2, (2, 2), ((0, 1),)), (2,),
+                                   qf, "ea_fifth", [0], 1, 2)
+    assert not acc2 and qf == [0]              # 0 - 1 floored at 0
+    assert dem2 == (0,)
 
 
 def test_accepted_decrease_while_infeasible():
     g = WeightedGraph(2, (1, 1), ((0, 1),))
-    y = DualSolution.from_ints(g, 2, (3,))
-    steps = StepState.fresh(1, 2, 1)
-    rec = make_record("rls", y, [(0, 2)], direction=-1)
-    y2, steps, accepted = select_and_adapt(y, steps, rec)
+    q = [0]
+    y2, accepted, _ = reference_step(g, (3,), q, "rls", [0], -1, 1)
     assert accepted
-    assert y2.y[0].as_fraction() == 2
-    assert steps.q == [4]                      # accepts always promote
+    assert y2[0].as_fraction() == 2
+    assert q == [4]                            # accepts always promote
 
 
 # -- whole runs -----------------------------------------------------------------------
@@ -335,36 +325,52 @@ def fraction_start_instance():
                         "W")
 
 
+def fraction_edge_growth_instance():
+    """A path held at half its middle weight in Fractions, then grown by
+    two edges to a new vertex: the new edges start at 0, and only the new
+    vertex can become their tight endpoint."""
+    g = WeightedGraph(4, (9, 9, 9, 4), ((0, 1), (1, 2)))
+    edit = Edit("edges", edges=((0, 1), (1, 2), (0, 3), (2, 3)))
+    return make_dynamic(g, (Fraction(9, 2),) * 2, edit, "E+")
+
+
 # (alpha, instance): field degree 4 (alpha 2), 2 (alpha 9) and 1 (alpha 16)
 EQUIV_CASES = [
     (2, hard_instance("E+", 3, 2)),
     (2, hard_instance("W-", 2, 2)),
-    (2, random_dynamic("E", 8, 10, 2, 8, seed=5)),
+    (2, random_dynamic("E", 8, 10, 2, 8, seed=8)),
     (2, random_dynamic("W", 8, 10, 3, 8, seed=7)),
     (9, hard_instance("E+", 2, 9)),
     (9, random_dynamic("W", 8, 10, 3, 64, seed=7)),
     (9, fraction_start_instance()),
+    (9, fraction_edge_growth_instance()),
     (16, hard_instance("W-", 2, 16)),
     (16, random_dynamic("E", 8, 10, 2, 64, seed=3)),
 ]
+
+
+def assert_run_matches_reference(inst, cfg):
+    """Engine and reference agree on the whole RunResult, trajectory
+    included, and the comparison is not vacuous."""
+    assert not validate_mfds_naive(inst.graph_star, inst.y_init)
+    fast = run(inst, cfg)
+    assert fast.evaluations >= 1
+    assert fast == run_reference(inst, cfg)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_engine_matches_reference_path(algorithm):
     for alpha, inst in EQUIV_CASES:
         for seed in (1, 2):
-            cfg = RunConfig(algorithm, alpha, inst.w_max, 400, seed,
-                            checkpoint_every=64)
-            fast = run(inst, cfg)
-            slow = run_reference(inst, cfg)
-            assert fast == slow
+            assert_run_matches_reference(inst, RunConfig(
+                algorithm, alpha, inst.w_max, 400, seed, checkpoint_every=64))
 
 
 def test_engine_matches_reference_alpha_three():
     inst = hard_instance("W+", 2, 3)
     for algorithm in ALGORITHMS:
-        cfg = RunConfig(algorithm, 3, inst.w_max, 300, 9)
-        assert run(inst, cfg) == run_reference(inst, cfg)
+        assert_run_matches_reference(
+            inst, RunConfig(algorithm, 3, inst.w_max, 300, 9))
 
 
 # -- per-evaluation hook ----------------------------------------------------------------

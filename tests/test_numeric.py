@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualvc.numeric import (TAU, Alpha, RadicalValue, canonicalize_alpha,
-                            ceil_log, float_sign, float_step_value,
-                            float_value, interval_sign, q_max_for,
-                            sign_of_coeffs, step_coeffs, step_value)
+                            ceil_log, float_sign, float_value, interval_sign,
+                            q_max_for, sign_of_coeffs, step_coeffs,
+                            step_value)
 
 
 # -- canonical alpha ---------------------------------------------------------
@@ -155,9 +155,6 @@ def test_step_value_quarter_identities(alpha):
         assert sv == RadicalValue(a, step_coeffs(q, a))
         if q >= 4:
             assert sv == alpha_val * step_value(q - 4, a)
-        # float backend tracks the exact value closely
-        assert float_step_value(q, a) == pytest.approx(
-            float_value(sv), rel=1e-12)
 
 
 def test_step_value_integer_grid():

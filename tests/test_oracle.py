@@ -1,16 +1,21 @@
 """The slow validators themselves: covers, maximality checks, enumeration."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dualvc.dual import DualSolution, fitness
+import dualvc
 from dualvc.graph import WeightedGraph
+from dualvc.heuristics import _VecEngine
 from dualvc.instances import make_gs
-from dualvc.numeric import RadicalValue, canonicalize_alpha
+from dualvc.numeric import RadicalValue, canonicalize_alpha, q_max_for
 from dualvc.oracle import (enumerate_mfds, exact_min_wvc, exhaustive_min_wvc,
                            reference_fitness, validate_mfds_naive)
+
+from engine_decisions import engine_agrees
 
 A2 = canonicalize_alpha(2)
 
@@ -142,17 +147,18 @@ def test_reference_fitness_matches_fast_path():
     rng = random.Random(5)
     g = WeightedGraph(5, (3, 4, 2, 5, 3),
                       ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)))
+    q_cap = q_max_for(A2, 5)
+    branches = set()
     for _ in range(300):
         vals = [rv(Fraction(rng.randint(0, 8), rng.choice((1, 2, 4))))
                 for _ in range(g.m)]
-        props = [rv(Fraction(rng.randint(0, 8), rng.choice((1, 2, 4))))
-                 for _ in range(g.m)]
-        y = DualSolution(g, 2, vals, w_max=5)
-        yp = DualSolution(g, 2, props, w_max=5)
-        fast = fitness(y, yp)
-        ref = reference_fitness(g, vals, props, w_max=5)
-        assert fast.accept == ref.accept
-        assert (fast.value - ref.value).is_zero()
+        q = [rng.randint(0, q_cap) for _ in range(g.m)]
+        selection = rng.sample(range(g.m), rng.randint(0, g.m))
+        direction = rng.choice((1, -1))
+        eng = _VecEngine(g, vals, 5, A2, q_cap)
+        assert engine_agrees(eng, vals, q, selection, direction)
+        branches.add((eng.sign_now(), direction))
+    assert branches == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
 def test_reference_fitness_irrational_values():
@@ -212,3 +218,45 @@ def test_enumerate_agrees_with_validator_on_full_grid():
         sols = enumerate_mfds(g)
         assert len(sols) >= 1   # greedy filling always exists on the grid
         assert all(validate_mfds_naive(g, s) for s in sols)
+
+
+# -- independence from the engine -------------------------------------------------
+
+def _module_tree(name):
+    return ast.parse((Path(dualvc.__file__).parent / f"{name}.py").read_text())
+
+
+def _package_imports(tree):
+    """Names of the dualvc modules a module imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level:
+                out.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("dualvc."):
+                out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("dualvc."))
+    return out
+
+
+def test_oracle_shares_no_code_with_the_engine():
+    assert _package_imports(_module_tree("oracle")) <= {"graph", "numeric"}
+    heuristics = _module_tree("heuristics")
+    assert "dual" not in _package_imports(heuristics)
+    engine = {"_decide_increase", "_decide_decrease_infeasible",
+              "_i_prime_from", "_make_engine", "_BaseEngine", "_IntEngine",
+              "_VecEngine"}
+    replay = [node for node in heuristics.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("run_reference", "_reference_step")]
+    assert len(replay) == 2
+    for func in replay:
+        used = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(func)
+                 if isinstance(node, ast.Attribute)}
+        assert not used & engine, func.name
