@@ -42,8 +42,7 @@ def pilot_stats(algorithm, m, alpha, trials, seed, budget):
     evals, successes = [], 0
     for trial in range(trials):
         cfg = RunConfig(algorithm=algorithm, alpha=alpha, w_max=inst.w_max,
-                        budget=budget, seed=seed + trial,
-                        checkpoint_every=budget)
+                        budget=budget, seed=seed + trial)
         result = run(inst, cfg)
         successes += result.success
         evals.append(result.evaluations)

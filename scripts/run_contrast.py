@@ -29,8 +29,7 @@ def trial_block(algorithm, m, alpha, trials, seed, budget):
     evals, succ = [], 0
     for trial in range(trials):
         cfg = RunConfig(algorithm=algorithm, alpha=alpha, w_max=inst.w_max,
-                        budget=budget, seed=seed + trial,
-                        checkpoint_every=budget)
+                        budget=budget, seed=seed + trial)
         result = run(inst, cfg)
         succ += result.success
         evals.append(result.evaluations)

@@ -11,10 +11,10 @@ from .oracle import (ExactCoverResult, FitnessOutcome, enumerate_mfds,
                      exact_min_wvc, exhaustive_min_wvc, reference_fitness,
                      validate_mfds_naive)
 from .instances import (HARD_VARIANTS, VARIANTS, DynamicInstance, derive_seed,
-                        greedy_mfds, hard_instance, make_dynamic,
-                        random_dynamic, random_edit, random_instance)
-from .heuristics import (ALGORITHMS, Checkpoint, RunConfig, RunResult,
-                         TransitionRecord, run, run_reference)
+                        hard_instance, make_dynamic, random_dynamic,
+                        random_edit, random_instance)
+from .heuristics import (ALGORITHMS, RunConfig, RunResult, TransitionRecord,
+                         run, run_reference)
 from .harness import (BenchCell, BenchPlan, BenchRecord, ScalingCell,
                       ScalingReport, bound_shape, execute_plan,
                       format_scaling_report, read_records, run_trial,
@@ -31,10 +31,10 @@ __all__ = [
     "ExactCoverResult", "FitnessOutcome", "enumerate_mfds", "exact_min_wvc",
     "exhaustive_min_wvc", "reference_fitness", "validate_mfds_naive",
     "HARD_VARIANTS", "VARIANTS", "DynamicInstance", "derive_seed",
-    "greedy_mfds", "hard_instance", "make_dynamic", "random_dynamic",
-    "random_edit", "random_instance",
-    "ALGORITHMS", "Checkpoint", "RunConfig", "RunResult", "TransitionRecord",
-    "run", "run_reference",
+    "hard_instance", "make_dynamic", "random_dynamic", "random_edit",
+    "random_instance",
+    "ALGORITHMS", "RunConfig", "RunResult", "TransitionRecord", "run",
+    "run_reference",
     "BenchCell", "BenchPlan", "BenchRecord", "ScalingCell", "ScalingReport",
     "bound_shape", "execute_plan", "format_scaling_report", "read_records",
     "run_trial", "scaling_report",

@@ -9,10 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
-from . import harness
-from .heuristics import ALGORITHMS
-from .instances import VARIANTS
+from . import dual
+from .dual import DualSolution, load_dual, save_dual
+from .graph import load_edit, load_instance, save_edit, save_instance
+from .harness import (SOLVE_HEADER, BenchRecord, RunLogger, execute_plan,
+                      load_plan, summarize, verify_final)
+from .heuristics import ALGORITHMS, RunConfig, run
+from .instances import (VARIANTS, DynamicInstance, hard_instance,
+                        make_dynamic, random_dynamic)
+from .numeric import RadicalValue, canonicalize_alpha, float_value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--alpha", type=int, default=2)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", help="output path prefix")
-    gen.set_defaults(func=harness.cmd_gen)
+    gen.set_defaults(func=cmd_gen)
 
     solve = sub.add_parser("solve", help="run one heuristic on one instance")
     solve.add_argument("--graph", help="instance JSON from gen")
@@ -50,19 +57,142 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--out", help="write the final dual dump here")
     solve.add_argument("--log", help="write a per-evaluation run log here")
-    solve.set_defaults(func=harness.cmd_solve)
+    solve.set_defaults(func=cmd_solve)
 
     bench = sub.add_parser("bench", help="execute a benchmark plan")
     bench.add_argument("--config", help="plan JSON", required=False)
     bench.add_argument("--out", help="override the plan's CSV path")
-    bench.set_defaults(func=harness.cmd_bench)
+    bench.set_defaults(func=cmd_bench)
 
     verify = sub.add_parser("verify", help="check a dual dump for a graph")
     verify.add_argument("--graph", required=True)
     verify.add_argument("--dual", required=True)
-    verify.add_argument("--wmax", type=int, default=None)
-    verify.set_defaults(func=harness.cmd_verify)
+    verify.set_defaults(func=cmd_verify)
     return parser
+
+
+# ---------------------------------------------------------------------------
+# command bodies
+# ---------------------------------------------------------------------------
+
+
+def _plain_values(values: Sequence[RadicalValue]) -> tuple:
+    """Map rational RadicalValues to plain rationals (ints when whole), so
+    only truly irrational values stay tied to the alpha of their dump."""
+    out = []
+    for v in values:
+        c0 = v.coeffs[0]
+        if any(c != 0 for c in v.coeffs[1:]):
+            out.append(v)
+        else:
+            out.append(int(c0) if c0.denominator == 1 else c0)
+    return tuple(out)
+
+
+def _instance_from_args(args) -> DynamicInstance:
+    if args.hard:
+        if args.m < 2:
+            raise ValueError("--hard needs --m >= 2")
+        return hard_instance(args.variant, args.m, args.alpha)
+    if not (args.graph and args.edit and args.y0):
+        raise ValueError("need --graph, --edit and --y0 (or --hard)")
+    g = load_instance(args.graph)
+    edit = load_edit(args.edit)
+    y0 = load_dual(args.y0, g)
+    variant = args.variant
+    if variant is None:
+        variant = "E" if edit.kind == "edges" else "W"
+    return make_dynamic(g, _plain_values(y0.y), edit, variant)
+
+
+def cmd_gen(args) -> int:
+    """Emit <out>.graph.json, <out>.edit.json and <out>.y0.txt."""
+    if args.hard:
+        if args.m < 2:
+            raise ValueError("--hard needs --m >= 2")
+        inst = hard_instance(args.variant, args.m, args.alpha)
+    else:
+        if args.variant is None:
+            raise ValueError("gen needs --variant")
+        if not (args.n and args.m and args.wmax):
+            raise ValueError("random gen needs --n, --m and --wmax")
+        inst = random_dynamic(args.variant, args.n, args.m, args.d,
+                              args.wmax, args.seed)
+    if not args.out:
+        raise ValueError("gen needs --out <prefix>")
+    y0 = DualSolution.from_ints(inst.graph, args.alpha, inst.y_orig)
+    paths = (args.out + ".graph.json", args.out + ".edit.json",
+             args.out + ".y0.txt")
+    save_instance(inst.graph, paths[0])
+    save_edit(inst.edit, paths[1])
+    save_dual(y0, paths[2])
+    for p in paths:
+        print(p)
+    return 0
+
+
+def cmd_solve(args) -> int:
+    """One run; prints the deterministic CSV row (no wall time).  Exit 0 on
+    success, 1 when the budget runs out first."""
+    instance = _instance_from_args(args)
+    config = RunConfig(args.algo, args.alpha, instance.w_max, args.budget,
+                       args.seed)
+    hook = None
+    log_fh = None
+    try:
+        if args.log:
+            log_fh = open(args.log, "w", encoding="utf-8")
+            hook = RunLogger(log_fh, instance, args.alpha)
+        result = run(instance, config, hook)
+    finally:
+        if log_fh is not None:
+            log_fh.close()
+    if result.success:
+        verify_final(instance, args.alpha, result.final_coeffs)
+    record = BenchRecord(instance.requested, args.algo, instance.m,
+                         instance.d_scale, args.alpha, instance.w_max,
+                         args.seed, result.evaluations, result.success, 0.0)
+    print(SOLVE_HEADER)
+    print(record.row_prefix())
+    if args.out:
+        final = DualSolution.from_coeffs(instance.graph_star,
+                                         canonicalize_alpha(args.alpha),
+                                         result.final_coeffs)
+        save_dual(final, args.out)
+    return 0 if result.success else 1
+
+
+def cmd_bench(args) -> int:
+    """Execute a plan from --config; write CSV (+summary) to the plan's out
+    path or --out."""
+    if not args.config:
+        raise ValueError("bench needs --config <plan.json>")
+    plan = load_plan(args.config)
+    out_path = args.out or plan.out
+    with open(out_path, "w", encoding="utf-8") as fh:
+        records = execute_plan(plan, fh)
+    for line in summarize(plan, records):
+        print(line)
+    print(f"wrote {out_path} ({len(records)} rows)")
+    return 0
+
+
+def cmd_verify(args) -> int:
+    """Check a dual dump against its graph; exit 0 only on a full pass."""
+    g = load_instance(args.graph)
+    y = load_dual(args.dual, g)
+    feasible = dual.sign(y) > 0
+    maximal = dual.is_mfds(y)
+    print(f"feasible: {'yes' if feasible else 'no'}")
+    print(f"maximal: {'yes' if maximal else 'no'}")
+    ok = feasible and maximal
+    if maximal:
+        _cover, cert = dual.extract_cover(y)
+        print(f"cover_weight: {cert.cover_weight}")
+        print(f"two_sum_y: {float_value(cert.sum_y.scale(2)):.6g}")
+        print(f"weight_ok: {'yes' if cert.weight_ok else 'no'}")
+        ok = ok and cert.ok
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:

@@ -10,9 +10,8 @@ MFDS cover every edge with total weight at most twice the value sum, which
 is the 2-approximation certificate this package is built around.
 
 Every quantity is a RadicalValue and every comparison is decided exactly.
-The harness and the command line use it to load, check and dump
-solutions; the search itself runs on the engines in
-:mod:`dualvc.heuristics`.
+The command line uses it to load, check and dump solutions; the search
+itself runs on the engines in :mod:`dualvc.heuristics`.
 """
 
 from __future__ import annotations
@@ -30,15 +29,13 @@ _PAD = 4  # dump lines always carry 4 coefficient columns
 class DualSolution:
     """Edge values plus their vertex loads."""
 
-    __slots__ = ("graph", "alpha", "w_max", "y", "load")
+    __slots__ = ("graph", "alpha", "y", "load")
 
     def __init__(self, graph: WeightedGraph, alpha: Union[int, Alpha],
-                 values: Optional[Sequence[RadicalValue]] = None,
-                 w_max: Optional[int] = None) -> None:
+                 values: Optional[Sequence[RadicalValue]] = None) -> None:
         self.graph = graph
         self.alpha = alpha if isinstance(alpha, Alpha) \
             else canonicalize_alpha(alpha)
-        self.w_max = graph.max_weight() if w_max is None else w_max
         zero = RadicalValue.zero(self.alpha)
         if values is None:
             self.y = [zero] * graph.m
@@ -59,19 +56,16 @@ class DualSolution:
 
     @classmethod
     def from_ints(cls, graph: WeightedGraph, alpha: Union[int, Alpha],
-                  values: Sequence[int],
-                  w_max: Optional[int] = None) -> "DualSolution":
+                  values: Sequence[int]) -> "DualSolution":
         a = alpha if isinstance(alpha, Alpha) else canonicalize_alpha(alpha)
         return cls(graph, a,
-                   [RadicalValue.from_rational(a, v) for v in values], w_max)
+                   [RadicalValue.from_rational(a, v) for v in values])
 
     @classmethod
     def from_coeffs(cls, graph: WeightedGraph, alpha: Union[int, Alpha],
-                    coeff_rows: Sequence[Sequence],
-                    w_max: Optional[int] = None) -> "DualSolution":
+                    coeff_rows: Sequence[Sequence]) -> "DualSolution":
         a = alpha if isinstance(alpha, Alpha) else canonicalize_alpha(alpha)
-        return cls(graph, a, [RadicalValue(a, row) for row in coeff_rows],
-                   w_max)
+        return cls(graph, a, [RadicalValue(a, row) for row in coeff_rows])
 
     def slack_sign(self, v: int) -> int:
         """Sign of load(v) - W(v): +1 violated, 0 tight, -1 slack."""
@@ -150,8 +144,7 @@ def dump_dual(y: DualSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dual(text: str, graph: WeightedGraph,
-               w_max: Optional[int] = None) -> DualSolution:
+def parse_dual(text: str, graph: WeightedGraph) -> DualSolution:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("alpha "):
         raise ValueError("dual dump must start with an 'alpha <int>' line")
@@ -172,8 +165,7 @@ def parse_dual(text: str, graph: WeightedGraph,
     if sorted(rows) != list(range(graph.m)):
         raise ValueError(
             f"dump covers edges {sorted(rows)}, expected 0..{graph.m - 1}")
-    return DualSolution(graph, alpha, [rows[e] for e in range(graph.m)],
-                        w_max)
+    return DualSolution(graph, alpha, [rows[e] for e in range(graph.m)])
 
 
 def save_dual(y: DualSolution, path: str) -> None:
@@ -181,7 +173,6 @@ def save_dual(y: DualSolution, path: str) -> None:
         fh.write(dump_dual(y))
 
 
-def load_dual(path: str, graph: WeightedGraph,
-              w_max: Optional[int] = None) -> DualSolution:
+def load_dual(path: str, graph: WeightedGraph) -> DualSolution:
     with open(path) as fh:
-        return parse_dual(fh.read(), graph, w_max)
+        return parse_dual(fh.read(), graph)

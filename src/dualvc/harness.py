@@ -1,4 +1,5 @@
-"""Benchmark harness: plans, trials, CSV emission and scaling reports.
+"""Benchmark harness: plans, trials, CSV emission, scaling reports and the
+per-evaluation run log.  The command line lives in :mod:`dualvc.cli`.
 
 A plan is a list of cells; a cell fixes one (variant, generator, algorithm,
 alpha, budget) combination and a trial count.  Trial t of a cell runs with
@@ -25,9 +26,7 @@ from fractions import Fraction
 from math import ceil, e, log
 from typing import Sequence, TextIO
 
-from . import dual as dual_mod
 from . import oracle
-from .dual import DualSolution
 from .heuristics import ALGORITHMS, RunConfig, TransitionRecord, run
 from .instances import (HARD_VARIANTS, VARIANTS, DynamicInstance, derive_seed,
                         hard_instance, random_dynamic)
@@ -471,140 +470,3 @@ class RunLogger:
         self._fh.write(f"{rec.eval_index},{int(rec.accepted)},"
                        f"{len(rec.edges)},{rec.direction},{rec.sign_after},"
                        f"{sum_y:.6g}\n")
-
-
-# ---------------------------------------------------------------------------
-# CLI command bodies (argument objects come from cli.build_parser)
-# ---------------------------------------------------------------------------
-
-
-def _plain_values(values: Sequence[RadicalValue]) -> tuple:
-    """Map integer-valued RadicalValues back to plain ints (fast path)."""
-    out = []
-    for v in values:
-        if all(c == 0 for c in v.coeffs[1:]) and v.coeffs[0].denominator == 1:
-            out.append(int(v.coeffs[0]))
-        else:
-            out.append(v)
-    return tuple(out)
-
-
-def _instance_from_args(args) -> DynamicInstance:
-    from .dual import load_dual
-    from .graph import load_edit, load_instance
-    from .instances import make_dynamic
-
-    if args.hard:
-        if args.m < 2:
-            raise ValueError("--hard needs --m >= 2")
-        return hard_instance(args.variant, args.m, args.alpha)
-    if not (args.graph and args.edit and args.y0):
-        raise ValueError("need --graph, --edit and --y0 (or --hard)")
-    g = load_instance(args.graph)
-    edit = load_edit(args.edit)
-    y0 = load_dual(args.y0, g)
-    variant = args.variant
-    if variant is None:
-        variant = "E" if edit.kind == "edges" else "W"
-    return make_dynamic(g, _plain_values(y0.y), edit, variant)
-
-
-def cmd_gen(args) -> int:
-    """Emit <out>.graph.json, <out>.edit.json and <out>.y0.txt."""
-    from .graph import save_edit, save_instance
-    from .dual import save_dual
-
-    if args.hard:
-        if args.m < 2:
-            raise ValueError("--hard needs --m >= 2")
-        inst = hard_instance(args.variant, args.m, args.alpha)
-    else:
-        if args.variant is None:
-            raise ValueError("gen needs --variant")
-        if not (args.n and args.m and args.wmax):
-            raise ValueError("random gen needs --n, --m and --wmax")
-        inst = random_dynamic(args.variant, args.n, args.m, args.d,
-                              args.wmax, args.seed)
-    if not args.out:
-        raise ValueError("gen needs --out <prefix>")
-    y0 = DualSolution.from_ints(inst.graph, args.alpha, inst.y_orig,
-                                w_max=inst.w_max)
-    paths = (args.out + ".graph.json", args.out + ".edit.json",
-             args.out + ".y0.txt")
-    save_instance(inst.graph, paths[0])
-    save_edit(inst.edit, paths[1])
-    save_dual(y0, paths[2])
-    for p in paths:
-        print(p)
-    return 0
-
-
-def cmd_solve(args) -> int:
-    """One run; prints the deterministic CSV row (no wall time).  Exit 0 on
-    success, 1 when the budget runs out first."""
-    from .dual import save_dual
-
-    instance = _instance_from_args(args)
-    config = RunConfig(args.algo, args.alpha, instance.w_max, args.budget,
-                       args.seed)
-    hook = None
-    log_fh = None
-    try:
-        if args.log:
-            log_fh = open(args.log, "w", encoding="utf-8")
-            hook = RunLogger(log_fh, instance, args.alpha)
-        result = run(instance, config, hook)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
-    if result.success:
-        verify_final(instance, args.alpha, result.final_coeffs)
-    record = BenchRecord(instance.requested, args.algo, instance.m,
-                         instance.d_scale, args.alpha, instance.w_max,
-                         args.seed, result.evaluations, result.success, 0.0)
-    print(SOLVE_HEADER)
-    print(record.row_prefix())
-    if args.out:
-        a = canonicalize_alpha(args.alpha)
-        final = DualSolution(
-            instance.graph_star, a,
-            [RadicalValue(a, row) for row in result.final_coeffs],
-            w_max=instance.w_max)
-        save_dual(final, args.out)
-    return 0 if result.success else 1
-
-
-def cmd_bench(args) -> int:
-    """Execute a plan from --config; write CSV (+summary) to the plan's out
-    path or --out."""
-    if not args.config:
-        raise ValueError("bench needs --config <plan.json>")
-    plan = load_plan(args.config)
-    out_path = args.out or plan.out
-    with open(out_path, "w", encoding="utf-8") as fh:
-        records = execute_plan(plan, fh)
-    for line in summarize(plan, records):
-        print(line)
-    print(f"wrote {out_path} ({len(records)} rows)")
-    return 0
-
-
-def cmd_verify(args) -> int:
-    """Check a dual dump against its graph; exit 0 only on a full pass."""
-    from .dual import load_dual
-    from .graph import load_instance
-
-    g = load_instance(args.graph)
-    y = load_dual(args.dual, g, w_max=args.wmax)
-    feasible = dual_mod.sign(y) > 0
-    maximal = dual_mod.is_mfds(y)
-    print(f"feasible: {'yes' if feasible else 'no'}")
-    print(f"maximal: {'yes' if maximal else 'no'}")
-    ok = feasible and maximal
-    if maximal:
-        _cover, cert = dual_mod.extract_cover(y)
-        print(f"cover_weight: {cert.cover_weight}")
-        print(f"two_sum_y: {float_value(cert.sum_y.scale(2)):.6g}")
-        print(f"weight_ok: {'yes' if cert.weight_ok else 'no'}")
-        ok = ok and cert.ok
-    return 0 if ok else 1

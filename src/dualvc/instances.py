@@ -17,9 +17,8 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import oracle
-from .dual import DualSolution
 from .graph import Edit, EditDiff, WeightedGraph, apply_edit
-from .numeric import Alpha, canonicalize_alpha
+from .numeric import canonicalize_alpha
 
 VARIANTS = ("E+", "E-", "E", "W+", "W-", "W")
 HARD_VARIANTS = ("E+", "E-", "W+", "W-")
@@ -43,11 +42,6 @@ def greedy_mfds_values(g: WeightedGraph) -> tuple[int, ...]:
         residual[v] -= t
         out.append(t)
     return tuple(out)
-
-
-def greedy_mfds(g: WeightedGraph, alpha: Union[int, Alpha] = 2,
-                w_max: Optional[int] = None) -> DualSolution:
-    return DualSolution.from_ints(g, alpha, greedy_mfds_values(g), w_max)
 
 
 def make_gs(m: int, w_max: int) -> WeightedGraph:

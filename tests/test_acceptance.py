@@ -198,7 +198,7 @@ def _small_instance(i: int):
 
 def _solution_from(result, inst):
     values = [RadicalValue(A2, row) for row in result.final_coeffs]
-    return DualSolution(inst.graph_star, A2, values, w_max=inst.w_max)
+    return DualSolution(inst.graph_star, A2, values)
 
 
 def test_criterion_3_successes_certify_a_2_approximation(capsys):

@@ -29,7 +29,6 @@ def test_zero_solution_and_loads():
     y = DualSolution(triangle(), 2)
     assert all(v.is_zero() for v in y.y)
     assert all(l.is_zero() for l in y.load)
-    assert y.w_max == 2
     assert y.sum_y().is_zero()
 
 
@@ -49,11 +48,6 @@ def test_value_validation():
     with pytest.raises(ValueError):
         DualSolution(g, 2, [RadicalValue.from_rational(3, 1),
                             rv(0), rv(0)])  # alpha mismatch
-
-
-def test_w_max_override():
-    y = DualSolution(triangle((2, 2, 2)), 2, w_max=64)
-    assert y.w_max == 64
 
 
 # -- slack signs, violation sets, solution sign -------------------------------
@@ -195,11 +189,11 @@ def test_dump_parse_round_trip():
     g = triangle((2, 2, 2))
     y = DualSolution(g, 2, [rv(Fraction(1, 3)),
                             RadicalValue(A2, (0, Fraction(2, 7), 0, 1)),
-                            rv(0)], w_max=16)
+                            rv(0)])
     text = dump_dual(y)
     assert text.splitlines()[0] == "alpha 2"
-    z = parse_dual(text, g, w_max=16)
-    assert z.alpha == y.alpha and z.w_max == 16
+    z = parse_dual(text, g)
+    assert z.alpha == y.alpha
     assert all((a - b).is_zero() for a, b in zip(y.y, z.y))
 
 
@@ -232,12 +226,11 @@ def test_parse_dual_errors():
 
 def test_save_load_dual(tmp_path):
     g = triangle((2, 2, 2))
-    y = DualSolution.from_ints(g, 2, (1, 1, 1), w_max=32)
+    y = DualSolution.from_ints(g, 2, (1, 1, 1))
     p = tmp_path / "y.dual"
     save_dual(y, str(p))
-    z = load_dual(str(p), g, w_max=32)
+    z = load_dual(str(p), g)
     assert all((a - b).is_zero() for a, b in zip(y.y, z.y))
-    assert z.w_max == 32
 
 
 # -- property: fitness sign semantics ------------------------------------------

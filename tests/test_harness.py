@@ -211,8 +211,7 @@ def differential_successes():
 def reference_accepts(inst, alpha, rows):
     """The RadicalValue path: DualSolution state, is_mfds, extract_cover."""
     try:
-        y = DualSolution.from_coeffs(inst.graph_star, alpha, rows,
-                                     w_max=inst.w_max)
+        y = DualSolution.from_coeffs(inst.graph_star, alpha, rows)
     except ValueError:          # negative value or wrong row count
         return False
     return is_mfds(y) and extract_cover(y)[1].ok
@@ -508,6 +507,28 @@ def test_cli_solve_log(tmp_path, capsys):
     assert lines[0] == RunLogger.HEADER
     assert len(lines) >= 2
     assert all(len(ln.split(",")) == 6 for ln in lines[1:])
+
+
+def test_cli_solve_rational_start_dumped_at_another_alpha(tmp_path, capsys):
+    # every start value is Fraction(11, 2): a rational dump must not tie
+    # the run to the alpha it was written at
+    from dualvc.dual import save_dual
+    from dualvc.graph import save_edit
+    g = WeightedGraph(5, (11,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    paths = {k: str(tmp_path / k) for k in ("g.json", "edit.json", "y0")}
+    save_instance(g, paths["g.json"])
+    save_edit(Edit("weights", weights=(9, 11, 13, 11, 11)), paths["edit.json"])
+    save_dual(DualSolution.from_coeffs(g, 9, [(Fraction(11, 2), 0)] * 5),
+              paths["y0"])
+    argv = ["solve", "--graph", paths["g.json"], "--edit", paths["edit.json"],
+            "--y0", paths["y0"], "--algo", "rls", "--seed", "1",
+            "--budget", "2000"]
+    assert cli_main(argv + ["--alpha", "9"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "W,rls,5,2,9,13,1,10,1"
+    assert cli_main(argv + ["--alpha", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1] == "W,rls,5,2,2,13,1,10,1"
 
 
 def test_cli_verify_non_maximal_exit_one(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 import statistics
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -250,13 +251,15 @@ def test_rls_single_edge_deterministic_three_evaluations():
     # 0 -> 1 (accept, q to 4), 1 + 2 overloads (reject, q back to 0),
     # 1 -> 2 tight (accept): exactly 3 evaluations for every seed
     for seed in range(10):
-        result = run(edge_growth_unit((2, 2)),
-                     RunConfig("rls", 2, 2, 50, seed))
+        cfg = RunConfig("rls", 2, 2, 50, seed)
+        result = run(edge_growth_unit((2, 2)), cfg)
         assert result.success
         assert result.evaluations == 3
         assert result.accepted == 2
         assert result.final_coeffs == ((2, 0, 0, 0),)
-        assert result.final_sign == 1
+        ref = []
+        run_reference(edge_growth_unit((2, 2)), cfg, hook=ref.append)
+        assert [r.sign_after for r in ref] == [1, 1, 1]
 
 
 def test_rls_fifth_single_unit_edge_mean_hitting_time():
@@ -276,28 +279,21 @@ def test_rls_fifth_single_unit_edge_mean_hitting_time():
 
 def test_budget_exhaustion_reports_failure():
     inst = edge_growth_unit((2 ** 30, 2 ** 30))
-    result = run(inst, RunConfig("rls", 2, 2 ** 30, 35, 1,
-                                 checkpoint_every=10))
+    result = run(inst, RunConfig("rls", 2, 2 ** 30, 35, 1))
     assert not result.success
     assert result.evaluations == 35
-    assert [c.evaluations for c in result.trajectory] == [10, 20, 30, 35]
-
-
-def test_checkpoint_cadence_no_duplicate_tail():
-    inst = edge_growth_unit((2 ** 30, 2 ** 30))
-    result = run(inst, RunConfig("rls", 2, 2 ** 30, 30, 1,
-                                 checkpoint_every=10))
-    assert [c.evaluations for c in result.trajectory] == [10, 20, 30]
 
 
 def test_already_maximal_start_needs_no_evaluations():
     g = WeightedGraph(2, (1, 1), ((0, 1),))
     inst = make_dynamic(g, (1,), Edit("weights", weights=(1, 2)), "W+")
-    result = run(inst, RunConfig("rls", 2, 2, 100, 0))
+    cfg = RunConfig("rls", 2, 2, 100, 0)
+    fast, ref = [], []
+    result = run(inst, cfg, hook=fast.append)
     assert result.success and result.evaluations == 0
     assert result.accepted == 0
-    assert len(result.trajectory) == 1
-    assert result.trajectory[0].evaluations == 0
+    assert run_reference(inst, cfg, hook=ref.append) == result
+    assert fast == ref == []
 
 
 def test_emptied_graph_is_trivially_maximal():
@@ -349,13 +345,38 @@ EQUIV_CASES = [
 ]
 
 
+def _coeffs(value, dim):
+    if isinstance(value, RadicalValue):
+        return value.coeffs
+    if isinstance(value, tuple):
+        return value
+    return (value,) + (0,) * (dim - 1)
+
+
+def normalised(records, dim):
+    """Hook records with every changed value as a coefficient tuple, so
+    engine ints and tuples compare against reference RadicalValues."""
+    return [replace(r, changed=tuple((e, _coeffs(old, dim), _coeffs(new, dim))
+                                     for e, old, new in r.changed))
+            for r in records]
+
+
 def assert_run_matches_reference(inst, cfg):
-    """Engine and reference agree on the whole RunResult, trajectory
-    included, and the comparison is not vacuous."""
+    """Engine and reference emit the same hook stream, record for record,
+    and the same RunResult; the comparison is not vacuous, and the hook
+    does not perturb the engine."""
     assert not validate_mfds_naive(inst.graph_star, inst.y_init)
-    fast = run(inst, cfg)
+    dim = canonicalize_alpha(cfg.alpha).basis_dim
+    fast_stream, ref_stream = [], []
+    fast = run(inst, cfg, hook=fast_stream.append)
+    ref = run_reference(inst, cfg, hook=ref_stream.append)
     assert fast.evaluations >= 1
-    assert fast == run_reference(inst, cfg)
+    assert len(fast_stream) == fast.evaluations
+    assert len(ref_stream) == ref.evaluations
+    for a, b in zip(normalised(fast_stream, dim), normalised(ref_stream, dim)):
+        assert a == b, f"evaluation {a.eval_index}"
+    assert fast == ref
+    assert run(inst, cfg) == fast
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -363,7 +384,7 @@ def test_engine_matches_reference_path(algorithm):
     for alpha, inst in EQUIV_CASES:
         for seed in (1, 2):
             assert_run_matches_reference(inst, RunConfig(
-                algorithm, alpha, inst.w_max, 400, seed, checkpoint_every=64))
+                algorithm, alpha, inst.w_max, 400, seed))
 
 
 def test_engine_matches_reference_alpha_three():
@@ -384,7 +405,9 @@ def test_hook_stream_invariants():
     assert [r.eval_index for r in records] == \
         list(range(1, result.evaluations + 1))
     assert sum(r.accepted for r in records) == result.accepted
-    assert records[-1].sign_after == result.final_sign
+    ref = []
+    run_reference(inst, cfg, hook=ref.append)
+    assert records[-1].sign_after == ref[-1].sign_after == 1
     saw_decrease = False
     for r in records:
         if r.sign_before == -1 and r.accepted and r.changed:

@@ -6,7 +6,7 @@ import pytest
 
 from dualvc.graph import Edit, WeightedGraph, apply_edit
 from dualvc.instances import (HARD_VARIANTS, VARIANTS, DynamicInstance,
-                              derive_seed, greedy_mfds, greedy_mfds_values,
+                              derive_seed, greedy_mfds_values,
                               hard_instance, make_dynamic, make_gs,
                               make_gs_prime, random_dynamic, random_edit,
                               random_instance)
@@ -42,13 +42,6 @@ def test_greedy_fills_in_edge_id_order():
     # vertex 0; edge (1,2) then takes the rest of vertex 1's budget
     g = WeightedGraph(3, (2, 3, 9), ((0, 1), (0, 2), (1, 2)))
     assert greedy_mfds_values(g) == (2, 0, 1)
-
-
-def test_greedy_mfds_wrapper():
-    g = make_gs(3, 4)
-    y = greedy_mfds(g, 2)
-    assert [v.as_fraction() for v in y.y] == [4, 1, 1]
-    assert y.w_max == 4
 
 
 # -- the disjoint-edge graphs ------------------------------------------------------
