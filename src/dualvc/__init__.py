@@ -4,11 +4,12 @@ with exact arithmetic over Q(alpha^(1/4)) and a seeded benchmark harness."""
 
 from .numeric import (TAU, Alpha, RadicalValue, canonicalize_alpha,
                       float_sign, float_value, interval_sign, q_max_for,
-                      sign_of_coeffs, step_value)
+                      sign_of_coeffs, step_coeffs)
 from .graph import Edit, EditDiff, WeightedGraph, apply_edit, canonical_edge
-from .dual import CoverCertificate, DualSolution, extract_cover, is_mfds, sign
-from .oracle import (ExactCoverResult, FitnessOutcome, enumerate_mfds,
-                     exact_min_wvc, exhaustive_min_wvc, reference_fitness,
+from .dual import DualSolution, extract_cover
+from .oracle import (CoverCertificate, ExactCoverResult, FitnessOutcome,
+                     cover_certificate, enumerate_mfds, exact_min_wvc,
+                     exhaustive_min_wvc, reference_fitness,
                      validate_mfds_naive)
 from .instances import (HARD_VARIANTS, VARIANTS, DynamicInstance, derive_seed,
                         hard_instance, make_dynamic, random_dynamic,
@@ -25,10 +26,11 @@ __version__ = "0.1.0"
 __all__ = [
     "TAU", "Alpha", "RadicalValue", "canonicalize_alpha", "float_sign",
     "float_value", "interval_sign", "q_max_for", "sign_of_coeffs",
-    "step_value",
+    "step_coeffs",
     "Edit", "EditDiff", "WeightedGraph", "apply_edit", "canonical_edge",
-    "CoverCertificate", "DualSolution", "extract_cover", "is_mfds", "sign",
-    "ExactCoverResult", "FitnessOutcome", "enumerate_mfds", "exact_min_wvc",
+    "DualSolution", "extract_cover",
+    "CoverCertificate", "ExactCoverResult", "FitnessOutcome",
+    "cover_certificate", "enumerate_mfds", "exact_min_wvc",
     "exhaustive_min_wvc", "reference_fitness", "validate_mfds_naive",
     "HARD_VARIANTS", "VARIANTS", "DynamicInstance", "derive_seed",
     "hard_instance", "make_dynamic", "random_dynamic", "random_edit",

@@ -11,7 +11,6 @@ import json
 import sys
 from typing import Sequence
 
-from . import dual
 from .dual import DualSolution, load_dual, save_dual
 from .graph import load_edit, load_instance, save_edit, save_instance
 from .harness import (SOLVE_HEADER, BenchRecord, RunLogger, execute_plan,
@@ -20,6 +19,7 @@ from .heuristics import ALGORITHMS, RunConfig, run
 from .instances import (VARIANTS, DynamicInstance, hard_instance,
                         make_dynamic, random_dynamic)
 from .numeric import RadicalValue, canonicalize_alpha, float_value
+from .oracle import cover_certificate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,18 +181,15 @@ def cmd_verify(args) -> int:
     """Check a dual dump against its graph; exit 0 only on a full pass."""
     g = load_instance(args.graph)
     y = load_dual(args.dual, g)
-    feasible = dual.sign(y) > 0
-    maximal = dual.is_mfds(y)
-    print(f"feasible: {'yes' if feasible else 'no'}")
-    print(f"maximal: {'yes' if maximal else 'no'}")
-    ok = feasible and maximal
-    if maximal:
-        _cover, cert = dual.extract_cover(y)
+    cert = cover_certificate(g, y.alpha, y.y)
+    print(f"feasible: {'yes' if cert.feasible else 'no'}")
+    print(f"maximal: {'yes' if cert.maximal else 'no'}")
+    if cert.maximal:
+        two_sum = RadicalValue(y.alpha, (2 * c for c in cert.sum_y))
         print(f"cover_weight: {cert.cover_weight}")
-        print(f"two_sum_y: {float_value(cert.sum_y.scale(2)):.6g}")
+        print(f"two_sum_y: {float_value(two_sum):.6g}")
         print(f"weight_ok: {'yes' if cert.weight_ok else 'no'}")
-        ok = ok and cert.ok
-    return 0 if ok else 1
+    return 0 if cert.defect is None else 1
 
 
 def main(argv=None) -> int:

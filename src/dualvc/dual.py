@@ -1,5 +1,5 @@
-"""Dual solutions: edge LP values over RadicalValues, vertex loads, the
-solution sign, maximality testing, cover extraction, and the dump format.
+"""Dual solutions as the command line reads and writes them: validated
+edge values over one alpha, and the dump format.
 
 A dual-solution assigns a non-negative value y(e) to every edge.  A vertex
 is *violated* when the sum of incident values exceeds its weight and *tight*
@@ -9,50 +9,46 @@ endpoint, i.e. no single value can be raised.  The tight vertices of an
 MFDS cover every edge with total weight at most twice the value sum, which
 is the 2-approximation certificate this package is built around.
 
-Every quantity is a RadicalValue and every comparison is decided exactly.
-The command line uses it to load, check and dump solutions; the search
-itself runs on the engines in :mod:`dualvc.heuristics`.
+Values are RadicalValues, because a dump names its alpha and a bare
+coefficient tuple cannot.  Every check of a solution is the oracle's cover
+certificate (:func:`dualvc.oracle.cover_certificate`), computed on integer
+coefficient rows.  The search runs on the engines in
+:mod:`dualvc.heuristics`, and the reference replay the tests hold them to
+runs over coefficient rows too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .graph import WeightedGraph
 from .numeric import Alpha, RadicalValue, canonicalize_alpha
+from .oracle import CoverCertificate, cover_certificate
 
 _PAD = 4  # dump lines always carry 4 coefficient columns
 
 
 class DualSolution:
-    """Edge values plus their vertex loads."""
+    """One non-negative RadicalValue per edge, all over one alpha."""
 
-    __slots__ = ("graph", "alpha", "y", "load")
+    __slots__ = ("graph", "alpha", "y")
 
     def __init__(self, graph: WeightedGraph, alpha: Union[int, Alpha],
                  values: Optional[Sequence[RadicalValue]] = None) -> None:
         self.graph = graph
         self.alpha = alpha if isinstance(alpha, Alpha) \
             else canonicalize_alpha(alpha)
-        zero = RadicalValue.zero(self.alpha)
         if values is None:
-            self.y = [zero] * graph.m
-        else:
-            if len(values) != graph.m:
-                raise ValueError(
-                    f"{len(values)} values for {graph.m} edges")
-            for v in values:
-                if v.alpha != self.alpha:
-                    raise ValueError("value alpha mismatch")
-                if v.sign() < 0:
-                    raise ValueError(f"negative LP value {v!r}")
-            self.y = list(values)
-        self.load = [zero] * graph.n
-        for e, (u, v) in enumerate(graph.edges):
-            self.load[u] = self.load[u] + self.y[e]
-            self.load[v] = self.load[v] + self.y[e]
+            values = [RadicalValue.zero(self.alpha)] * graph.m
+        if len(values) != graph.m:
+            raise ValueError(f"{len(values)} values for {graph.m} edges")
+        for v in values:
+            if v.alpha != self.alpha:
+                raise ValueError("value alpha mismatch")
+            if v.sign() < 0:
+                raise ValueError(f"negative LP value {v!r}")
+        self.y = list(values)
 
     @classmethod
     def from_ints(cls, graph: WeightedGraph, alpha: Union[int, Alpha],
@@ -67,67 +63,18 @@ class DualSolution:
         a = alpha if isinstance(alpha, Alpha) else canonicalize_alpha(alpha)
         return cls(graph, a, [RadicalValue(a, row) for row in coeff_rows])
 
-    def slack_sign(self, v: int) -> int:
-        """Sign of load(v) - W(v): +1 violated, 0 tight, -1 slack."""
-        w = self.graph.weights[v]
-        c = self.load[v].coeffs
-        return RadicalValue(self.alpha,
-                            (c[0] - w,) + c[1:]).sign()
-
-    def sum_y(self) -> RadicalValue:
-        total = RadicalValue.zero(self.alpha)
-        for val in self.y:
-            total = total + val
-        return total
-
-
-@dataclass(frozen=True)
-class CoverCertificate:
-    covers_all_edges: bool
-    cover_weight: int
-    sum_y: RadicalValue
-    weight_ok: bool  # cover_weight <= 2 * sum_y
-
-    @property
-    def ok(self) -> bool:
-        return self.covers_all_edges and self.weight_ok
-
-
-def sign(y: DualSolution) -> int:
-    """-1 iff some vertex is violated, else +1."""
-    for v in range(y.graph.n):
-        if y.slack_sign(v) > 0:
-            return -1
-    return 1
-
-
-def is_mfds(y: DualSolution) -> bool:
-    """Feasible and no value can be raised: every edge has a tight endpoint."""
-    slack = [y.slack_sign(v) for v in range(y.graph.n)]
-    if any(s > 0 for s in slack):
-        return False
-    return all(slack[u] == 0 or slack[v] == 0 for u, v in y.graph.edges)
-
 
 def extract_cover(y: DualSolution) -> tuple[frozenset[int], CoverCertificate]:
-    """Tight vertices of an MFDS, with the 2-approximation certificate.
+    """Tight vertices of an MFDS, with the oracle's cover certificate.
 
     The certificate records that the tight vertices cover every edge and
     that their total weight is at most 2 * sum(y); the value sum never
     exceeds the optimal cover weight, so the cover is within factor 2.
     """
-    slack = [y.slack_sign(v) for v in range(y.graph.n)]
-    if any(s > 0 for s in slack) or not all(
-            slack[u] == 0 or slack[v] == 0 for u, v in y.graph.edges):
+    cert = cover_certificate(y.graph, y.alpha, y.y)
+    if not cert.maximal:
         raise ValueError("extract_cover requires a maximal feasible solution")
-    cover = frozenset(v for v in range(y.graph.n) if slack[v] == 0)
-    covers_all = all(u in cover or v in cover for u, v in y.graph.edges)
-    weight = sum(y.graph.weights[v] for v in cover)
-    sum_y = y.sum_y()
-    two_sum = sum_y.scale(2)
-    c = two_sum.coeffs
-    weight_ok = RadicalValue(y.alpha, (c[0] - weight,) + c[1:]).sign() >= 0
-    return cover, CoverCertificate(covers_all, weight, sum_y, weight_ok)
+    return cert.cover, cert
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ that select nothing still cost one.  Acceptance is decided exactly: the
 integer engine covers ea/rls on integer-valued starts, the vector engine
 covers quarter-exponent values as integer coefficient vectors.  Tests hold
 both against ``run_reference``, a slow replay of the same draws over
-RadicalValues in which :mod:`dualvc.oracle` decides every evaluation: the
-two emit the same per-evaluation ``TransitionRecord`` stream to a hook, and
-the tests compare those streams record for record.
+coefficient rows in which :mod:`dualvc.oracle` decides every evaluation
+from scratch: the two emit the same per-evaluation ``TransitionRecord``
+stream to a hook, and the tests compare those streams record for record.
 
 The integer engine is kept beside the vector engine because it pays for
 itself: on one trial of each of the 36 ``harness.scaling_plan`` cells
@@ -52,7 +52,7 @@ from typing import Callable, Optional, Sequence
 from . import oracle
 from .instances import DynamicInstance
 from .numeric import (Alpha, RadicalValue, canonicalize_alpha, q_max_for,
-                      sign_of_coeffs, step_coeffs, step_value)
+                      sign_of_coeffs, step_coeffs)
 
 ALGORITHMS = ("ea", "rls", "ea_fifth", "rls_fifth")
 
@@ -501,45 +501,52 @@ def run(instance: DynamicInstance, config: RunConfig,
 # ---------------------------------------------------------------------------
 
 
-def _reference_sign(g, y) -> int:
-    return -1 if oracle.violated(g, y) else 1
-
-
-def _reference_step(g, y: list, q: list, q_cap: int, algorithm: str,
-                    selection: Sequence[int], direction: int,
-                    w_max: int) -> tuple[list, bool, tuple[int, ...]]:
-    """One evaluation recomputed from scratch over RadicalValues.
-
-    Moves each selected edge by sigma(e) = alpha^(q(e)/4) in `direction`,
-    clamped at zero, and accepts by ``oracle.reference_fitness``.  Updates
-    `q` in place: acceptance promotes the selection (q + 4, capped at
-    q_cap).  Rejection demotes by a quarter step (q - 1) the whole
-    selection of a fifth variant, and, only while y is feasible, by a full
-    step (q - 4) the single edge of rls, or those edges of ea that have a
-    violated endpoint in the proposal and share none of their violated
-    endpoints with another selected edge.  Floors at q = 0.
-    Returns (values after the step, accepted, demoted edges).
-    """
-    alpha = y[0].alpha
-    zero = RadicalValue.zero(alpha)
+def _reference_proposal(alpha: Alpha, y: list, q: list,
+                        selection: Sequence[int], direction: int) -> list:
+    """Coefficient rows after moving each selected edge by sigma(e) =
+    alpha^(q(e)/4) in `direction`, clamped at zero."""
     proposed = list(y)
     for e in selection:
-        moved = y[e] + step_value(q[e], alpha).scale(direction)
-        proposed[e] = moved if moved.sign() >= 0 else zero
-    if oracle.reference_fitness(g, y, proposed, w_max).accept:
+        moved = tuple(c + direction * s
+                      for c, s in zip(y[e], step_coeffs(q[e], alpha)))
+        if sign_of_coeffs(moved, alpha) < 0:
+            moved = (0,) * alpha.basis_dim
+        proposed[e] = moved
+    return proposed
+
+
+def _reference_step(g, config: RunConfig, y: list, sign: int, q: list,
+                    selection: Sequence[int], direction: int
+                    ) -> tuple[list, bool, tuple[int, ...]]:
+    """One evaluation recomputed from scratch over coefficient rows.
+
+    `sign` is y's sign (+1 feasible, -1 infeasible).  Accepts the clamped
+    proposal by ``oracle.reference_fitness``.  Updates `q` in place:
+    acceptance promotes the selection (q + 4, capped at q_max).  Rejection
+    demotes by a quarter step (q - 1) the whole selection of a fifth
+    variant, and, only while y is feasible, by a full step (q - 4) the
+    single edge of rls, or those edges of ea that have a violated endpoint
+    in the proposal and share none of their violated endpoints with another
+    selected edge.  Floors at q = 0.
+    Returns (values after the step, accepted, demoted edges).
+    """
+    alpha = canonicalize_alpha(config.alpha)
+    proposed = _reference_proposal(alpha, y, q, selection, direction)
+    if oracle.reference_fitness(g, alpha, y, proposed, config.w_max).accept:
+        q_cap = q_max_for(alpha, config.w_max)
         for e in selection:
             q[e] = min(q[e] + 4, q_cap)
         return proposed, True, ()
-    if algorithm.endswith("fifth"):
+    if config.algorithm.endswith("fifth"):
         demoted = tuple(selection)
         step = 1
-    elif _reference_sign(g, y) < 0:
+    elif sign < 0:
         return y, False, ()
-    elif algorithm == "rls":
+    elif config.algorithm == "rls":
         demoted = tuple(selection)
         step = 4
     else:
-        violated = set(oracle.violated(g, proposed))
+        violated = set(oracle.violated(g, alpha, proposed))
         touches = Counter(w for e in selection for w in g.edges[e])
         out = []
         for e in selection:
@@ -557,18 +564,14 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
                   hook: Optional[Callable[[TransitionRecord], None]] = None
                   ) -> RunResult:
     """Slow replay of run(): the same random draws, each evaluation decided
-    by ``_reference_step`` and each maximality test by
-    ``oracle.validate_mfds_naive``.  With a hook, every evaluation emits the
-    TransitionRecord run() emits, each field recomputed from scratch by the
-    oracle (values as RadicalValues), so the two streams must match record
-    for record."""
+    by ``_reference_step`` and each maximality test by the oracle's cover
+    certificate, with y carried as coefficient rows.  With a hook, every
+    evaluation emits the TransitionRecord run() emits, each field
+    recomputed from scratch by the oracle (values as coefficient tuples),
+    so the two streams must match record for record."""
     alpha = canonicalize_alpha(config.alpha)
-    q_cap = q_max_for(alpha, config.w_max)
     g = instance.graph_star
-    y = [v if isinstance(v, RadicalValue)
-         else RadicalValue(alpha, v) if isinstance(v, tuple)
-         else RadicalValue.from_rational(alpha, v)
-         for v in instance.y_init]
+    y = oracle.coefficient_rows(alpha, instance.y_init)
     q = [0] * g.m
     rng = random.Random(config.seed)
     fifth = config.algorithm.endswith("fifth")
@@ -576,20 +579,22 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
             else draw_rls_selection)
     evals = 0
     accepted_n = 0
-    success = oracle.validate_mfds_naive(g, y)
+    success = oracle.success_defect(g, alpha, y) is None
     while not success and evals < config.budget and g.m > 0:
-        violated = oracle.violated(g, y)
+        violated = oracle.violated(g, alpha, y)
         sign_before = -1 if violated else 1
         d = draw_direction(rng) if fifth else sign_before
         selection = draw(rng, g.m)
         y_new, accepted, demoted = _reference_step(
-            g, y, q, q_cap, config.algorithm, selection, d, config.w_max)
+            g, config, y, sign_before, q, selection, d)
         evals += 1
         if hook is not None:
             changed = tuple((e, y[e], y_new[e]) for e in selection
                             if y_new[e] != y[e])
             # a rejected step returns y itself, so its sign is unchanged
-            sign_after = _reference_sign(g, y_new) if accepted else sign_before
+            sign_after = sign_before
+            if accepted:
+                sign_after = -1 if oracle.violated(g, alpha, y_new) else 1
             hook(TransitionRecord(
                 evals, accepted, d, sign_before, sign_after,
                 tuple(selection), changed,
@@ -599,6 +604,6 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
         y = y_new
         if accepted:
             accepted_n += 1
-            success = oracle.validate_mfds_naive(g, y)
-    return RunResult(evals, success, tuple(tuple(v.coeffs) for v in y),
+            success = oracle.success_defect(g, alpha, y) is None
+    return RunResult(evals, success, tuple(tuple(row) for row in y),
                      accepted_n)

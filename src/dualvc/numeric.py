@@ -9,10 +9,13 @@ alpha the extension degree is 4, 2 or 1:
 * otherwise                     -> beta = alpha^(1/4), degree 4.
 
 A value is a vector of rational coefficients over the power basis
-{1, beta, ..., beta^(dim-1)}, and beta^dim is an integer ("radicand"), so
-ring arithmetic is coefficient bookkeeping.  Signs are decided exactly with
-integer arithmetic only (no precision parameter to tune), which keeps the
-accept/reject decisions of the search heuristics free of rounding artifacts.
+{1, beta, ..., beta^(dim-1)}, and beta^dim is an integer ("radicand").  The
+engines and the oracle compute on such coefficient tuples directly;
+RadicalValue only tags one with its alpha, for input and the dump format,
+because a bare tuple cannot tell alpha = 4 from alpha = 9.  Signs are
+decided exactly with integer arithmetic only (no precision parameter to
+tune), which keeps the accept/reject decisions of the search heuristics free
+of rounding artifacts.
 
 Step sizes are never materialized eagerly: they are carried as the integer
 quarter-exponent q with sigma = alpha^(q/4), clamped to [0, q_max].
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -137,11 +140,8 @@ def sign_of_coeffs(coeffs: Sequence[Rational], alpha: Alpha) -> int:
 
 
 class RadicalValue:
-    """An element of Q(alpha^(1/4)) in canonical coordinates.
-
-    Immutable.  Arithmetic between values of different alphas is rejected:
-    there is no cross-alpha simplification in this kernel.
-    """
+    """An element of Q(alpha^(1/4)) in canonical coordinates, tagged with
+    its alpha.  Immutable; it has a sign but no arithmetic."""
 
     __slots__ = ("alpha", "coeffs")
 
@@ -182,57 +182,7 @@ class RadicalValue:
             return 0
         return sign_of_coeffs(self.coeffs, self.alpha)
 
-    def as_fraction(self) -> Fraction:
-        """The value as a rational; raises if an irrational part remains."""
-        if any(c != 0 for c in self.coeffs[1:]):
-            raise ValueError(f"{self!r} is irrational")
-        return self.coeffs[0]
-
-    # -- ring arithmetic ---------------------------------------------------
-
-    def _check(self, other: "RadicalValue") -> None:
-        if not isinstance(other, RadicalValue):
-            raise TypeError(f"expected RadicalValue, got {type(other)!r}")
-        if other.alpha != self.alpha:
-            raise ValueError(
-                f"mixed alphas: {self.alpha!r} vs {other.alpha!r}")
-
-    def __add__(self, other: "RadicalValue") -> "RadicalValue":
-        self._check(other)
-        return RadicalValue(self.alpha,
-                            (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "RadicalValue") -> "RadicalValue":
-        self._check(other)
-        return RadicalValue(self.alpha,
-                            (a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "RadicalValue":
-        return RadicalValue(self.alpha, (-a for a in self.coeffs))
-
-    def __mul__(self, other: "RadicalValue") -> "RadicalValue":
-        """Full product, reduced by beta^dim = radicand."""
-        self._check(other)
-        dim = self.alpha.basis_dim
-        r = self.alpha.radicand
-        out = [Fraction(0)] * dim
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = i + j
-                if k < dim:
-                    out[k] += a * b
-                else:
-                    out[k - dim] += a * b * r
-        return RadicalValue(self.alpha, out)
-
-    def scale(self, k: Rational) -> "RadicalValue":
-        return RadicalValue(self.alpha, (c * k for c in self.coeffs))
-
-    # -- ordering ----------------------------------------------------------
+    # -- identity ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadicalValue):
@@ -241,18 +191,6 @@ class RadicalValue:
 
     def __hash__(self) -> int:
         return hash((self.alpha, self.coeffs))
-
-    def __lt__(self, other: "RadicalValue") -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other: "RadicalValue") -> bool:
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other: "RadicalValue") -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other: "RadicalValue") -> bool:
-        return (self - other).sign() >= 0
 
     def __repr__(self) -> str:
         return f"RadicalValue(alpha={self.alpha.alpha}, {list(self.coeffs)})"
@@ -283,20 +221,10 @@ def q_max_for(alpha: Union[int, Alpha], w_max: int) -> int:
     return 4 * (ceil_log(a.alpha, w_max) + 1)
 
 
-def step_value(q: StepExponent, alpha: Union[int, Alpha],
-               q_max: int | None = None) -> RadicalValue:
-    """alpha^(q/4) as a RadicalValue (a single basis monomial)."""
-    a = _as_alpha(alpha)
-    if q < 0 or (q_max is not None and q > q_max):
-        raise ValueError(f"step exponent {q} out of range [0, {q_max}]")
-    d, k = divmod(q, a.basis_dim)
-    coeffs = [Fraction(0)] * a.basis_dim
-    coeffs[k] = Fraction(a.radicand ** d)
-    return RadicalValue(a, coeffs)
-
-
 def step_coeffs(q: StepExponent, alpha: Alpha) -> tuple:
-    """Integer coefficient vector of alpha^(q/4) (engine-facing variant)."""
+    """Integer coefficient vector of alpha^(q/4), a single basis monomial."""
+    if q < 0:
+        raise ValueError(f"step exponent {q} is negative")
     d, k = divmod(q, alpha.basis_dim)
     out = [0] * alpha.basis_dim
     out[k] = alpha.radicand ** d
@@ -329,9 +257,7 @@ def interval_sign(a: RadicalValue, bits: int = 256) -> int:
     dim = a.alpha.basis_dim
     if dim == 1:
         return _sign_rat(a.coeffs[0])
-    den = 1
-    for c in a.coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in a.coeffs))
     ints = [int(c * den) for c in a.coeffs]
     # beta * 2^bits is in [b_lo, b_lo + 1)
     b_lo = _floor_root(a.alpha.radicand << (dim * bits), dim)
@@ -353,12 +279,6 @@ def interval_sign(a: RadicalValue, bits: int = 256) -> int:
     if hi_sum < 0:
         return -1
     return 0
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,18 @@ success the harness reports.
 Nothing here shares caching or incremental logic with the rest of the
 package: loads are recomputed from scratch, covers are found by exhaustive
 or branch-and-bound search, and maximal solutions are enumerated over an
-integer grid.  The success certificate (``success_defect``, also behind
-``validate_mfds_naive``) works on integer coefficient columns, so it costs
-little next to the search it checks; the searches keep size limits that
-keep every call desk-scale.
+integer grid.  The cover certificate (behind ``success_defect``,
+``validate_mfds_naive``, ``dual.extract_cover`` and ``dualvc verify``) and
+the acceptance functional ``reference_fitness`` both take edge values as
+coefficient rows over an explicit alpha and decide every sign on integer
+coefficient columns, so they cost little next to the search they check;
+the searches keep size limits that keep every call desk-scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, product
 from math import lcm
 from typing import Optional, Sequence, Union
@@ -21,7 +24,7 @@ from typing import Optional, Sequence, Union
 from .graph import WeightedGraph
 from .numeric import Alpha, Rational, RadicalValue, sign_of_coeffs
 
-Value = Union[int, RadicalValue]
+Value = Union[Rational, tuple, RadicalValue]
 
 _MAX_EXACT_N = 24
 _MAX_ENUM_M = 6
@@ -106,7 +109,7 @@ def exhaustive_min_wvc(g: WeightedGraph) -> ExactCoverResult:
 
 
 # ---------------------------------------------------------------------------
-# slack signs and the success certificate
+# slack signs, the cover certificate and the acceptance functional
 #
 # Edge values are taken apart into coordinate columns (``cols[k][e]`` is the
 # beta^k coefficient of y(e)), scaled once to ints over their common
@@ -115,24 +118,41 @@ def exhaustive_min_wvc(g: WeightedGraph) -> ExactCoverResult:
 # nonzero.
 # ---------------------------------------------------------------------------
 
-_NOT_MAXIMAL = "reported success failed the independent maximality check"
+_NOT_MAXIMAL = "reported solution failed the independent maximality check"
 
 
-def _columns(values: Sequence) -> tuple[Optional[Alpha], list]:
-    """Coordinate columns of ints, Fractions, RadicalValues or a mix."""
-    rad = next((v for v in values if isinstance(v, RadicalValue)), None)
-    if rad is None:
-        return None, [list(values)]
-    pad = (0,) * (rad.alpha.basis_dim - 1)
+def coefficient_rows(alpha: Alpha, values: Sequence[Value]) -> list:
+    """Values as coefficient rows over the basis of `alpha`: ints and
+    Fractions become rational rows, rows (tuples or lists) must have
+    basis_dim coefficients, and RadicalValues must belong to `alpha`."""
+    dim = alpha.basis_dim
+    pad = (0,) * (dim - 1)
     rows = []
     for v in values:
-        if not isinstance(v, RadicalValue):
-            rows.append((v,) + pad)
-        elif v.alpha == rad.alpha:
+        if isinstance(v, (tuple, list)):
+            if len(v) != dim:
+                raise ValueError(f"row {v!r} needs {dim} coefficients")
+            rows.append(v)
+        elif isinstance(v, RadicalValue):
+            if v.alpha != alpha:
+                raise ValueError(f"mixed alphas: {alpha!r} vs {v.alpha!r}")
             rows.append(v.coeffs)
         else:
-            raise ValueError(f"mixed alphas: {rad.alpha!r} vs {v.alpha!r}")
-    return rad.alpha, [list(col) for col in zip(*rows)]
+            rows.append((v,) + pad)
+    return rows
+
+
+def _columns(values: Sequence[Value], alpha: Optional[Alpha] = None
+             ) -> tuple[Optional[Alpha], list]:
+    """Coordinate columns over `alpha`, by default the alpha of the first
+    RadicalValue; plain rationals without one make a single column."""
+    if alpha is None:
+        rad = next((v for v in values if isinstance(v, RadicalValue)), None)
+        if rad is None:
+            return None, [list(values)]
+        alpha = rad.alpha
+    rows = coefficient_rows(alpha, values)
+    return alpha, [list(col) for col in zip(*rows)] or [[]]
 
 
 def _integer_columns(cols: list) -> tuple[list, int]:
@@ -161,6 +181,11 @@ def _signs(cols: list, alpha: Optional[Alpha]) -> list:
     return out
 
 
+def _sign(vec: list, alpha: Optional[Alpha]) -> int:
+    """Exact sign of one vector of integer coordinates."""
+    return _signs([[c] for c in vec], alpha)[0]
+
+
 def _slack_signs(g: WeightedGraph, alpha: Optional[Alpha], cols: list,
                  den: int) -> list:
     """Sign of load(v) - W(v) per vertex: +1 violated, 0 tight, -1 slack."""
@@ -175,39 +200,88 @@ def _slack_signs(g: WeightedGraph, alpha: Optional[Alpha], cols: list,
     return _signs(loads, alpha)
 
 
-def _defect(g: WeightedGraph, alpha: Optional[Alpha],
-            cols: list) -> Optional[str]:
-    """Why edge values given as coordinate columns fail the success
-    certificate, or None."""
+def _exact(alpha: Optional[Alpha], vec: list, den: int) -> tuple:
+    """An integer coordinate vector over `den` as Fraction coefficients over
+    the whole basis of `alpha`."""
+    dim = alpha.basis_dim if alpha else 1
+    return tuple(Fraction(c, den) for c in vec) + (Fraction(0),) * (
+        dim - len(vec))
+
+
+@dataclass(frozen=True)
+class CoverCertificate:
+    """What one from-scratch pass finds about edge values: every vertex's
+    slack sign, maximality, and, only for maximal values (None otherwise),
+    the 2-approximation weight certificate of the tight-vertex cover."""
+
+    slack: tuple[int, ...]   # sign of load(v) - W(v): +1 violated, 0 tight
+    negative: bool           # some value is below zero
+    maximal: bool            # feasible, and every edge has a tight endpoint
+    cover_weight: Optional[int] = None   # total weight of the tight vertices
+    sum_y: Optional[tuple] = None        # coefficients of the value sum
+    weight_ok: Optional[bool] = None     # cover_weight <= 2 * sum_y
+
+    @property
+    def feasible(self) -> bool:
+        return 1 not in self.slack
+
+    @property
+    def cover(self) -> frozenset[int]:
+        return frozenset(v for v, s in enumerate(self.slack) if s == 0)
+
+    @property
+    def defect(self) -> Optional[str]:
+        """Why the values fail to certify a maximal feasible solution whose
+        tight vertices cover the graph within twice the value sum, or
+        None."""
+        if self.negative:
+            return "reported solution has a negative value"
+        if not self.maximal:
+            return _NOT_MAXIMAL
+        if not self.weight_ok:
+            return "tight-vertex cover failed its weight certificate"
+        return None
+
+
+def _certify(g: WeightedGraph, alpha: Optional[Alpha],
+             cols: list) -> CoverCertificate:
+    """The certificate of edge values given as coordinate columns."""
     cols, den = _integer_columns(cols)
-    if -1 in _signs(cols, alpha):
-        return "reported solution has a negative value"
+    negative = -1 in _signs(cols, alpha)
     slack = _slack_signs(g, alpha, cols, den)
-    if 1 in slack:
-        return _NOT_MAXIMAL
-    tight = [s == 0 for s in slack]
     # every edge has a tight endpoint, i.e. the tight vertices cover it
-    if not all(tight[u] or tight[v] for u, v in g.edges):
-        return _NOT_MAXIMAL
-    cover_weight = sum(w for w, t in zip(g.weights, tight) if t)
-    two_sum_minus_cover = [[2 * sum(col)] for col in cols]
-    two_sum_minus_cover[0][0] -= cover_weight * den
-    if _signs(two_sum_minus_cover, alpha)[0] < 0:
-        return "tight-vertex cover failed its weight certificate"
-    return None
+    maximal = 1 not in slack and all(slack[u] == 0 or slack[v] == 0
+                                     for u, v in g.edges)
+    if not maximal:
+        return CoverCertificate(tuple(slack), negative, False)
+    cover_weight = sum(w for w, s in zip(g.weights, slack) if s == 0)
+    sums = [sum(col) for col in cols]
+    two_sum_minus_cover = [2 * s for s in sums]
+    two_sum_minus_cover[0] -= cover_weight * den
+    return CoverCertificate(tuple(slack), negative, True, cover_weight,
+                            _exact(alpha, sums, den),
+                            _sign(two_sum_minus_cover, alpha) >= 0)
+
+
+def cover_certificate(g: WeightedGraph, alpha: Alpha,
+                      values: Sequence[Value]) -> CoverCertificate:
+    """The certificate of one value per edge (anything ``coefficient_rows``
+    lifts)."""
+    if len(values) != g.m:
+        raise ValueError(f"{len(values)} values for {g.m} edges")
+    return _certify(g, *_columns(values, alpha))
 
 
 def success_defect(g: WeightedGraph, alpha: Alpha,
                    rows: Sequence[Sequence[Rational]]) -> Optional[str]:
     """Why coefficient rows (one per edge, int or Fraction coefficients
-    over the basis of `alpha`) fail to certify a maximal feasible solution
-    whose tight vertices cover g within twice the value sum, or None."""
+    over the basis of `alpha`) fail the cover certificate, or None."""
     if len(rows) != g.m:
         return f"reported solution has {len(rows)} rows for {g.m} edges"
     dim = alpha.basis_dim
     if any(len(row) != dim for row in rows):
         return f"reported solution rows must have {dim} coefficients"
-    return _defect(g, alpha, [list(col) for col in zip(*rows)] or [[]])
+    return cover_certificate(g, alpha, rows).defect
 
 
 def validate_mfds_naive(g: WeightedGraph, values: Sequence[Value]) -> bool:
@@ -215,24 +289,25 @@ def validate_mfds_naive(g: WeightedGraph, values: Sequence[Value]) -> bool:
     a mix) form a maximal feasible solution."""
     if len(values) != g.m:
         raise ValueError(f"{len(values)} values for {g.m} edges")
-    return _defect(g, *_columns(values)) is None
+    return _certify(g, *_columns(values)).defect is None
 
 
-def violated(g: WeightedGraph, values: Sequence[Value]) -> list[int]:
+def violated(g: WeightedGraph, alpha: Alpha,
+             values: Sequence[Value]) -> list[int]:
     """Vertices whose load, recomputed from scratch, exceeds their weight."""
-    alpha, cols = _columns(values)
-    slack = _slack_signs(g, alpha, *_integer_columns(cols))
-    return [v for v, s in enumerate(slack) if s > 0]
+    cols, den = _integer_columns(_columns(values, alpha)[1])
+    return [v for v, s in enumerate(_slack_signs(g, alpha, cols, den))
+            if s > 0]
 
 
 @dataclass(frozen=True)
 class FitnessOutcome:
-    value: RadicalValue
+    value: tuple   # Fraction coefficients over the basis of alpha
     accept: bool
 
 
-def reference_fitness(g: WeightedGraph, values: Sequence[Value],
-                      proposed: Sequence[Value],
+def reference_fitness(g: WeightedGraph, alpha: Alpha,
+                      values: Sequence[Value], proposed: Sequence[Value],
                       w_max: int) -> FitnessOutcome:
     """From-scratch evaluation of the acceptance functional comparing a
     proposal against the current values.
@@ -242,33 +317,30 @@ def reference_fitness(g: WeightedGraph, values: Sequence[Value],
     decrease) is rejected.  Infeasible values: decreases on edges at
     violated vertices count positively; any change elsewhere is penalized
     by m * w_max per unit of absolute change.  Ties (value 0) are accepted.
-    Values must be RadicalValues over one alpha.
+    Both vectors (anything ``coefficient_rows`` lifts over `alpha`) go over
+    one common denominator, and every sign is decided on integer columns.
     """
-    if len(values) != g.m or len(proposed) != g.m:
+    m = g.m
+    if len(values) != m or len(proposed) != m:
         raise ValueError("value vectors must match the edge count")
-    overloaded = violated(g, values)
-    alpha = values[0].alpha if g.m else None
-    assert alpha is not None, "reference_fitness needs at least one edge"
-    zero = RadicalValue.zero(alpha)
-    if not overloaded:
-        total = zero
-        for e in range(g.m):
-            total = total + (proposed[e] - values[e])
-        value = -total if violated(g, proposed) else total
-        return FitnessOutcome(value, value.sign() >= 0)
-    viol_edges = set()
-    for v in overloaded:
-        viol_edges.update(g.adjacency(v))
-    gain = zero
-    off = zero
-    for e in range(g.m):
-        diff = values[e] - proposed[e]
-        if e in viol_edges:
-            gain = gain + diff
-        else:
-            off = off + (diff if diff.sign() >= 0 else -diff)
-    value = gain - off.scale(g.m * w_max)
-    return FitnessOutcome(value, value.sign() >= 0)
+    cols, den = _integer_columns(_columns([*values, *proposed], alpha)[1])
+    now = [col[:m] for col in cols]
+    diff = [[b - a for a, b in zip(col, col[m:])] for col in cols]
+    slack = _slack_signs(g, alpha, now, den)
+    if 1 not in slack:
+        total = [sum(col) for col in diff]
+        if 1 in _slack_signs(g, alpha, [col[m:] for col in cols], den):
+            total = [-t for t in total]
+    else:
+        # value = sum over edges at violated vertices of (y - y') minus
+        # m * w_max * |y - y'| summed over every other edge
+        viol_edges = {e for v, s in enumerate(slack) if s > 0
+                      for e in g.adjacency(v)}
+        penalty = m * w_max
+        weight = [1 if e in viol_edges else penalty * s
+                  for e, s in enumerate(_signs(diff, alpha))]
+        total = [-sum(c * d for c, d in zip(weight, col)) for col in diff]
+    return FitnessOutcome(_exact(alpha, total, den), _sign(total, alpha) >= 0)
 
 
 def enumerate_mfds(g: WeightedGraph) -> list[tuple[int, ...]]:

@@ -1,22 +1,12 @@
 """Shared by the tests that hold the engine's acceptance decisions against
-``oracle.reference_fitness``: the clamped proposal over RadicalValues and
-the engine's decision on it, dispatched exactly as ``heuristics.run`` does.
+``oracle.reference_fitness``: the engine's decision on one proposal,
+dispatched exactly as ``heuristics.run`` does, against the oracle's on the
+clamped proposal the reference replay builds.
 """
 
-from dualvc.heuristics import _decide_decrease_infeasible, _decide_increase
-from dualvc.numeric import RadicalValue, step_value
-from dualvc.oracle import reference_fitness
-
-
-def clamped_proposal(values, q, selection, direction):
-    """Move each selected value by alpha^(q(e)/4) in `direction`, clamped
-    at zero."""
-    alpha = values[0].alpha
-    out = list(values)
-    for e in selection:
-        moved = values[e] + step_value(q[e], alpha).scale(direction)
-        out[e] = moved if moved.sign() >= 0 else RadicalValue.zero(alpha)
-    return out
+from dualvc.heuristics import (_decide_decrease_infeasible, _decide_increase,
+                               _reference_proposal)
+from dualvc.oracle import coefficient_rows, reference_fitness
 
 
 def engine_decision(eng, selection, q, direction):
@@ -35,8 +25,9 @@ def engine_agrees(eng, values, q, selection, direction):
     """True iff the engine (a _VecEngine holding `values`) accepts exactly
     when reference_fitness does, and an accepted step moves it to the
     proposal."""
-    proposed = clamped_proposal(values, q, selection, direction)
-    ref = reference_fitness(eng.graph, values, proposed, eng.w_max)
+    rows = coefficient_rows(eng.alpha, values)
+    proposed = _reference_proposal(eng.alpha, rows, q, selection, direction)
+    ref = reference_fitness(eng.graph, eng.alpha, rows, proposed, eng.w_max)
     accept, deltas = engine_decision(eng, selection, q, direction)
     if accept != ref.accept:
         return False
@@ -45,4 +36,4 @@ def engine_agrees(eng, values, q, selection, direction):
     after = list(eng.y)
     for e, new in deltas:
         after[e] = new
-    return after == [p.coeffs for p in proposed]
+    return after == proposed

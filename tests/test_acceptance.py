@@ -30,7 +30,7 @@ from dualvc.instances import (VARIANTS, derive_seed, hard_instance,
                               random_dynamic)
 from dualvc.numeric import (TAU, RadicalValue, canonicalize_alpha,
                             float_sign, float_value, q_max_for,
-                            sign_of_coeffs, step_value)
+                            sign_of_coeffs, step_coeffs)
 from dualvc.oracle import enumerate_mfds, exact_min_wvc, validate_mfds_naive
 
 from engine_decisions import engine_agrees
@@ -201,6 +201,10 @@ def _solution_from(result, inst):
     return DualSolution(inst.graph_star, A2, values)
 
 
+def _covers(g, cover):
+    return all(u in cover or v in cover for u, v in g.edges)
+
+
 def test_criterion_3_successes_certify_a_2_approximation(capsys):
     """Every reported success yields a feasible, everywhere-tight solution
     whose tight-vertex cover weighs at most twice the value sum; on 100
@@ -215,9 +219,9 @@ def test_criterion_3_successes_certify_a_2_approximation(capsys):
                                      10 ** 6, seed=300 + i))
         assert result.success, f"baseline search exhausted budget on #{i}"
         y = _solution_from(result, inst)
-        _cover, cert = extract_cover(y)
+        cover, cert = extract_cover(y)
         exact = exact_min_wvc(inst.graph_star)
-        if not (cert.covers_all_edges and cert.weight_ok
+        if not (_covers(inst.graph_star, cover) and cert.defect is None
                 and cert.cover_weight <= 2 * exact.weight):
             violations += 1
         checked += 1
@@ -231,8 +235,9 @@ def test_criterion_3_successes_certify_a_2_approximation(capsys):
                     continue
                 successes += 1
                 y2 = _solution_from(r2, inst)
-                _c2, cert2 = extract_cover(y2)
-                if not (cert2.covers_all_edges and cert2.weight_ok):
+                cover2, cert2 = extract_cover(y2)
+                if not (_covers(inst.graph_star, cover2)
+                        and cert2.defect is None):
                     violations += 1
     elapsed = time.perf_counter() - t0
     ok = checked == 100 and violations == 0 and elapsed <= 180.0
@@ -334,10 +339,10 @@ def test_criterion_5_float_backend_and_step_identities(capsys):
     identity_failures = 0
     for alpha in (2, 3, 9, 16):
         a = canonicalize_alpha(alpha)
-        alpha_rv = RadicalValue.from_rational(a, alpha)
         q_cap = q_max_for(a, alpha ** 8)
         for q in range(q_cap - 3):
-            if step_value(q + 4, a) != alpha_rv * step_value(q, a):
+            if step_coeffs(q + 4, a) != tuple(alpha * c
+                                              for c in step_coeffs(q, a)):
                 identity_failures += 1
     ok = mismatches == 0 and identity_failures == 0
     verdict(capsys, 5, ok,

@@ -1,4 +1,5 @@
-"""Dual LP solutions: loads, signs, the acceptance functional, covers, dumps."""
+"""Dual LP solutions: validation, the cover certificate, the acceptance
+functional, covers, dumps."""
 
 from fractions import Fraction
 
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualvc.dual import (DualSolution, dump_dual, extract_cover, is_mfds,
-                         load_dual, parse_dual, save_dual, sign)
+from dualvc.dual import (DualSolution, dump_dual, extract_cover, load_dual,
+                         parse_dual, save_dual)
 from dualvc.graph import WeightedGraph
 from dualvc.numeric import RadicalValue, canonicalize_alpha
-from dualvc.oracle import reference_fitness, violated
+from dualvc.oracle import cover_certificate, reference_fitness, violated
 
 A2 = canonicalize_alpha(2)
 
@@ -23,20 +24,31 @@ def rv(x):
     return RadicalValue.from_rational(A2, x)
 
 
+def certificate(y):
+    return cover_certificate(y.graph, y.alpha, y.y)
+
+
 # -- construction and loads --------------------------------------
 
 def test_zero_solution_and_loads():
-    y = DualSolution(triangle(), 2)
+    y = DualSolution(triangle((1, 1, 1)), 2)
     assert all(v.is_zero() for v in y.y)
-    assert all(l.is_zero() for l in y.load)
-    assert y.sum_y().is_zero()
+    cert = certificate(y)
+    assert cert.slack == (-1, -1, -1)       # every load below weight 1
+    # not maximal, so there is no cover to certify
+    assert not cert.maximal and cert.cover_weight is None
 
 
 def test_from_ints_loads():
-    y = DualSolution.from_ints(triangle((3, 4, 5)), 2, (1, 2, 0))
-    # load(0) = y01 + y02 = 1, load(1) = y01 + y12 = 3, load(2) = y12 = 2
-    assert [l.as_fraction() for l in y.load] == [1, 3, 2]
-    assert y.sum_y().as_fraction() == 3
+    # load(0) = y01 + y02 = 1, load(1) = y01 + y12 = 3, load(2) = y12 = 2:
+    # every vertex is tight exactly at weights (1, 3, 2)
+    y = DualSolution.from_ints(triangle((1, 3, 2)), 2, (1, 2, 0))
+    assert y.y == [rv(1), rv(2), rv(0)]
+    cert = certificate(y)
+    assert cert.slack == (0, 0, 0)
+    assert cert.sum_y == (3, 0, 0, 0)
+    assert certificate(DualSolution.from_ints(
+        triangle((3, 4, 5)), 2, (1, 2, 0))).slack == (-1, -1, -1)
 
 
 def test_value_validation():
@@ -55,19 +67,17 @@ def test_value_validation():
 def test_slack_signs():
     y = DualSolution.from_ints(triangle((2, 2, 2)), 2, (1, 2, 0))
     # loads: 1, 3, 2 against weights 2, 2, 2
-    assert y.slack_sign(0) == -1
-    assert y.slack_sign(1) == 1
-    assert y.slack_sign(2) == 0
+    assert certificate(y).slack == (-1, 1, 0)
 
 
 def test_violating_sets_and_sign():
     g = triangle((2, 2, 2))
     y = DualSolution.from_ints(g, 2, (1, 2, 0))
-    assert violated(g, y.y) == [1]
-    assert sign(y) == -1
+    assert violated(g, A2, y.y) == [1]
+    assert not certificate(y).feasible
     ok = DualSolution.from_ints(g, 2, (1, 1, 1))
-    assert violated(g, ok.y) == []
-    assert sign(ok) == 1
+    assert violated(g, A2, ok.y) == []
+    assert certificate(ok).feasible
 
 
 def test_slack_sign_irrational_tightness():
@@ -75,47 +85,47 @@ def test_slack_sign_irrational_tightness():
     # so load beta**2 = sqrt(2) < 2 (slack) and (beta**2)**2 hits it exactly.
     g = WeightedGraph(2, (2, 2), ((0, 1),))
     y = DualSolution(g, 2, [RadicalValue(A2, (0, 0, 1, 0))])
-    assert y.slack_sign(0) == -1
+    assert certificate(y).slack[0] == -1
     y = DualSolution(g, 2, [rv(2)])
-    assert y.slack_sign(0) == 0
+    assert certificate(y).slack[0] == 0
     y = DualSolution(g, 2, [RadicalValue(A2, (2, 0, 1, 0))])
-    assert y.slack_sign(0) == 1
+    assert certificate(y).slack[0] == 1
 
 
 # -- the acceptance functional (oracle.reference_fitness) ----------------------
 
 def ref_fitness(g, values, proposed, w_max=None):
     """reference_fitness on rational value vectors."""
-    return reference_fitness(g, [rv(v) for v in values],
+    return reference_fitness(g, A2, [rv(v) for v in values],
                              [rv(v) for v in proposed],
                              g.max_weight() if w_max is None else w_max)
 
 
 def test_fitness_feasible_increase_accepted():
     out = ref_fitness(triangle((2, 2, 2)), (0, 0, 0), (1, 0, 0))
-    assert out.accept and out.value.as_fraction() == 1
+    assert out.accept and out.value == (1, 0, 0, 0)
 
 
 def test_fitness_feasible_decrease_rejected():
     out = ref_fitness(triangle((2, 2, 2)), (1, 0, 0), (0, 0, 0))
-    assert not out.accept and out.value.as_fraction() == -1
+    assert not out.accept and out.value == (-1, 0, 0, 0)
 
 
 def test_fitness_feasible_tie_accepted():
     out = ref_fitness(triangle((2, 2, 2)), (1, 0, 0), (1, 0, 0))
-    assert out.accept and out.value.is_zero()
+    assert out.accept and out.value == (0, 0, 0, 0)
 
 
 def test_fitness_negates_on_new_violation():
     # raising into infeasibility flips the sign of the (positive) change
     out = ref_fitness(WeightedGraph(2, (1, 1), ((0, 1),)), (0,), (3,))
-    assert not out.accept and out.value.as_fraction() == -3
+    assert not out.accept and out.value == (-3, 0, 0, 0)
 
 
 def test_fitness_infeasible_gain_on_violating_edges():
     # vertex 1 violated; lowering an incident edge is a gain
     out = ref_fitness(triangle((2, 2, 2)), (1, 2, 0), (1, 1, 0))
-    assert out.accept and out.value.as_fraction() == 1
+    assert out.accept and out.value == (1, 0, 0, 0)
 
 
 def test_fitness_infeasible_off_edge_penalty():
@@ -123,19 +133,23 @@ def test_fitness_infeasible_off_edge_penalty():
     # penalized by m * W_max per unit, swamping any gain: gain 1 on edge 1,
     # off-edge change of 1 on edge 2 -> penalty 3*2
     out = ref_fitness(triangle((2, 2, 2)), (1, 2, 0), (1, 1, 1))
-    assert not out.accept and out.value.as_fraction() == 1 - 6
+    assert not out.accept and out.value == (1 - 6, 0, 0, 0)
 
 
 def test_fitness_infeasible_raise_on_violating_edge_counts_negative():
     # raising on a violating edge: diff is negative
     out = ref_fitness(triangle((2, 2, 2)), (1, 2, 0), (2, 2, 0))
-    assert not out.accept and out.value.as_fraction() == -1
+    assert not out.accept and out.value == (-1, 0, 0, 0)
 
 
 # -- maximality and cover extraction ------------------------------------------
 
 def test_is_mfds():
     g = triangle((2, 2, 2))
+
+    def is_mfds(y):
+        return certificate(y).maximal
+
     assert not is_mfds(DualSolution(g, 2))              # edges not tight
     # y=(2,0,0): vertices 0 and 1 tight, every edge has a tight endpoint
     assert is_mfds(DualSolution.from_ints(g, 2, (2, 0, 0)))
@@ -148,12 +162,12 @@ def test_extract_cover_certificate():
     g = triangle((2, 2, 2))
     y = DualSolution.from_ints(g, 2, (1, 1, 1))
     cover, cert = extract_cover(y)
-    assert cover == frozenset({0, 1, 2})
-    assert cert.covers_all_edges
+    assert cover == frozenset({0, 1, 2}) == cert.cover
+    assert cert.maximal
     assert cert.cover_weight == 6
-    assert cert.sum_y.as_fraction() == 3
+    assert cert.sum_y == (3, 0, 0, 0)
     assert cert.weight_ok          # 6 <= 2 * 3
-    assert cert.ok
+    assert cert.defect is None
 
 
 def test_extract_cover_star():
@@ -163,7 +177,7 @@ def test_extract_cover_star():
     cover, cert = extract_cover(y)
     assert cover == frozenset({0})
     assert cert.cover_weight == 3
-    assert cert.ok
+    assert cert.defect is None
 
 
 def test_extract_cover_requires_mfds():
@@ -175,12 +189,16 @@ def test_extract_cover_requires_mfds():
 
 
 def test_extract_cover_irrational_values():
-    # an MFDS with beta-components still certifies: load = 2*beta**2 + gap
-    g = WeightedGraph(2, (2, 2), ((0, 1),))
-    y = DualSolution(g, 2, [rv(2)])
+    # tight vertex 1 carries (2 - beta) + beta; the value sum 4 - beta is
+    # irrational, and the cover {1, 2} weighs 4 <= 2 * (4 - beta)
+    g = WeightedGraph(4, (3, 2, 2, 3), ((0, 1), (1, 2), (2, 3)))
+    y = DualSolution(g, 2, [RadicalValue(A2, (2, -1, 0, 0)),
+                            RadicalValue(A2, (0, 1, 0, 0)),
+                            RadicalValue(A2, (2, -1, 0, 0))])
     cover, cert = extract_cover(y)
-    assert cover == frozenset({0, 1})
-    assert cert.ok
+    assert cover == frozenset({1, 2})
+    assert cert.sum_y == (4, -1, 0, 0)
+    assert cert.defect is None
 
 
 # -- dump format ---------------------------------------------------------------
@@ -194,7 +212,7 @@ def test_dump_parse_round_trip():
     assert text.splitlines()[0] == "alpha 2"
     z = parse_dual(text, g)
     assert z.alpha == y.alpha
-    assert all((a - b).is_zero() for a, b in zip(y.y, z.y))
+    assert z.y == y.y
 
 
 def test_dump_pads_small_basis():
@@ -204,7 +222,7 @@ def test_dump_pads_small_basis():
     assert lines[0] == "alpha 16"
     assert lines[1].split() == ["0", "1", "0", "0", "0"]
     z = parse_dual(dump_dual(y), g)
-    assert (z.y[0] - y.y[0]).is_zero()
+    assert z.y == y.y
 
 
 def test_parse_dual_errors():
@@ -230,7 +248,7 @@ def test_save_load_dual(tmp_path):
     p = tmp_path / "y.dual"
     save_dual(y, str(p))
     z = load_dual(str(p), g)
-    assert all((a - b).is_zero() for a, b in zip(y.y, z.y))
+    assert z.y == y.y
 
 
 # -- property: fitness sign semantics ------------------------------------------
@@ -250,5 +268,5 @@ def test_feasible_fitness_is_signed_total_change(data):
     out = ref_fitness(g, yv, ypv)
     total = sum(ypv) - sum(yv)
     expected = total if feasible(ypv) else -total
-    assert out.value.as_fraction() == expected
+    assert out.value == (expected, 0, 0, 0)
     assert out.accept == (expected >= 0)

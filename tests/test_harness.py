@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dualvc.cli import main as cli_main
-from dualvc.dual import DualSolution, dump_dual, extract_cover, is_mfds
+from dualvc.dual import DualSolution, dump_dual
 from dualvc.graph import Edit, WeightedGraph, load_instance, save_instance
 from dualvc.harness import (CSV_HEADER, SOLVE_HEADER, BenchCell, BenchPlan,
                             BenchRecord, RunLogger, bound_shape,
@@ -18,9 +18,10 @@ from dualvc.harness import (CSV_HEADER, SOLVE_HEADER, BenchCell, BenchPlan,
                             load_plan, plan_from_json, read_records,
                             run_trial, scaling_plan, scaling_report,
                             summarize, thread_count, verify_final)
-from dualvc.heuristics import RunConfig, run
+from dualvc.heuristics import RunConfig, _VecEngine, run
 from dualvc.instances import hard_instance, make_dynamic, random_dynamic
-from dualvc.numeric import RadicalValue, canonicalize_alpha
+from dualvc.numeric import (RadicalValue, canonicalize_alpha, q_max_for,
+                            sign_of_coeffs)
 from dualvc.oracle import validate_mfds_naive
 
 
@@ -209,12 +210,21 @@ def differential_successes():
 
 
 def reference_accepts(inst, alpha, rows):
-    """The RadicalValue path: DualSolution state, is_mfds, extract_cover."""
+    """A partner that shares no code with the oracle: DualSolution's
+    validation, the vector engine's maximality counters, and the weight of
+    the engine's tight vertices against twice the value sum."""
+    a = canonicalize_alpha(alpha)
     try:
-        y = DualSolution.from_coeffs(inst.graph_star, alpha, rows)
+        y = DualSolution.from_coeffs(inst.graph_star, a, rows)
     except ValueError:          # negative value or wrong row count
         return False
-    return is_mfds(y) and extract_cover(y)[1].ok
+    eng = _VecEngine(inst.graph_star, y.y, inst.w_max, a,
+                     q_max_for(a, inst.w_max))
+    if not eng.is_mfds():
+        return False
+    two_sum = [2 * sum(col) for col in zip(*eng.y)]
+    two_sum[0] -= sum(w for w, s in zip(eng.weights, eng.slack) if s == 0)
+    return sign_of_coeffs(two_sum, a) >= 0
 
 
 def corruptions(inst, alpha, rows):

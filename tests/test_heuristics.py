@@ -15,14 +15,15 @@ from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
                                draw_ea_selection, draw_rls_selection, run,
                                run_reference)
 from dualvc.instances import (hard_instance, make_dynamic, random_dynamic)
-from dualvc.numeric import RadicalValue, canonicalize_alpha, q_max_for
-from dualvc.oracle import validate_mfds_naive
+from dualvc.numeric import canonicalize_alpha, q_max_for
+from dualvc.oracle import validate_mfds_naive, violated
 
 A2 = canonicalize_alpha(2)
 
 
-def rv(x):
-    return RadicalValue.from_rational(A2, x)
+def rows(values):
+    """Rational values as coefficient rows at alpha 2."""
+    return [(v, 0, 0, 0) for v in values]
 
 
 def edge_growth_unit(weights=(2, 2)):
@@ -147,8 +148,8 @@ def assert_i_prime(g, values, selection, expected):
     q_cap = q_max_for(2, g.max_weight())
     q = [0] * g.m
     _y, accepted, demoted = _reference_step(
-        g, [rv(v) for v in values], q, q_cap, "ea", selection, 1,
-        g.max_weight())
+        g, RunConfig("ea", 2, g.max_weight(), 1, 0), rows(values), 1, q,
+        selection, 1)
     assert not accepted
     assert set(demoted) == expected
     eng = _IntEngine(g, values, g.max_weight(), 2, q_cap)
@@ -176,10 +177,12 @@ def test_i_prime_mixed():
 # -- one evaluation of _reference_step ------------------------------------------------
 
 def reference_step(g, values, q, algorithm, selection, direction, w_max):
-    """_reference_step on rational values with q_cap = q_max_for(2, w_max)."""
-    return _reference_step(g, [rv(v) for v in values], q,
-                           q_max_for(2, w_max), algorithm, selection,
-                           direction, w_max)
+    """_reference_step at alpha 2 on rational values, given with their
+    sign as the replay computes it."""
+    y = rows(values)
+    sign = -1 if violated(g, A2, y) else 1
+    return _reference_step(g, RunConfig(algorithm, 2, w_max, 1, 0), y, sign,
+                           q, selection, direction)
 
 
 def test_accept_promotes_all_selected_capped():
@@ -190,7 +193,7 @@ def test_accept_promotes_all_selected_capped():
     assert accepted
     assert q == [8]                            # 7 + 4 capped at 8
     assert demoted == ()
-    assert y2[0].is_zero()
+    assert y2[0] == (0, 0, 0, 0)
 
 
 def test_reject_ea_demotes_i_prime_only():
@@ -241,7 +244,7 @@ def test_accepted_decrease_while_infeasible():
     q = [0]
     y2, accepted, _ = reference_step(g, (3,), q, "rls", [0], -1, 1)
     assert accepted
-    assert y2[0].as_fraction() == 2
+    assert y2[0] == (2, 0, 0, 0)
     assert q == [4]                            # accepts always promote
 
 
@@ -346,8 +349,6 @@ EQUIV_CASES = [
 
 
 def _coeffs(value, dim):
-    if isinstance(value, RadicalValue):
-        return value.coeffs
     if isinstance(value, tuple):
         return value
     return (value,) + (0,) * (dim - 1)
@@ -355,7 +356,7 @@ def _coeffs(value, dim):
 
 def normalised(records, dim):
     """Hook records with every changed value as a coefficient tuple, so
-    engine ints and tuples compare against reference RadicalValues."""
+    the integer engine's ints compare against reference rows."""
     return [replace(r, changed=tuple((e, _coeffs(old, dim), _coeffs(new, dim))
                                      for e, old, new in r.changed))
             for r in records]

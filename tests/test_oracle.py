@@ -129,11 +129,12 @@ def test_validate_mfds_mixed_value_types():
     assert validate_mfds_naive(g, [rv(2), 1])
     assert validate_mfds_naive(g, [2, rv(1)])
     assert not validate_mfds_naive(g, [rv(2), 0])
-    # irrational tight load: beta**2 + (2 - beta**2) == 2
+    # irrational tight load: vertex 1 carries beta**2 + (2 - beta**2) == 2
+    path = WeightedGraph(3, (2, 2, 2), ((0, 1), (1, 2)))
+    beta2 = RadicalValue(A2, (0, 0, 1, 0))
     gap = RadicalValue(A2, (2, 0, -1, 0))
-    assert validate_mfds_naive(
-        WeightedGraph(2, (2, 2), ((0, 1),)), [RadicalValue(A2, (0, 0, 1, 0))
-                                              + gap])
+    assert validate_mfds_naive(path, [beta2, gap])
+    assert not validate_mfds_naive(path, [beta2, rv(0)])
 
 
 def test_validate_mfds_empty_graph():
@@ -164,15 +165,39 @@ def test_reference_fitness_matches_fast_path():
 def test_reference_fitness_irrational_values():
     g = WeightedGraph(2, (2, 2), ((0, 1),))
     beta = RadicalValue(A2, (0, 1, 0, 0))
-    out = reference_fitness(g, [rv(0)], [beta], w_max=2)
+    out = reference_fitness(g, A2, [rv(0)], [beta], w_max=2)
     assert out.accept
-    assert (out.value - beta).is_zero()
+    assert out.value == beta.coeffs
+    # the same proposal as coefficient rows, over one common denominator
+    out = reference_fitness(g, A2, [(Fraction(1, 3), 0, 0, 0)],
+                            [(Fraction(1, 3), Fraction(1, 2), 0, 0)], 2)
+    assert out.accept and out.value == (0, Fraction(1, 2), 0, 0)
 
 
 def test_reference_fitness_length_check():
     g = WeightedGraph(2, (1, 1), ((0, 1),))
     with pytest.raises(ValueError):
-        reference_fitness(g, [rv(0)], [rv(0), rv(0)], w_max=1)
+        reference_fitness(g, A2, [rv(0)], [rv(0), rv(0)], w_max=1)
+    with pytest.raises(ValueError):
+        reference_fitness(g, A2, [(0, 0)], [(0, 0)], w_max=1)
+
+
+@pytest.mark.parametrize("first, second", [(2, 3), (4, 9), (9, 4)])
+def test_values_of_two_alphas_rejected(first, second):
+    """alpha 4 and 9 both have degree 2, so only the alpha tag tells their
+    values apart."""
+    a, b = canonicalize_alpha(first), canonicalize_alpha(second)
+    g = WeightedGraph(3, (2, 2, 2), ((0, 1), (1, 2)))
+    mixed = [RadicalValue.from_rational(a, 1),
+             RadicalValue.from_rational(b, 1)]
+    with pytest.raises(ValueError, match="mixed alphas"):
+        validate_mfds_naive(g, mixed)
+    with pytest.raises(ValueError, match="mixed alphas"):
+        reference_fitness(g, a, mixed, mixed[:1] * 2, w_max=2)
+    with pytest.raises(ValueError, match="mixed alphas"):
+        reference_fitness(g, a, mixed[:1] * 2, mixed, w_max=2)
+    with pytest.raises(ValueError):
+        _VecEngine(g, mixed, 2, a, q_max_for(a, 2))
 
 
 # -- grid enumeration ------------------------------------------------------------
@@ -245,6 +270,8 @@ def _package_imports(tree):
 
 def test_oracle_shares_no_code_with_the_engine():
     assert _package_imports(_module_tree("oracle")) <= {"graph", "numeric"}
+    assert _package_imports(_module_tree("dual")) <= {"graph", "numeric",
+                                                      "oracle"}
     heuristics = _module_tree("heuristics")
     assert "dual" not in _package_imports(heuristics)
     engine = {"_decide_increase", "_decide_decrease_infeasible",
@@ -252,8 +279,9 @@ def test_oracle_shares_no_code_with_the_engine():
               "_VecEngine"}
     replay = [node for node in heuristics.body
               if isinstance(node, ast.FunctionDef)
-              and node.name in ("run_reference", "_reference_step")]
-    assert len(replay) == 2
+              and node.name in ("run_reference", "_reference_step",
+                                "_reference_proposal")]
+    assert len(replay) == 3
     for func in replay:
         used = {node.id for node in ast.walk(func)
                 if isinstance(node, ast.Name)}
