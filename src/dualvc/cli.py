@@ -18,7 +18,7 @@ from .harness import (SOLVE_HEADER, BenchRecord, RunLogger, execute_plan,
 from .heuristics import ALGORITHMS, RunConfig, run
 from .instances import (VARIANTS, DynamicInstance, hard_instance,
                         make_dynamic, random_dynamic)
-from .numeric import RadicalValue, canonicalize_alpha, float_value
+from .numeric import RadicalValue, float_value
 from .oracle import cover_certificate
 
 
@@ -155,8 +155,7 @@ def cmd_solve(args) -> int:
     print(SOLVE_HEADER)
     print(record.row_prefix())
     if args.out:
-        final = DualSolution.from_coeffs(instance.graph_star,
-                                         canonicalize_alpha(args.alpha),
+        final = DualSolution.from_coeffs(instance.graph_star, args.alpha,
                                          result.final_coeffs)
         save_dual(final, args.out)
     return 0 if result.success else 1
@@ -185,9 +184,9 @@ def cmd_verify(args) -> int:
     print(f"feasible: {'yes' if cert.feasible else 'no'}")
     print(f"maximal: {'yes' if cert.maximal else 'no'}")
     if cert.maximal:
-        two_sum = RadicalValue(y.alpha, (2 * c for c in cert.sum_y))
+        two_sum = [2 * c for c in cert.sum_y]
         print(f"cover_weight: {cert.cover_weight}")
-        print(f"two_sum_y: {float_value(two_sum):.6g}")
+        print(f"two_sum_y: {float_value(two_sum, y.alpha):.6g}")
         print(f"weight_ok: {'yes' if cert.weight_ok else 'no'}")
     return 0 if cert.defect is None else 1
 

@@ -37,8 +37,7 @@ class DualSolution:
     def __init__(self, graph: WeightedGraph, alpha: Union[int, Alpha],
                  values: Optional[Sequence[RadicalValue]] = None) -> None:
         self.graph = graph
-        self.alpha = alpha if isinstance(alpha, Alpha) \
-            else canonicalize_alpha(alpha)
+        self.alpha = canonicalize_alpha(alpha)
         if values is None:
             values = [RadicalValue.zero(self.alpha)] * graph.m
         if len(values) != graph.m:
@@ -53,14 +52,14 @@ class DualSolution:
     @classmethod
     def from_ints(cls, graph: WeightedGraph, alpha: Union[int, Alpha],
                   values: Sequence[int]) -> "DualSolution":
-        a = alpha if isinstance(alpha, Alpha) else canonicalize_alpha(alpha)
+        a = canonicalize_alpha(alpha)
         return cls(graph, a,
                    [RadicalValue.from_rational(a, v) for v in values])
 
     @classmethod
     def from_coeffs(cls, graph: WeightedGraph, alpha: Union[int, Alpha],
                     coeff_rows: Sequence[Sequence]) -> "DualSolution":
-        a = alpha if isinstance(alpha, Alpha) else canonicalize_alpha(alpha)
+        a = canonicalize_alpha(alpha)
         return cls(graph, a, [RadicalValue(a, row) for row in coeff_rows])
 
 
@@ -93,16 +92,21 @@ def dump_dual(y: DualSolution) -> str:
 
 def parse_dual(text: str, graph: WeightedGraph) -> DualSolution:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("alpha "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "alpha":
         raise ValueError("dual dump must start with an 'alpha <int>' line")
-    alpha = canonicalize_alpha(int(lines[0].split()[1]))
+    alpha = canonicalize_alpha(int(header[1]))
     rows: dict[int, RadicalValue] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 1 + _PAD:
             raise ValueError(f"malformed dump line: {ln!r}")
         e = int(parts[0])
-        coeffs = [Fraction(p) for p in parts[1:]]
+        try:
+            coeffs = [Fraction(p) for p in parts[1:]]
+        except ZeroDivisionError:
+            raise ValueError(
+                f"zero denominator in dump line: {ln!r}") from None
         if any(c != 0 for c in coeffs[alpha.basis_dim:]):
             raise ValueError(
                 f"edge {e}: nonzero coefficient beyond basis dimension")

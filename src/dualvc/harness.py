@@ -22,7 +22,6 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
-from fractions import Fraction
 from math import ceil, e, log
 from typing import Sequence, TextIO
 
@@ -30,7 +29,7 @@ from . import oracle
 from .heuristics import ALGORITHMS, RunConfig, TransitionRecord, run
 from .instances import (HARD_VARIANTS, VARIANTS, DynamicInstance, derive_seed,
                         hard_instance, random_dynamic)
-from .numeric import RadicalValue, canonicalize_alpha, ceil_log, float_value
+from .numeric import canonicalize_alpha, ceil_log, float_value
 
 CSV_HEADER = "variant,algorithm,m,D,alpha,wmax,seed,evaluations,success,wall_ms"
 
@@ -447,26 +446,21 @@ class RunLogger:
                  alpha: int) -> None:
         self._fh = fh
         self._alpha = canonicalize_alpha(alpha)
-        self._total = [Fraction(0)] * self._alpha.basis_dim
-        for v in instance.y_init:
-            self._accumulate(v, 1)
+        # engine-native coefficients: ints stay ints
+        rows = oracle.coefficient_rows(self._alpha, instance.y_init)
+        self._total = [sum(row[k] for row in rows)
+                       for k in range(self._alpha.basis_dim)]
         fh.write(self.HEADER + "\n")
 
-    def _accumulate(self, value, direction: int) -> None:
-        if isinstance(value, RadicalValue):
-            coeffs: Sequence = value.coeffs
-        elif isinstance(value, tuple):
-            coeffs = value
-        else:
-            coeffs = (value,)
-        for k, c in enumerate(coeffs):
-            self._total[k] += direction * c
-
     def __call__(self, rec: TransitionRecord) -> None:
+        total = self._total
         for _e, old, new in rec.changed:
-            self._accumulate(old, -1)
-            self._accumulate(new, 1)
-        sum_y = float_value(RadicalValue(self._alpha, self._total))
+            if isinstance(new, tuple):
+                for k, (a, b) in enumerate(zip(old, new)):
+                    total[k] += b - a
+            else:
+                total[0] += new - old
+        sum_y = float_value(total, self._alpha)
         self._fh.write(f"{rec.eval_index},{int(rec.accepted)},"
                        f"{len(rec.edges)},{rec.direction},{rec.sign_after},"
                        f"{sum_y:.6g}\n")

@@ -1,4 +1,4 @@
-"""Exact arithmetic over Q(alpha^(1/4)) plus a compensated floating-point mirror.
+"""Exact signs over Q(alpha^(1/4)) plus one fixed-point evaluator.
 
 Every LP value, step size, and fitness difference in this package is an
 element of the real field Q(beta) with beta = alpha^(1/4).  Depending on
@@ -19,6 +19,11 @@ of rounding artifacts.
 
 Step sizes are never materialized eagerly: they are carried as the integer
 quarter-exponent q with sigma = alpha^(q/4), clamped to [0, q_max].
+
+Floats decide nothing.  The one numeric approximation is a fixed-point
+bracket of a value between integers, from floor(beta * 2^bits); it backs the
+interval sign the tests check the exact signs against, and the float that
+``solve --log`` and ``dualvc verify`` print for sum(Y).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -58,8 +63,11 @@ class Alpha:
 
 
 @lru_cache(maxsize=None)
-def canonicalize_alpha(alpha: int) -> Alpha:
-    """Classify alpha by the degree of alpha^(1/4) over the rationals."""
+def canonicalize_alpha(alpha: Union[int, Alpha]) -> Alpha:
+    """Classify alpha by the degree of alpha^(1/4) over the rationals; an
+    Alpha is returned unchanged."""
+    if isinstance(alpha, Alpha):
+        return alpha
     if not isinstance(alpha, int) or alpha < 2:
         raise ValueError(f"alpha must be an integer >= 2, got {alpha!r}")
     r4 = _iroot4(alpha)
@@ -69,10 +77,6 @@ def canonicalize_alpha(alpha: int) -> Alpha:
     if r2 * r2 == alpha:
         return Alpha(alpha, 2, r2)
     return Alpha(alpha, 4, alpha)
-
-
-def _as_alpha(alpha: Union[int, Alpha]) -> Alpha:
-    return alpha if isinstance(alpha, Alpha) else canonicalize_alpha(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +151,7 @@ class RadicalValue:
 
     def __init__(self, alpha: Union[int, Alpha],
                  coeffs: Iterable[Rational]) -> None:
-        a = _as_alpha(alpha)
+        a = canonicalize_alpha(alpha)
         cs = tuple(Fraction(c) for c in coeffs)
         if len(cs) != a.basis_dim:
             raise ValueError(
@@ -163,13 +167,13 @@ class RadicalValue:
 
     @classmethod
     def zero(cls, alpha: Union[int, Alpha]) -> "RadicalValue":
-        a = _as_alpha(alpha)
+        a = canonicalize_alpha(alpha)
         return cls(a, (0,) * a.basis_dim)
 
     @classmethod
     def from_rational(cls, alpha: Union[int, Alpha],
                       value: Rational) -> "RadicalValue":
-        a = _as_alpha(alpha)
+        a = canonicalize_alpha(alpha)
         return cls(a, (Fraction(value),) + (Fraction(0),) * (a.basis_dim - 1))
 
     # -- queries ----------------------------------------------------------
@@ -217,7 +221,7 @@ def ceil_log(alpha: int, w: int) -> int:
 def q_max_for(alpha: Union[int, Alpha], w_max: int) -> int:
     """Upper bound of the quarter-exponent: 4 * (ceil(log_alpha w_max) + 1),
     so that 1 <= sigma <= alpha^(ceil(log_alpha w_max) + 1)."""
-    a = _as_alpha(alpha)
+    a = canonicalize_alpha(alpha)
     return 4 * (ceil_log(a.alpha, w_max) + 1)
 
 
@@ -232,11 +236,10 @@ def step_coeffs(q: StepExponent, alpha: Alpha) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# interval oracle
+# fixed-point evaluation
 #
-# Independent of the algebraic sign rules above: evaluates the value with
-# integer endpoints at a given number of fractional bits.  Used by the test
-# suite to cross-check sign_of_coeffs, and usable as a refinement loop.
+# Independent of the algebraic sign rules above: brackets the value between
+# integers at a given number of fractional bits of beta.
 # ---------------------------------------------------------------------------
 
 
@@ -248,118 +251,65 @@ def _floor_root(x: int, deg: int) -> int:
     return _iroot4(x)
 
 
-def interval_sign(a: RadicalValue, bits: int = 256) -> int:
-    """Sign by interval arithmetic with `bits` fractional bits of beta.
+@lru_cache(maxsize=None)
+def _beta_power_bounds(alpha: Alpha, bits: int) -> tuple:
+    """Per basis power k, integers bounding beta^k * 2^((dim - 1) * bits)
+    from below and above, from the root b = floor(beta * 2^bits)."""
+    dim = alpha.basis_dim
+    b = _floor_root(alpha.radicand << (dim * bits), dim)
+    top = (dim - 1) * bits
+    return tuple((b ** k << (top - k * bits), (b + 1) ** k << (top - k * bits))
+                 for k in range(dim))
+
+
+def _bracket(coeffs: Sequence[Rational], alpha: Alpha,
+             bits: int) -> tuple[int, int, int]:
+    """Integers (lo, hi, scale) with lo <= value * scale <= hi, where value
+    is sum(coeffs[k] * beta^k) and beta is known to `bits` fractional
+    bits.  Rational values (degree 1, or zero irrational coefficients)
+    give lo == hi."""
+    den = lcm(*(c.denominator for c in coeffs))
+    lo = hi = 0
+    for c, (plo, phi) in zip(coeffs, _beta_power_bounds(alpha, bits),
+                             strict=True):
+        n = c.numerator * (den // c.denominator)
+        if n >= 0:
+            lo += n * plo
+            hi += n * phi
+        else:
+            lo += n * phi
+            hi += n * plo
+    return lo, hi, den << ((alpha.basis_dim - 1) * bits)
+
+
+def interval_sign(coeffs: Sequence[Rational], alpha: Alpha,
+                  bits: int = 256) -> int:
+    """Sign by fixed-point evaluation with `bits` fractional bits of beta.
 
     Returns 0 when the enclosing interval straddles zero (the value may be
     zero or just smaller than the resolution); otherwise the exact sign.
     """
-    dim = a.alpha.basis_dim
-    if dim == 1:
-        return _sign_rat(a.coeffs[0])
-    den = lcm(*(c.denominator for c in a.coeffs))
-    ints = [int(c * den) for c in a.coeffs]
-    # beta * 2^bits is in [b_lo, b_lo + 1)
-    b_lo = _floor_root(a.alpha.radicand << (dim * bits), dim)
-    b_hi = b_lo + 1
-    lo_sum = 0
-    hi_sum = 0
-    top = (dim - 1) * bits
-    for k, n in enumerate(ints):
-        shift = top - k * bits
-        plo, phi = b_lo ** k, b_hi ** k
-        if n >= 0:
-            lo_sum += n * plo << shift
-            hi_sum += n * phi << shift
-        else:
-            lo_sum += n * phi << shift
-            hi_sum += n * plo << shift
-    if lo_sum > 0:
-        return 1
-    if hi_sum < 0:
-        return -1
-    return 0
+    lo, hi, _scale = _bracket(coeffs, alpha, bits)
+    return (lo > 0) - (hi < 0)
 
 
-# ---------------------------------------------------------------------------
-# float backend
-#
-# Mirrors the exact operations in double-double precision (~106 bits), so
-# that for inputs with exactly representable coefficients the absolute
-# evaluation error stays far below TAU.  Sign queries landing within TAU of
-# zero are escalated to the exact backend (default) or resolved as 0.
-# ---------------------------------------------------------------------------
-
-_SPLITTER = 134217729.0  # 2**27 + 1
+def float_value(coeffs: Sequence[Rational], alpha: Alpha) -> float:
+    """sum(coeffs[k] * beta^k) as a float: the midpoint of an 80-bit
+    bracket, rounded once.  Values beyond the float range give +-inf."""
+    lo, hi, scale = _bracket(coeffs, alpha, 80)
+    try:
+        return (lo + hi) / (2 * scale)
+    except OverflowError:
+        return inf if lo + hi > 0 else -inf
 
 
-def _two_sum(x: float, y: float):
-    s = x + y
-    bb = s - x
-    return s, (x - (s - bb)) + (y - bb)
-
-
-def _two_prod(x: float, y: float):
-    p = x * y
-    cx = _SPLITTER * x
-    xh = cx - (cx - x)
-    xl = x - xh
-    cy = _SPLITTER * y
-    yh = cy - (cy - y)
-    yl = y - yh
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-
-
-def _dd_add(a, b):
-    s, e = _two_sum(a[0], b[0])
-    e += a[1] + b[1]
-    s, e = _two_sum(s, e)
-    return s, e
-
-
-def _dd_mul_float(a, x: float):
-    p, e = _two_prod(a[0], x)
-    e += a[1] * x
-    p, e = _two_sum(p, e)
-    return p, e
-
-
-@lru_cache(maxsize=None)
-def _beta_powers_dd(alpha: Alpha):
-    """(beta^0, ..., beta^(dim-1)) as double-double pairs."""
-    dim = alpha.basis_dim
-    if dim == 1:
-        return ((1.0, 0.0),)
-    bits = 80
-    b_int = _floor_root(alpha.radicand << (dim * bits), dim)
-    fr = Fraction(b_int, 1 << bits)
-    hi = float(fr)
-    lo = float(fr - Fraction(hi))
-    powers = [(1.0, 0.0), (hi, lo)]
-    for k in range(2, dim):
-        frk = fr ** k
-        h = float(frk)
-        powers.append((h, float(frk - Fraction(h))))
-    return tuple(powers)
-
-
-def float_value(a: RadicalValue) -> float:
-    """Correctly-rounded-coefficient double-double evaluation of a."""
-    acc = (0.0, 0.0)
-    for c, bp in zip(a.coeffs, _beta_powers_dd(a.alpha)):
-        if c == 0:
-            continue
-        acc = _dd_add(acc, _dd_mul_float(bp, float(c)))
-    return acc[0] + acc[1]
-
-
-def float_sign(a: RadicalValue, tau: float = TAU,
+def float_sign(coeffs: Sequence[Rational], alpha: Alpha, tau: float = TAU,
                escalate: bool = True) -> int:
-    """Sign via the float backend.  Estimates within tau of zero are
-    escalated to the exact backend when `escalate`, else resolved as 0."""
-    v = float_value(a)
+    """Sign via float_value.  Estimates within tau of zero are escalated to
+    the exact backend when `escalate`, else resolved as 0."""
+    v = float_value(coeffs, alpha)
     if v > tau:
         return 1
     if v < -tau:
         return -1
-    return a.sign() if escalate else 0
+    return sign_of_coeffs(coeffs, alpha) if escalate else 0

@@ -240,6 +240,10 @@ def test_parse_dual_errors():
         # nonzero coefficient beyond the rational basis of alpha = 16
         parse_dual("alpha 16\n0 1 1 0 0\n1 0 0 0 0\n2 0 0 0 0\n",
                    triangle())
+    with pytest.raises(ValueError):
+        parse_dual("alpha \n0 0 0 0 0\n1 0 0 0 0\n2 0 0 0 0\n", g)
+    with pytest.raises(ValueError):
+        parse_dual(ok.replace("0 0 0 0 0", "0 1/0 0 0 0"), g)  # zero den
 
 
 def test_save_load_dual(tmp_path):

@@ -519,6 +519,28 @@ def test_cli_solve_log(tmp_path, capsys):
     assert all(len(ln.split(",")) == 6 for ln in lines[1:])
 
 
+def test_cli_sums_beyond_float_range_print_inf(tmp_path, capsys):
+    # W- at m = 1030 carries weights up to 2^1030, past the float range
+    prefix = str(tmp_path / "p")
+    assert cli_main(["gen", "--hard", "--variant", "W-", "--m", "1030",
+                     "--out", prefix]) == 0
+    capsys.readouterr()
+    rc = cli_main(["verify", "--graph", prefix + ".graph.json",
+                   "--dual", prefix + ".y0.txt"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert "maximal: yes" in out and "two_sum_y: inf" in out
+    log = str(tmp_path / "x")
+    rc = cli_main(["solve", "--hard", "--variant", "W-", "--m", "1030",
+                   "--algo", "rls", "--budget", "3", "--log", log])
+    capsys.readouterr()
+    assert rc == 1
+    lines = open(log).read().splitlines()
+    assert lines[0] == RunLogger.HEADER
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["1", "2", "3"]
+    assert all(ln.endswith(",inf") for ln in lines[1:])
+
+
 def test_cli_solve_rational_start_dumped_at_another_alpha(tmp_path, capsys):
     # every start value is Fraction(11, 2): a rational dump must not tie
     # the run to the alpha it was written at

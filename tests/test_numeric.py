@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualvc.numeric import (TAU, RadicalValue, canonicalize_alpha, ceil_log,
-                            float_sign, float_value, interval_sign, q_max_for,
+from dualvc.numeric import (TAU, Alpha, RadicalValue, _bracket,
+                            canonicalize_alpha, ceil_log, float_sign,
+                            float_value, interval_sign, q_max_for,
                             sign_of_coeffs, step_coeffs)
 
 
@@ -41,6 +42,13 @@ def test_alpha_idempotent_and_hashable():
     a = canonicalize_alpha(2)
     assert canonicalize_alpha(2) == a
     assert len({canonicalize_alpha(2), canonicalize_alpha(2)}) == 1
+
+
+def test_alpha_argument_returned_unchanged():
+    a = canonicalize_alpha(9)
+    assert canonicalize_alpha(a) is a
+    made = Alpha(3, 4, 3)
+    assert canonicalize_alpha(made) == made == canonicalize_alpha(3)
 
 
 # -- exact signs -------------------------------------------------------------
@@ -86,7 +94,19 @@ def radical_values(draw, alphas=(2, 3, 5, 9, 16)):
 @settings(max_examples=300, deadline=None)
 @given(radical_values())
 def test_sign_matches_interval_oracle(value):
-    assert value.sign() == interval_sign(value, bits=256)
+    assert value.sign() == interval_sign(value.coeffs, value.alpha, bits=256)
+
+
+@settings(max_examples=200, deadline=None)
+@given(radical_values())
+def test_bracket_encloses_value(value):
+    # lo <= value * scale <= hi, decided exactly; 8 bits keeps it coarse
+    for bits in (8, 80):
+        lo, hi, scale = _bracket(value.coeffs, value.alpha, bits)
+        scaled = [c * scale for c in value.coeffs]
+        for bound, side in ((lo, 1), (hi, -1)):
+            diff = (scaled[0] - bound,) + tuple(scaled[1:])
+            assert side * sign_of_coeffs(diff, value.alpha) >= 0
 
 
 # -- step exponents ----------------------------------------------------------
@@ -142,21 +162,31 @@ def test_step_value_rejects_out_of_range():
 def test_float_value_rational_is_exact():
     a2 = canonicalize_alpha(2)
     for k in (0, 1, 7, 255, 2 ** 40):
-        assert float_value(RadicalValue.from_rational(a2, k)) == float(k)
+        assert float_value((k, 0, 0, 0), a2) == float(k)
 
 
 def test_float_value_known_irrational():
     a2 = canonicalize_alpha(2)
-    beta = RadicalValue(a2, (0, 1, 0, 0))
-    assert float_value(beta) == pytest.approx(2 ** 0.25, rel=1e-15)
+    assert float_value((0, 1, 0, 0), a2) == pytest.approx(2 ** 0.25,
+                                                          rel=1e-15)
 
 
 @settings(max_examples=300, deadline=None)
 @given(radical_values())
 def test_float_sign_agrees_above_tau(value):
-    fv = float_value(value)
+    fv = float_value(value.coeffs, value.alpha)
     if abs(fv) >= TAU:
-        assert float_sign(value) == value.sign()
+        assert float_sign(value.coeffs, value.alpha) == value.sign()
+
+
+def test_float_value_beyond_float_range_is_infinite():
+    a2 = canonicalize_alpha(2)
+    assert float_value((2 ** 1000, 0, 0, 0), a2) == 2.0 ** 1000
+    assert float_value((2 ** 1030, 0, 0, 0), a2) == math.inf
+    assert float_value((0, -2 ** 1030, 0, 0), a2) == -math.inf
+    assert float_value((Fraction(2 ** 1100, 3),), canonicalize_alpha(16)) \
+        == math.inf
+    assert float_sign((0, 0, -2 ** 1030, 0), a2) == -1
 
 
 def test_tau_is_small_power_of_two():
@@ -165,9 +195,9 @@ def test_tau_is_small_power_of_two():
 
 def test_float_sign_reports_uncertain_band():
     a2 = canonicalize_alpha(2)
-    tiny = RadicalValue(a2, (Fraction(1, 2 ** 40), 0, 0, 0))
+    tiny = (Fraction(1, 2 ** 40), 0, 0, 0)
     # below tau the float backend may abstain; it must never contradict
-    s = float_sign(tiny)
+    s = float_sign(tiny, a2)
     assert s in (0, 1)
 
 
@@ -186,8 +216,8 @@ def test_interval_sign_narrow_gap():
     # must still be resolved exactly.
     a9 = canonicalize_alpha(4)  # beta = sqrt(2)
     assert a9.basis_dim == 2
-    v = RadicalValue(a9, (Fraction(665857, 470832), -1))
-    assert v.sign() == interval_sign(v, bits=256) == 1
+    v = (Fraction(665857, 470832), -1)
+    assert sign_of_coeffs(v, a9) == interval_sign(v, a9, bits=256) == 1
 
 
 def test_random_sign_stress_mixed_magnitudes():
@@ -196,11 +226,11 @@ def test_random_sign_stress_mixed_magnitudes():
     for _ in range(500):
         coeffs = tuple(Fraction(rng.randint(-10 ** 6, 10 ** 6),
                                 rng.randint(1, 1000)) for _ in range(4))
-        v = RadicalValue(a2, coeffs)
-        assert v.sign() == interval_sign(v, bits=320)
-        fv = float_value(v)
+        sign = sign_of_coeffs(coeffs, a2)
+        assert sign == interval_sign(coeffs, a2, bits=320)
+        fv = float_value(coeffs, a2)
         if abs(fv) >= TAU:
-            assert (fv > 0) - (fv < 0) == v.sign()
+            assert (fv > 0) - (fv < 0) == sign
 
 
 def test_math_isclose_float_backend_beta_powers():
@@ -209,5 +239,5 @@ def test_math_isclose_float_backend_beta_powers():
         root = alpha ** 0.25
         for k in range(a.basis_dim):
             coeffs = tuple(1 if i == k else 0 for i in range(a.basis_dim))
-            got = float_value(RadicalValue(a, coeffs))
+            got = float_value(coeffs, a)
             assert math.isclose(got, root ** k, rel_tol=1e-13)
