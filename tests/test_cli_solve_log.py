@@ -1,12 +1,13 @@
-"""``dualvc solve --log`` pinned byte for byte on four seeded runs.
+"""``dualvc solve --log`` pinned byte for byte on five seeded runs.
 
 Each case is one ``solve`` command line on an adversarial instance.
 ``tests/data/solve_log/<case>.log`` holds the exact run log it writes, and
 ``expected.json`` the exit code and the exact stdout.  Three runs take
 values off the integers, so their logged sum(Y) is irrational: ``ea_fifth``
-at alpha 2 and 3, and ``rls_fifth`` at alpha 9.  The fourth, ``ea`` at
-alpha 2, stays on the integers and succeeds.  Regenerate the expected
-output only for a deliberate change of the log, with
+at alpha 2 and 3, and ``rls_fifth`` at alpha 9.  Two stay on the integers
+and succeed: ``ea`` at alpha 2, and ``rls_fifth`` at alpha 16, where every
+quarter step is an integer.  Regenerate the expected output only for a
+deliberate change of the log, with
 
     PYTHONPATH=src python tests/test_cli_solve_log.py
 """
@@ -30,8 +31,10 @@ CASES = {
     "ea_fifth_alpha2": ("E+", 6, 2, "ea_fifth"),
     "ea_fifth_alpha3": ("E+", 6, 3, "ea_fifth"),
     "rls_fifth_alpha9": ("W-", 4, 9, "rls_fifth"),
+    "rls_fifth_alpha16": ("W-", 3, 16, "rls_fifth"),
     "ea_alpha2_integer": ("E+", 6, 2, "ea"),
 }
+INTEGER_CASES = ("ea_alpha2_integer", "rls_fifth_alpha16")
 BUDGET = 300
 
 
@@ -65,7 +68,7 @@ def test_solve_log_pins_cover_irrational_sums():
         sums = [line.split(",")[5] for line in lines[1:]]
         assert 100 <= len(sums) <= BUDGET
         irrational = sum("." in s for s in sums)
-        if case == "ea_alpha2_integer":
+        if case in INTEGER_CASES:
             assert irrational == 0 and expected[case]["exit"] == 0
         else:
             assert irrational >= len(sums) // 3
