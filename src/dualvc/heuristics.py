@@ -16,8 +16,10 @@ A proposal moves each selected edge by its own step size sigma(e) =
 alpha^(q(e)/4), clamped at zero.  One call of the acceptance functional is
 one *evaluation* — the unit every budget and result counts — and proposals
 that select nothing still cost one.  Acceptance is decided exactly: the
-integer engine covers ea/rls on integer-valued starts, the vector engine
-covers quarter-exponent values as integer coefficient vectors.  Tests hold
+integer engine covers integer-valued starts of ea/rls at any alpha and of
+all four algorithms where alpha is a perfect fourth power (field degree 1,
+so every step beta^q is an integer); the vector engine covers
+quarter-exponent values as integer coefficient vectors.  Tests hold
 both against ``run_reference``, a slow replay of the same draws over
 coefficient rows in which :mod:`dualvc.oracle` decides every evaluation
 from scratch: the two emit the same per-evaluation ``TransitionRecord``
@@ -116,6 +118,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
+    """What a run reports.  A hook-free run that stops at a trap
+    certificate (see ``run``) reports ``evaluations = budget`` and
+    ``success = False``, as running it out would, but ``final_coeffs`` is
+    the state at the trap and ``accepted`` counts the accepted evaluations
+    up to it."""
+
     evaluations: int
     success: bool
     final_coeffs: tuple[tuple, ...]
@@ -193,6 +201,11 @@ class _BaseEngine:
     def is_mfds(self) -> bool:
         return self.nviol == 0 and self.untight == 0
 
+    def is_trapped(self) -> bool:
+        """True when no maximal solution is reachable any more (only the
+        vector engine can tell)."""
+        return False
+
     def edge_violating(self, e: int) -> bool:
         u, v = self.graph.edges[e]
         return self.slack[u] > 0 or self.slack[v] > 0
@@ -235,14 +248,17 @@ class _BaseEngine:
 
 
 class _IntEngine(_BaseEngine):
-    """ea/rls on integer starting values: every value stays a plain int
-    (steps with q = 0 mod 4 are integer powers of alpha)."""
+    """Integer starting values whose steps stay integers, so every value
+    stays a plain int: ea/rls (q = 0 mod 4, integer powers of alpha) at any
+    alpha, and every algorithm at field degree 1.  ``pow_beta[q]`` is
+    beta^q, or None where that step is irrational."""
 
-    __slots__ = ("pow_alpha",)
+    __slots__ = ("pow_beta",)
 
-    def __init__(self, graph, y_init, w_max, alpha_int, q_cap) -> None:
+    def __init__(self, graph, y_init, w_max, alpha: Alpha, q_cap) -> None:
         super().__init__(graph, [int(v) for v in y_init], w_max)
-        self.pow_alpha = [alpha_int ** k for k in range(q_cap // 4 + 1)]
+        rows = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
+        self.pow_beta = [None if any(row[1:]) else row[0] for row in rows]
 
     def _zero_loads(self):
         return [0] * self.n
@@ -257,7 +273,7 @@ class _IntEngine(_BaseEngine):
         return (load > w) - (load < w)
 
     def sigma(self, q: int):
-        return self.pow_alpha[q >> 2]
+        return self.pow_beta[q]
 
     def zero_value(self):
         return 0
@@ -275,9 +291,19 @@ class _IntEngine(_BaseEngine):
 
 class _VecEngine(_BaseEngine):
     """Any algorithm on quarter-exponent values: a value is a tuple of
-    basis_dim integer (or rational) coefficients over {1, beta, ...}."""
+    basis_dim integer (or rational) coefficients over {1, beta, ...}.
 
-    __slots__ = ("alpha", "dim", "sigma_table")
+    It also keeps an exact trap certificate.  A vertex is *lifted* when a
+    beta^k coordinate (k >= 1) of its load is positive.  While the values
+    are feasible, an accepted step only adds positive monomials c*beta^k,
+    and accepted steps never leave the feasible phase, so those coordinates
+    never decrease.  A tight vertex has an integer load, so a lifted vertex
+    never becomes tight, and an edge with two lifted endpoints never gets a
+    tight endpoint: no maximal solution is reachable.  A negative
+    coordinate does not lift, since it can still climb back to zero.
+    ``lifted_edges`` counts the edges with two lifted endpoints."""
+
+    __slots__ = ("alpha", "dim", "sigma_table", "lifted", "lifted_edges")
 
     def __init__(self, graph, y_init, w_max, alpha: Alpha, q_cap) -> None:
         self.alpha = alpha
@@ -285,6 +311,9 @@ class _VecEngine(_BaseEngine):
         values = [self._lift(v) for v in y_init]
         super().__init__(graph, values, w_max)
         self.sigma_table = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
+        self.lifted = [max(load[1:], default=0) > 0 for load in self.load]
+        self.lifted_edges = sum(1 for u, v in graph.edges
+                                if self.lifted[u] and self.lifted[v])
 
     def _lift(self, v):
         if isinstance(v, RadicalValue):
@@ -328,6 +357,22 @@ class _VecEngine(_BaseEngine):
         assert dim == self.dim
         return tuple(tuple(v) for v in self.y)
 
+    def is_trapped(self) -> bool:
+        return self.nviol == 0 and self.lifted_edges > 0
+
+    def _refresh_vertex(self, v: int) -> None:
+        super()._refresh_vertex(v)
+        now = max(self.load[v][1:], default=0) > 0
+        if now == self.lifted[v]:
+            return
+        self.lifted[v] = now
+        delta = 1 if now else -1
+        lifted = self.lifted
+        for e in self.adj[v]:
+            a, b = self.graph.edges[e]
+            if lifted[b if a == v else a]:
+                self.lifted_edges += delta
+
 
 # ---------------------------------------------------------------------------
 # the run loop
@@ -338,9 +383,10 @@ def _make_engine(instance: DynamicInstance, config: RunConfig):
     alpha = canonicalize_alpha(config.alpha)
     q_cap = q_max_for(alpha, config.w_max)
     integral = all(isinstance(v, int) for v in instance.y_init)
-    if config.algorithm in ("ea", "rls") and integral:
+    if integral and (alpha.basis_dim == 1
+                     or config.algorithm in ("ea", "rls")):
         return _IntEngine(instance.graph_star, instance.y_init,
-                          config.w_max, alpha.alpha, q_cap), q_cap
+                          config.w_max, alpha, q_cap), q_cap
     return _VecEngine(instance.graph_star, instance.y_init,
                       config.w_max, alpha, q_cap), q_cap
 
@@ -423,6 +469,12 @@ def run(instance: DynamicInstance, config: RunConfig,
     evaluation.  The maximality detector is a certificate check outside the
     evaluation count; it runs once at the start (a carried-over solution may
     already be maximal) and after every accepted transition.
+
+    Without a hook, the engine's trap certificate is checked at the same
+    points, and a run that provably cannot succeed stops there.  It reports
+    ``evaluations = budget`` and ``success = False``, as the full run does,
+    with ``final_coeffs`` and ``accepted`` taken at the trap.  With a hook,
+    every evaluation up to the budget is run and handed to it.
     """
     eng, q_cap = _make_engine(instance, config)
     m = eng.m
@@ -434,7 +486,9 @@ def run(instance: DynamicInstance, config: RunConfig,
     evals = 0
     accepted_n = 0
     success = eng.is_mfds()
-    while not success and evals < config.budget and m > 0:
+    watch_trap = hook is None
+    trapped = watch_trap and eng.is_trapped()
+    while not success and not trapped and evals < config.budget and m > 0:
         if fifth:
             d = draw_direction(rng)
         else:
@@ -490,8 +544,13 @@ def run(instance: DynamicInstance, config: RunConfig,
             hook(TransitionRecord(
                 evals, accept, d, sign_before, eng.sign_now(),
                 tuple(selection), changed, changed_viol, demoted))
-        if accept and eng.is_mfds():
-            success = True
+        if accept:
+            if eng.is_mfds():
+                success = True
+            elif watch_trap:
+                trapped = eng.is_trapped()
+    if trapped:
+        evals = config.budget
     return RunResult(evals, success, eng.coeff_rows(alpha.basis_dim),
                      accepted_n)
 
@@ -568,7 +627,9 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
     certificate, with y carried as coefficient rows.  With a hook, every
     evaluation emits the TransitionRecord run() emits, each field
     recomputed from scratch by the oracle (values as coefficient tuples),
-    so the two streams must match record for record."""
+    so the two streams must match record for record.  Without a hook it
+    stops where run() does, at the first state ``oracle.trap_edge``
+    certifies, and reports the same RunResult."""
     alpha = canonicalize_alpha(config.alpha)
     g = instance.graph_star
     y = oracle.coefficient_rows(alpha, instance.y_init)
@@ -580,7 +641,8 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
     evals = 0
     accepted_n = 0
     success = oracle.success_defect(g, alpha, y) is None
-    while not success and evals < config.budget and g.m > 0:
+    trapped = hook is None and oracle.trap_edge(g, alpha, y) is not None
+    while not success and not trapped and evals < config.budget and g.m > 0:
         violated = oracle.violated(g, alpha, y)
         sign_before = -1 if violated else 1
         d = draw_direction(rng) if fifth else sign_before
@@ -605,5 +667,9 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
         if accepted:
             accepted_n += 1
             success = oracle.success_defect(g, alpha, y) is None
+            if not success and hook is None:
+                trapped = oracle.trap_edge(g, alpha, y) is not None
+    if trapped:
+        evals = config.budget
     return RunResult(evals, success, tuple(tuple(row) for row in y),
                      accepted_n)

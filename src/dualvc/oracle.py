@@ -186,9 +186,8 @@ def _sign(vec: list, alpha: Optional[Alpha]) -> int:
     return _signs([[c] for c in vec], alpha)[0]
 
 
-def _slack_signs(g: WeightedGraph, alpha: Optional[Alpha], cols: list,
-                 den: int) -> list:
-    """Sign of load(v) - W(v) per vertex: +1 violated, 0 tight, -1 slack."""
+def _loads(g: WeightedGraph, cols: list) -> list:
+    """Per coordinate column, every vertex's load in that coordinate."""
     loads = []
     for col in cols:
         load = [0] * g.n
@@ -196,6 +195,13 @@ def _slack_signs(g: WeightedGraph, alpha: Optional[Alpha], cols: list,
             load[u] += c
             load[v] += c
         loads.append(load)
+    return loads
+
+
+def _slack_signs(g: WeightedGraph, alpha: Optional[Alpha], cols: list,
+                 den: int) -> list:
+    """Sign of load(v) - W(v) per vertex: +1 violated, 0 tight, -1 slack."""
+    loads = _loads(g, cols)
     loads[0] = [x - w * den for x, w in zip(loads[0], g.weights)]
     return _signs(loads, alpha)
 
@@ -298,6 +304,27 @@ def violated(g: WeightedGraph, alpha: Alpha,
     cols, den = _integer_columns(_columns(values, alpha)[1])
     return [v for v, s in enumerate(_slack_signs(g, alpha, cols, den))
             if s > 0]
+
+
+def trap_edge(g: WeightedGraph, alpha: Alpha,
+              values: Sequence[Value]) -> Optional[int]:
+    """An edge both of whose endpoints have a positive beta^k load
+    coordinate for some k >= 1, while no vertex is violated; None
+    otherwise.
+
+    Such an edge certifies that feasible values can no longer reach a
+    maximal solution by steps that keep them feasible and only add
+    positive monomials c*beta^k: those coordinates never decrease, and a
+    tight vertex needs an integer load, so neither endpoint can become
+    tight.  A negative coordinate does not count."""
+    if len(values) != g.m:
+        raise ValueError(f"{len(values)} values for {g.m} edges")
+    cols, den = _integer_columns(_columns(values, alpha)[1])
+    if len(cols) == 1 or 1 in _slack_signs(g, alpha, cols, den):
+        return None
+    lifted = [any(x > 0 for x in vec) for vec in zip(*_loads(g, cols[1:]))]
+    return next((e for e, (u, v) in enumerate(g.edges)
+                 if lifted[u] and lifted[v]), None)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,11 @@ from pathlib import Path
 import pytest
 
 from dualvc.cli import main as cli_main
+from dualvc.dual import load_dual
+from dualvc.graph import save_instance
+from dualvc.instances import hard_instance
+from dualvc.numeric import canonicalize_alpha
+from dualvc.oracle import trap_edge
 
 DATA = Path(__file__).resolve().parent / "data" / "solve_log"
 EXPECTED = DATA / "expected.json"
@@ -38,19 +43,25 @@ INTEGER_CASES = ("ea_alpha2_integer", "rls_fifth_alpha16")
 BUDGET = 300
 
 
+def quiet(argv) -> tuple[int, str]:
+    """Exit code and stdout of one ``dualvc`` command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    return code, out.getvalue()
+
+
 def solve_log(case: str) -> tuple[int, str, str]:
     """Exit code, stdout and run log of ``dualvc solve --log`` on a case."""
     variant, m, alpha, algo = CASES[case]
-    out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "run.log"
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli_main(["solve", "--hard", "--variant", variant,
-                             "--m", str(m), "--alpha", str(alpha),
-                             "--algo", algo, "--budget", str(BUDGET),
-                             "--seed", "1", "--log", str(log)])
-        return code, out.getvalue(), log.read_text(encoding="utf-8")
+        code, stdout = quiet(["solve", "--hard", "--variant", variant,
+                              "--m", str(m), "--alpha", str(alpha),
+                              "--algo", algo, "--budget", str(BUDGET),
+                              "--seed", "1", "--log", str(log)])
+        return code, stdout, log.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -72,6 +83,34 @@ def test_solve_log_pins_cover_irrational_sums():
             assert irrational == 0 and expected[case]["exit"] == 0
         else:
             assert irrational >= len(sums) // 3
+
+
+def test_solve_out_on_a_trapped_run(tmp_path):
+    """Without --log, a trapped rls_fifth run stops at the trap: stdout and
+    exit code are those of the full run, and --out holds the trap state,
+    which ``dualvc verify`` reports feasible but not maximal.  With --log,
+    --out holds the state at the end of the budget."""
+    inst = hard_instance("E+", 6, 2)
+    graph = tmp_path / "graph_star.json"
+    save_instance(inst.graph_star, str(graph))
+    solve = ["solve", "--hard", "--variant", "E+", "--m", "6", "--alpha",
+             "2", "--algo", "rls_fifth", "--budget", str(BUDGET), "--seed",
+             "1", "--out"]
+    bare = quiet(solve + [str(tmp_path / "bare.dual")])
+    logged = quiet(solve + [str(tmp_path / "logged.dual"), "--log",
+                            str(tmp_path / "run.log")])
+    assert bare == logged
+    assert bare[0] == 1
+    assert bare[1].endswith(f",{BUDGET},0\n")
+    dumps = [load_dual(str(tmp_path / f"{name}.dual"), inst.graph_star)
+             for name in ("bare", "logged")]
+    assert dumps[0].y != dumps[1].y
+    a2 = canonicalize_alpha(2)
+    for dump in dumps:
+        assert trap_edge(inst.graph_star, a2, dump.y) is not None
+    verdict = quiet(["verify", "--graph", str(graph), "--dual",
+                     str(tmp_path / "bare.dual")])
+    assert verdict == (1, "feasible: yes\nmaximal: no\n")
 
 
 if __name__ == "__main__":

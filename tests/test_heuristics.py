@@ -14,9 +14,11 @@ from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
                                _reference_step, draw_direction,
                                draw_ea_selection, draw_rls_selection, run,
                                run_reference)
+from dualvc.harness import BenchCell, build_instance
 from dualvc.instances import (hard_instance, make_dynamic, random_dynamic)
 from dualvc.numeric import canonicalize_alpha, q_max_for
-from dualvc.oracle import validate_mfds_naive, violated
+from dualvc.oracle import (coefficient_rows, trap_edge, validate_mfds_naive,
+                           violated)
 
 A2 = canonicalize_alpha(2)
 
@@ -152,7 +154,7 @@ def assert_i_prime(g, values, selection, expected):
         selection, 1)
     assert not accepted
     assert set(demoted) == expected
-    eng = _IntEngine(g, values, g.max_weight(), 2, q_cap)
+    eng = _IntEngine(g, values, g.max_weight(), A2, q_cap)
     accept, _deltas, add, cnt = _decide_increase(eng, selection, [0] * g.m)
     assert not accept
     assert set(_i_prime_from(eng, selection, add, cnt)) == expected
@@ -362,30 +364,68 @@ def normalised(records, dim):
             for r in records]
 
 
+def first_trap(inst, alpha, records):
+    """Replay a normalised hook stream from the start values.  Returns
+    (eval index, coefficient rows, accepted count) at the first state that
+    ``oracle.trap_edge`` certifies, or None if no state does."""
+    g = inst.graph_star
+    y = [tuple(row) for row in coefficient_rows(alpha, inst.y_init)]
+    accepted = 0
+    if trap_edge(g, alpha, y) is not None:
+        return 0, tuple(y), accepted
+    for r in records:
+        for e, old, new in r.changed:
+            assert y[e] == old
+            y[e] = new
+        accepted += r.accepted
+        if r.accepted and trap_edge(g, alpha, y) is not None:
+            return r.eval_index, tuple(y), accepted
+    return None
+
+
 def assert_run_matches_reference(inst, cfg):
     """Engine and reference emit the same hook stream, record for record,
-    and the same RunResult; the comparison is not vacuous, and the hook
-    does not perturb the engine."""
+    and the same RunResult; the comparison is not vacuous.  Without a hook
+    the two again agree, on the full run's evaluations and success; they
+    stop early only at a trap the oracle certifies in the hooked stream,
+    with the state and accepted count of that evaluation, and the full run
+    then fails.  Returns whether the hooked stream reached a trap."""
     assert not validate_mfds_naive(inst.graph_star, inst.y_init)
-    dim = canonicalize_alpha(cfg.alpha).basis_dim
+    alpha = canonicalize_alpha(cfg.alpha)
     fast_stream, ref_stream = [], []
     fast = run(inst, cfg, hook=fast_stream.append)
     ref = run_reference(inst, cfg, hook=ref_stream.append)
     assert fast.evaluations >= 1
     assert len(fast_stream) == fast.evaluations
     assert len(ref_stream) == ref.evaluations
-    for a, b in zip(normalised(fast_stream, dim), normalised(ref_stream, dim)):
+    stream = normalised(fast_stream, alpha.basis_dim)
+    for a, b in zip(stream, normalised(ref_stream, alpha.basis_dim)):
         assert a == b, f"evaluation {a.eval_index}"
     assert fast == ref
-    assert run(inst, cfg) == fast
+    bare = run(inst, cfg)
+    assert bare == run_reference(inst, cfg)
+    assert (bare.evaluations, bare.success) == (fast.evaluations,
+                                                fast.success)
+    trap = first_trap(inst, alpha, stream)
+    if trap is None:
+        assert bare == fast
+        return False
+    _at, y, accepted = trap
+    assert bare.final_coeffs == y
+    assert bare.accepted == accepted
+    assert not fast.success
+    return True
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_engine_matches_reference_path(algorithm):
+    trapped = 0
     for alpha, inst in EQUIV_CASES:
         for seed in (1, 2):
-            assert_run_matches_reference(inst, RunConfig(
+            trapped += assert_run_matches_reference(inst, RunConfig(
                 algorithm, alpha, inst.w_max, 400, seed))
+    if algorithm.endswith("fifth"):
+        assert trapped, "no case reached a trap certificate"
 
 
 def test_engine_matches_reference_alpha_three():
@@ -393,6 +433,72 @@ def test_engine_matches_reference_alpha_three():
     for algorithm in ALGORITHMS:
         assert_run_matches_reference(
             inst, RunConfig(algorithm, 3, inst.w_max, 300, 9))
+
+
+# -- the trap stop ----------------------------------------------------------------------
+
+def test_trapped_runs_never_succeed_when_run_out():
+    """Quarter-step runs on random one-sided edits (n 16, m 24, d 3,
+    w_max 2^10) at alpha 3 and 9, a shorter budget than the benchmark's:
+    every run whose hook-free result the oracle certifies as trapped also
+    fails when a counting hook makes it run to the budget."""
+    trapped = runs = 0
+    for alpha in (3, 9):
+        for variant in ("E+", "E-", "W+", "W-"):
+            for algorithm in ("rls_fifth", "ea_fifth"):
+                cell = BenchCell(variant, algorithm, alpha, 3, 3_000,
+                                 9_000 + 100 * alpha, n=16, m=24, d=3,
+                                 w_max=2 ** 10)
+                for t in range(cell.trials):
+                    inst = build_instance(cell, t)
+                    cfg = RunConfig(algorithm, alpha, inst.w_max,
+                                    cell.budget, cell.seed + t)
+                    bare = run(inst, cfg)
+                    runs += 1
+                    if trap_edge(inst.graph_star, canonicalize_alpha(alpha),
+                                 bare.final_coeffs) is None:
+                        continue
+                    trapped += 1
+                    seen = []
+                    full = run(inst, cfg, hook=lambda r: seen.append(1))
+                    assert not bare.success and not full.success
+                    assert bare.evaluations == full.evaluations \
+                        == len(seen) == cfg.budget
+                    assert bare.accepted <= full.accepted
+    assert runs == 48
+    assert trapped >= runs // 2
+
+
+def trapped_start_instance():
+    """An alpha-2 maximal solution reloaded from its dump: two paths
+    0-2-4 and 1-3-5 held at beta and 2 - beta, tight at 2 and 3.  Adding
+    the edge 0-1 joins the two vertices of load beta, a feasible start
+    whose new edge has two lifted endpoints."""
+    g = WeightedGraph(6, (2,) * 6, ((0, 2), (2, 4), (1, 3), (3, 5)))
+    beta, rest = (0, 1, 0, 0), (2, -1, 0, 0)
+    y = parse_dual(dump_dual(DualSolution.from_coeffs(
+        g, 2, [beta, rest, beta, rest])), g)
+    return make_dynamic(g, y.y, Edit("edges", edges=g.edges + ((0, 1),)),
+                        "E+")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_trapped_start_stops_at_evaluation_zero(algorithm):
+    inst = trapped_start_instance()
+    g = inst.graph_star
+    assert trap_edge(g, A2, oracle_rows(inst)) == g.edges.index((0, 1))
+    cfg = RunConfig(algorithm, 2, inst.w_max, 250, 4)
+    bare = run(inst, cfg)
+    assert bare == run_reference(inst, cfg)
+    assert (bare.evaluations, bare.success, bare.accepted) == (250, False, 0)
+    assert bare.final_coeffs == tuple(oracle_rows(inst))
+    seen = []
+    full = run(inst, cfg, hook=seen.append)
+    assert not full.success and len(seen) == full.evaluations == 250
+
+
+def oracle_rows(inst):
+    return [tuple(row) for row in coefficient_rows(A2, inst.y_init)]
 
 
 # -- per-evaluation hook ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from dualvc.heuristics import _VecEngine
 from dualvc.instances import make_gs
 from dualvc.numeric import RadicalValue, canonicalize_alpha, q_max_for
 from dualvc.oracle import (enumerate_mfds, exact_min_wvc, exhaustive_min_wvc,
-                           reference_fitness, validate_mfds_naive)
+                           reference_fitness, trap_edge, validate_mfds_naive)
 
 from engine_decisions import engine_agrees
 
@@ -198,6 +198,91 @@ def test_values_of_two_alphas_rejected(first, second):
         reference_fitness(g, a, mixed[:1] * 2, mixed, w_max=2)
     with pytest.raises(ValueError):
         _VecEngine(g, mixed, 2, a, q_max_for(a, 2))
+
+
+# -- the trap certificate -----------------------------------------------------------
+
+PATH4 = WeightedGraph(4, (4, 4, 4, 4), ((0, 1), (1, 2), (2, 3)))
+
+
+@pytest.mark.parametrize("alpha, one, root", [
+    (2, (1, 0, 0, 0), (0, 0, 1, 0)),    # beta^2 = sqrt(2)
+    (9, (1, 0), (0, 1)),                # beta = sqrt(3)
+])
+def test_trap_edge_finds_a_doubly_lifted_edge(alpha, one, root):
+    a = canonicalize_alpha(alpha)
+    assert trap_edge(PATH4, a, [one, root, one]) == 1
+    assert trap_edge(PATH4, a, [one, one, one]) is None
+    # 2 - root cancels vertex 1's lift, so edge 0 keeps one lifted endpoint
+    cancel = tuple(2 * x - r for x, r in zip(one, root))
+    assert trap_edge(PATH4, a, [root, cancel, one]) is None
+
+
+@pytest.mark.parametrize("alpha", [2, 9])
+def test_trap_edge_ignores_negative_coordinates(alpha):
+    a = canonicalize_alpha(alpha)
+    dim = a.basis_dim
+    below = (2, -1) + (0,) * (dim - 2)      # 2 - beta > 0, every load < 4
+    above = (0, 1) + (0,) * (dim - 2)
+    assert trap_edge(PATH4, a, [below] * 3) is None
+    assert trap_edge(PATH4, a, [above] * 3) == 0
+    # vertex 0 is below, vertex 1 cancels to an integer load
+    assert trap_edge(PATH4, a, [below, above, above]) == 2
+    assert trap_edge(PATH4, a, [below, above, (1,) + (0,) * (dim - 1)]) \
+        is None
+
+
+def test_trap_edge_lifts_on_any_positive_coordinate():
+    # vertex 1 has a negative beta and a positive beta^2 coordinate
+    assert trap_edge(PATH4, A2, [(2, -1, 0, 0), (0, 0, 1, 0),
+                                 (1, 0, 0, 0)]) == 1
+
+
+@pytest.mark.parametrize("alpha, one, root", [
+    (2, (1, 0, 0, 0), (0, 0, 1, 0)),
+    (9, (1, 0), (0, 1)),
+])
+def test_trap_edge_needs_feasible_values(alpha, one, root):
+    a = canonicalize_alpha(alpha)
+    over = tuple(5 * c for c in one)        # vertex 0 overloaded
+    assert trap_edge(PATH4, a, [over, root, one]) is None
+    with pytest.raises(ValueError):
+        trap_edge(PATH4, a, [one, root])
+
+
+def test_trap_edge_never_fires_at_degree_one():
+    a = canonicalize_alpha(16)
+    assert a.basis_dim == 1
+    values = [(Fraction(1, 2),), (Fraction(7, 3),), (1,)]
+    assert trap_edge(PATH4, a, values) is None
+    assert trap_edge(PATH4, a, [Fraction(3, 2)] * 3) is None
+
+
+@pytest.mark.parametrize("alpha", [2, 9])
+def test_engine_trap_matches_the_oracle(alpha):
+    """The vector engine's incremental trap flag agrees with trap_edge
+    from scratch, at the start and after every commit of random values."""
+    a = canonicalize_alpha(alpha)
+    dim = a.basis_dim
+    rng = random.Random(alpha)
+    g = WeightedGraph(6, (5, 6, 4, 5, 6, 5),
+                      ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)))
+
+    def value():
+        return tuple(rng.randint(0, 2) if k == 0 else rng.randint(-1, 1)
+                     for k in range(dim))
+
+    seen = set()
+    for _ in range(40):
+        vals = [value() for _ in range(g.m)]
+        eng = _VecEngine(g, vals, 6, a, q_max_for(a, 6))
+        for _step in range(10):
+            trapped = trap_edge(g, a, eng.y) is not None
+            assert eng.is_trapped() == trapped
+            seen.add(trapped)
+            eng.commit([(e, value()) for e in
+                        rng.sample(range(g.m), rng.randint(1, 3))])
+    assert seen == {True, False}
 
 
 # -- grid enumeration ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts in scripts/ with tiny arguments, so
-an API change that breaks one of them fails here rather than silently."""
+an API change that breaks one of them fails here rather than silently, and
+the summary of ``bench_pr.py`` on canned results (it runs no benchmark)."""
 
 import importlib.util
 import json
@@ -49,3 +50,47 @@ def test_run_scaling_smoke(tmp_path, monkeypatch, capsys):
     assert len(records) == 36
     assert {r.m for r in records} == {48, 56, 64}
     assert "within_factor_4=" in capsys.readouterr().out
+
+
+def canned_stdout(correct, failed, **values):
+    """A benchmark run's output: human lines, then its JSON result."""
+    result = {"correct": correct, "attempted": 144, "failed": failed,
+              "metrics": {k: {"value": v, "unit": "u"}
+                          for k, v in values.items()}}
+    return "workload quarter seed 2: 144 trials\n  golden rows\n" + \
+        json.dumps(result) + "\n"
+
+
+def test_bench_pr_summarize_canned_runs():
+    script = load_script("bench_pr")
+    benchmark = {
+        "workloads": [{"name": "quarter"}],
+        "end_to_end": [
+            {"name": "trials_per_s", "unit": "trials/s", "better": "higher",
+             "bound": 0.2},
+            {"name": "trial_ms_p50", "unit": "ms", "better": "lower",
+             "bound": 0.25}],
+    }
+    sides = {
+        "parent": {2: (19.0, 58.0), 3: (20.0, 57.0), 4: (21.0, 60.0)},
+        "pr": {2: (120.0, 1.5), 3: (19.5, 62.0), 4: (130.0, 1.4)},
+    }
+    runs = []
+    for side, seeds in sides.items():
+        for seed, (rate, p50) in seeds.items():
+            out = canned_stdout(True, 0, trials_per_s=rate,
+                                trial_ms_p50=p50)
+            runs.append({"workload": "quarter", "seed": seed, "side": side,
+                         "result": script.parse_result(out)})
+    summary = script.summarize(benchmark, runs)["quarter"]
+    rate = summary["metrics"]["trials_per_s"]
+    assert rate["parent"]["median"] == 20.0
+    assert rate["parent"]["iqr"] == 1.0        # quartiles 19.5 and 20.5
+    assert rate["pr"]["median"] == 120.0
+    assert (rate["wins"], rate["pairs"], rate["bound"]) == (2, 3, 0.2)
+    assert rate["change"] == 5.0
+    p50 = summary["metrics"]["trial_ms_p50"]
+    assert (p50["wins"], p50["pairs"], p50["bound"]) == (2, 3, 0.25)
+    assert p50["pr"]["median"] == 1.5
+    assert len(summary["runs"]) == 6
+    assert all(r["correct"] and r["failed"] == 0 for r in summary["runs"])
