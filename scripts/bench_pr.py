@@ -1,20 +1,20 @@
 """Benchmark a parent revision against the working tree; write BENCH_<N>.json.
 
     python3 scripts/bench_pr.py --parent <rev> --pr <N> [--seeds 2 3 4]
-                                [--seconds S] [--out PATH]
 
 The parent is checked out with ``git worktree add --detach`` under a
 temporary directory, and the worktree is removed again at the end.  For
 every workload in ``BENCHMARK.json`` and every seed, the benchmark command
 (``python3 perfbench/run.py``) runs once in each checkout, alternating which
-side runs first.  The last line of each run's standard output is its JSON
-result.  Only these child processes are measured.
+side runs first, for the run length ``BENCHMARK.json`` sets.  The last line
+of each run's standard output is its JSON result.  Only these child
+processes are measured.
 
-``BENCH_<N>.json`` records both revisions, the Python version and the CPU
-count; per workload and end-to-end metric, each side's median and
-interquartile range, the number of seeds on which the working tree did
-better (the paired wins) and the metric's bound; and every run's
-``correct``, ``attempted`` and ``failed``.
+``BENCH_<N>.json``, at the root of the repository, records both revisions,
+the Python version and the CPU count; per workload and end-to-end metric,
+each side's median and interquartile range, the number of seeds on which
+the working tree did better (the paired wins) and the metric's bound; and
+every run's ``correct``, ``attempted`` and ``failed``.
 """
 
 from __future__ import annotations
@@ -114,17 +114,14 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision")
     ap.add_argument("--pr", required=True, type=int, help="change number")
     ap.add_argument("--seeds", type=int, nargs="+", default=[2, 3, 4])
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default: BENCHMARK.json)")
-    ap.add_argument("--out", help="default: BENCH_<pr>.json at the root")
     args = ap.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     parent_rev = git("rev-parse", args.parent)
     pr_rev = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    out_path = Path(args.out or ROOT / f"BENCH_{args.pr}.json")
+    out_path = ROOT / f"BENCH_{args.pr}.json"
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pr-"))
     worktree = tmp / "parent"
@@ -163,7 +160,8 @@ def main(argv=None) -> int:
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
-            print(f"{workload:<8} {name:<14} parent {m['parent']['median']:.4g}"
+            print(f"{workload:<8} {name:<14}"
+                  f" parent {m['parent']['median']:.4g}"
                   f" pr {m['pr']['median']:.4g} ({m['change']:+.1%})"
                   f" wins {m['wins']}/{m['pairs']} bound {m['bound']}")
     print(f"wrote {out_path}")

@@ -9,12 +9,12 @@ import pytest
 
 from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
+from dualvc.harness import BenchCell, build_instance
 from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
                                _decide_increase, _i_prime_from, _IntEngine,
                                _reference_step, draw_direction,
                                draw_ea_selection, draw_rls_selection, run,
                                run_reference)
-from dualvc.harness import BenchCell, build_instance
 from dualvc.instances import (hard_instance, make_dynamic, random_dynamic)
 from dualvc.numeric import canonicalize_alpha, q_max_for
 from dualvc.oracle import (coefficient_rows, trap_edge, validate_mfds_naive,
@@ -460,7 +460,7 @@ def test_trapped_runs_never_succeed_when_run_out():
                         continue
                     trapped += 1
                     seen = []
-                    full = run(inst, cfg, hook=lambda r: seen.append(1))
+                    full = run(inst, cfg, hook=seen.append)
                     assert not bare.success and not full.success
                     assert bare.evaluations == full.evaluations \
                         == len(seen) == cfg.budget
@@ -486,19 +486,16 @@ def trapped_start_instance():
 def test_trapped_start_stops_at_evaluation_zero(algorithm):
     inst = trapped_start_instance()
     g = inst.graph_star
-    assert trap_edge(g, A2, oracle_rows(inst)) == g.edges.index((0, 1))
+    start = tuple(tuple(row) for row in coefficient_rows(A2, inst.y_init))
+    assert trap_edge(g, A2, start) == g.edges.index((0, 1))
     cfg = RunConfig(algorithm, 2, inst.w_max, 250, 4)
     bare = run(inst, cfg)
     assert bare == run_reference(inst, cfg)
     assert (bare.evaluations, bare.success, bare.accepted) == (250, False, 0)
-    assert bare.final_coeffs == tuple(oracle_rows(inst))
+    assert bare.final_coeffs == start
     seen = []
     full = run(inst, cfg, hook=seen.append)
     assert not full.success and len(seen) == full.evaluations == 250
-
-
-def oracle_rows(inst):
-    return [tuple(row) for row in coefficient_rows(A2, inst.y_init)]
 
 
 # -- per-evaluation hook ----------------------------------------------------------------
