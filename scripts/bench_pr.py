@@ -1,20 +1,25 @@
 """Benchmark a parent revision against the working tree; write BENCH_<N>.json.
 
-    python3 scripts/bench_pr.py --parent <rev> --pr <N> [--seeds 2 3 4]
+    python3 scripts/bench_pr.py --parent <rev> --pr <N>
 
 The parent is checked out with ``git worktree add --detach`` under a
 temporary directory, and the worktree is removed again at the end.  For
-every workload in ``BENCHMARK.json`` and every seed, the benchmark command
+every workload in ``BENCHMARK.json`` and each of the ten seeds in ``SEEDS``
+(ten pairs, the fewest a gain claim rests on), the benchmark command
 (``python3 perfbench/run.py``) runs once in each checkout, alternating which
-side runs first, for the run length ``BENCHMARK.json`` sets.  The last line
+side runs first, for the run length ``BENCHMARK.json`` sets.  Seed 1,
+whose runs also check the golden rows, is left to a run by hand
+(``perfbench/run.py --seed 1``).  The last line
 of each run's standard output is its JSON result.  Only these child
 processes are measured.
 
 ``BENCH_<N>.json``, at the root of the repository, records both revisions,
 the Python version and the CPU count; per workload and end-to-end metric,
 each side's median and interquartile range, the number of seeds on which
-the working tree did better (the paired wins) and the metric's bound; and
-every run's ``correct``, ``attempted`` and ``failed``.
+the working tree did better (the paired wins) and the metric's bound;
+every run's ``correct``, ``attempted`` and ``failed``; and the
+``git status --porcelain`` lines of the working tree, untracked files
+included, since the working tree as it stands is what was measured.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "pr")
+SEEDS = tuple(range(2, 12))
 
 
 def parse_result(stdout: str) -> dict:
@@ -106,21 +112,20 @@ def run_benchmark(command: list, checkout: Path, workload: str, seed: int,
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                          text=True, check=True).stdout.strip()
+                          text=True, check=True).stdout.rstrip()
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision")
     ap.add_argument("--pr", required=True, type=int, help="change number")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[2, 3, 4])
     args = ap.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     parent_rev = git("rev-parse", args.parent)
     pr_rev = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    changes = git("status", "--porcelain").splitlines()
     out_path = ROOT / f"BENCH_{args.pr}.json"
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pr-"))
@@ -130,7 +135,7 @@ def main(argv=None) -> int:
         git("worktree", "add", "--detach", str(worktree), parent_rev)
         checkouts = {"parent": worktree, "pr": ROOT}
         jobs = [(w["name"], seed) for w in benchmark["workloads"]
-                for seed in args.seeds]
+                for seed in SEEDS]
         for i, (workload, seed) in enumerate(jobs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
@@ -149,11 +154,11 @@ def main(argv=None) -> int:
 
     report = {
         "parent": parent_rev,
-        "pr": {"rev": pr_rev, "uncommitted_changes": dirty,
+        "pr": {"rev": pr_rev, "uncommitted_changes": changes,
                "number": args.pr},
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "seeds": args.seeds,
+        "seeds": list(SEEDS),
         "seconds": seconds,
         "workloads": summarize(benchmark, runs),
     }
