@@ -133,13 +133,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     """One run; prints the deterministic CSV row (no wall time).  Exit 0 on
-    success, 1 when the budget runs out first.
-
-    ``--out`` writes the final values.  Without ``--log``, a run that
-    reaches a trap certificate stops there (see ``heuristics.run``), so
-    the dump holds the trap state; with ``--log`` the run goes on to the
-    budget and the dump holds the state at its end.  The printed row is
-    the same either way."""
+    success, 1 when the budget runs out first."""
     instance = _instance_from_args(args)
     config = RunConfig(args.algo, args.alpha, instance.w_max, args.budget,
                        args.seed)

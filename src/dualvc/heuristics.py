@@ -48,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf, nan
 from typing import Callable, Optional, Sequence
 
 from . import oracle
@@ -57,6 +57,9 @@ from .numeric import (Alpha, RadicalValue, canonicalize_alpha, q_max_for,
                       sign_of_coeffs, step_coeffs)
 
 ALGORITHMS = ("ea", "rls", "ea_fifth", "rls_fifth")
+
+#: Relative margin of the vector engine's float filter (see _VecEngine).
+_FLOAT_TOL = 2.0 ** -40
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +121,6 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """What a run reports.  A hook-free run that stops at a trap
-    certificate (see ``run``) reports ``evaluations = budget`` and
-    ``success = False``, as running it out would, but ``final_coeffs`` is
-    the state at the trap and ``accepted`` counts the accepted evaluations
-    up to it."""
-
     evaluations: int
     success: bool
     final_coeffs: tuple[tuple, ...]
@@ -174,8 +171,7 @@ class _BaseEngine:
         for e, (u, v) in enumerate(graph.edges):
             self.load[u] = self._vadd(self.load[u], self.y[e])
             self.load[v] = self._vadd(self.load[v], self.y[e])
-        self.slack = [self._slack_sign(self.load[v], self.weights[v])
-                      for v in range(graph.n)]
+        self.slack = [self._load_sign(v) for v in range(graph.n)]
         self.nviol = sum(1 for s in self.slack if s > 0)
         self.tight_ends = [0] * graph.m
         for e, (u, v) in enumerate(graph.edges):
@@ -193,6 +189,16 @@ class _BaseEngine:
     def _slack_sign(self, load, w) -> int:
         raise NotImplementedError
 
+    def _load_sign(self, v: int) -> int:
+        """Sign of load(v) - W(v), from the stored load."""
+        return self._slack_sign(self.load[v], self.weights[v])
+
+    def overloads(self, v: int, extra, selection, q) -> bool:
+        """Whether raising every selected edge e by beta^q[e] puts v's load
+        above W(v); `extra` is the sum of ``step_size[q[e]]`` over the
+        selected edges at v."""
+        raise NotImplementedError
+
     # shared bookkeeping ---------------------------------------------------
 
     def sign_now(self) -> int:
@@ -201,17 +207,12 @@ class _BaseEngine:
     def is_mfds(self) -> bool:
         return self.nviol == 0 and self.untight == 0
 
-    def is_trapped(self) -> bool:
-        """True when no maximal solution is reachable any more (only the
-        vector engine can tell)."""
-        return False
-
     def edge_violating(self, e: int) -> bool:
         u, v = self.graph.edges[e]
         return self.slack[u] > 0 or self.slack[v] > 0
 
     def _refresh_vertex(self, v: int) -> None:
-        s_new = self._slack_sign(self.load[v], self.weights[v])
+        s_new = self._load_sign(v)
         s_old = self.slack[v]
         if s_new == s_old:
             return
@@ -253,12 +254,13 @@ class _IntEngine(_BaseEngine):
     alpha, and every algorithm at field degree 1.  ``pow_beta[q]`` is
     beta^q, or None where that step is irrational."""
 
-    __slots__ = ("pow_beta",)
+    __slots__ = ("pow_beta", "step_size")
 
     def __init__(self, graph, y_init, w_max, alpha: Alpha, q_cap) -> None:
         super().__init__(graph, [int(v) for v in y_init], w_max)
         rows = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
         self.pow_beta = [None if any(row[1:]) else row[0] for row in rows]
+        self.step_size = self.pow_beta
 
     def _zero_loads(self):
         return [0] * self.n
@@ -271,6 +273,14 @@ class _IntEngine(_BaseEngine):
 
     def _slack_sign(self, load, w) -> int:
         return (load > w) - (load < w)
+
+    def _load_sign(self, v: int) -> int:
+        load = self.load[v]
+        w = self.weights[v]
+        return (load > w) - (load < w)
+
+    def overloads(self, v: int, extra, selection, q) -> bool:
+        return self.load[v] + extra > self.weights[v]
 
     def sigma(self, q: int):
         return self.pow_beta[q]
@@ -293,27 +303,30 @@ class _VecEngine(_BaseEngine):
     """Any algorithm on quarter-exponent values: a value is a tuple of
     basis_dim integer (or rational) coefficients over {1, beta, ...}.
 
-    It also keeps an exact trap certificate.  A vertex is *lifted* when a
-    beta^k coordinate (k >= 1) of its load is positive.  While the values
-    are feasible, an accepted step only adds positive monomials c*beta^k,
-    and accepted steps never leave the feasible phase, so those coordinates
-    never decrease.  A tight vertex has an integer load, so a lifted vertex
-    never becomes tight, and an edge with two lifted endpoints never gets a
-    tight endpoint: no maximal solution is reachable.  A negative
-    coordinate does not lift, since it can still climb back to zero.
-    ``lifted_edges`` counts the edges with two lifted endpoints."""
+    Load signs are filtered through floats before the exact sign is taken.
+    Per vertex it keeps ``fslack`` = W(v) - load(v) and ``fmag`` = W(v) +
+    sum |c_k| beta^k, both in floats; ``step_size[q]`` is beta^q in floats.
+    A float sum of n rounded terms is off by less than n * 2^-52 times the
+    sum of their magnitudes, so a float gap beyond ``_FLOAT_TOL`` times
+    that sum (times the selection size, for the steps added in
+    ``overloads``) has the sign of the exact gap.  Closer gaps, tight ones
+    among them, and loads beyond the float range (NaN or inf, which fail
+    both comparisons) are decided by ``sign_of_coeffs``."""
 
-    __slots__ = ("alpha", "dim", "sigma_table", "lifted", "lifted_edges")
+    __slots__ = ("alpha", "dim", "sigma_table", "beta_f", "step_size",
+                 "fslack", "fmag")
 
     def __init__(self, graph, y_init, w_max, alpha: Alpha, q_cap) -> None:
         self.alpha = alpha
         self.dim = alpha.basis_dim
+        self.beta_f = [alpha.alpha ** (k / 4) for k in range(self.dim)]
+        self.fslack = [nan] * graph.n
+        self.fmag = [inf] * graph.n
         values = [self._lift(v) for v in y_init]
         super().__init__(graph, values, w_max)
         self.sigma_table = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
-        self.lifted = [max(load[1:], default=0) > 0 for load in self.load]
-        self.lifted_edges = sum(1 for u, v in graph.edges
-                                if self.lifted[u] and self.lifted[v])
+        self.step_size = [self._float_of(row)[0]
+                          for row in self.sigma_table]
 
     def _lift(self, v):
         if isinstance(v, RadicalValue):
@@ -339,6 +352,50 @@ class _VecEngine(_BaseEngine):
     def _slack_sign(self, load, w) -> int:
         return sign_of_coeffs((load[0] - w,) + load[1:], self.alpha)
 
+    def _float_of(self, coeffs) -> tuple[float, float]:
+        """(value, sum of |c_k| beta^k) in floats; (nan, inf) beyond the
+        float range."""
+        value = mag = 0.0
+        try:
+            for c, b in zip(coeffs, self.beta_f):
+                t = c * b
+                value += t
+                mag += abs(t)
+        except OverflowError:
+            return nan, inf
+        return value, mag
+
+    def _load_sign(self, v: int) -> int:
+        load = self.load[v]
+        w = self.weights[v]
+        value, mag = self._float_of(load)
+        try:
+            wf = float(w)
+        except OverflowError:
+            wf = inf
+        gap = wf - value
+        tol = (mag + wf) * _FLOAT_TOL
+        self.fslack[v] = gap
+        self.fmag[v] = mag + wf
+        if gap > tol:
+            return -1
+        if gap < -tol:
+            return 1
+        return self._slack_sign(load, w)
+
+    def overloads(self, v: int, extra, selection, q) -> bool:
+        gap = extra - self.fslack[v]
+        tol = (self.fmag[v] + extra) * _FLOAT_TOL * len(selection)
+        if gap > tol:
+            return True
+        if gap < -tol:
+            return False
+        load = self.load[v]
+        for e in selection:
+            if v in self.graph.edges[e]:
+                load = self._vadd(load, self.sigma_table[q[e]])
+        return self._slack_sign(load, self.weights[v]) > 0
+
     def sigma(self, q: int):
         return self.sigma_table[q]
 
@@ -356,22 +413,6 @@ class _VecEngine(_BaseEngine):
     def coeff_rows(self, dim: int) -> tuple:
         assert dim == self.dim
         return tuple(tuple(v) for v in self.y)
-
-    def is_trapped(self) -> bool:
-        return self.nviol == 0 and self.lifted_edges > 0
-
-    def _refresh_vertex(self, v: int) -> None:
-        super()._refresh_vertex(v)
-        now = max(self.load[v][1:], default=0) > 0
-        if now == self.lifted[v]:
-            return
-        self.lifted[v] = now
-        delta = 1 if now else -1
-        lifted = self.lifted
-        for e in self.adj[v]:
-            a, b = self.graph.edges[e]
-            if lifted[b if a == v else a]:
-                self.lifted_edges += delta
 
 
 # ---------------------------------------------------------------------------
@@ -393,27 +434,21 @@ def _make_engine(instance: DynamicInstance, config: RunConfig):
 
 def _decide_increase(eng, selection, q):
     """Feasible-sign increase: accepted iff no endpoint gets overloaded.
-    Returns (accept, deltas, per-vertex added load, per-vertex I-degree)."""
+    Returns (accept, deltas, per-vertex sum of the engine's step sizes)."""
+    step = eng.step_size
+    edges = eng.graph.edges
     add: dict = {}
-    cnt: dict[int, int] = {}
     for e in selection:
-        s = eng.sigma(q[e])
-        u, v = eng.graph.edges[e]
-        add[u] = eng._vadd(add[u], s) if u in add else s
-        add[v] = eng._vadd(add[v], s) if v in add else s
-        cnt[u] = cnt.get(u, 0) + 1
-        cnt[v] = cnt.get(v, 0) + 1
-    accept = True
+        s = step[q[e]]
+        u, v = edges[e]
+        add[u] = add[u] + s if u in add else s
+        add[v] = add[v] + s if v in add else s
     for v, extra in add.items():
-        if eng._slack_sign(eng._vadd(eng.load[v], extra),
-                           eng.weights[v]) > 0:
-            accept = False
-            break
-    deltas = []
-    if accept:
-        for e in selection:
-            deltas.append((e, eng._vadd(eng.y[e], eng.sigma(q[e]))))
-    return accept, deltas, add, cnt
+        if eng.overloads(v, extra, selection, q):
+            return False, [], add
+    y = eng.y
+    return True, [(e, eng._vadd(y[e], eng.sigma(q[e])))
+                  for e in selection], add
 
 
 def _decide_decrease_infeasible(eng, selection, q):
@@ -442,19 +477,27 @@ def _decide_decrease_infeasible(eng, selection, q):
     return False, []
 
 
-def _i_prime_from(eng, selection, add, cnt):
+def _i_prime_from(eng, selection, q, add):
     """Demotion set of a rejected ea increase: selected edges with a
     violated endpoint in the proposal, none of whose violated endpoints is
     shared with another selected edge."""
-    violated = set()
+    touches = {}
     for v, extra in add.items():
-        if eng._slack_sign(eng._vadd(eng.load[v], extra),
-                           eng.weights[v]) > 0:
-            violated.add(v)
+        if eng.overloads(v, extra, selection, q):
+            touches[v] = 0
+    edges = eng.graph.edges
+    for e in selection:
+        u, v = edges[e]
+        if u in touches:
+            touches[u] += 1
+        if v in touches:
+            touches[v] += 1
     out = []
     for e in selection:
-        eps = [w for w in eng.graph.edges[e] if w in violated]
-        if eps and all(cnt[w] == 1 for w in eps):
+        u, v = edges[e]
+        tu = touches.get(u)
+        tv = touches.get(v)
+        if (tu or tv) and tu in (None, 1) and tv in (None, 1):
             out.append(e)
     return out
 
@@ -469,12 +512,6 @@ def run(instance: DynamicInstance, config: RunConfig,
     evaluation.  The maximality detector is a certificate check outside the
     evaluation count; it runs once at the start (a carried-over solution may
     already be maximal) and after every accepted transition.
-
-    Without a hook, the engine's trap certificate is checked at the same
-    points, and a run that provably cannot succeed stops there.  It reports
-    ``evaluations = budget`` and ``success = False``, as the full run does,
-    with ``final_coeffs`` and ``accepted`` taken at the trap.  With a hook,
-    every evaluation up to the budget is run and handed to it.
     """
     eng, q_cap = _make_engine(instance, config)
     m = eng.m
@@ -486,9 +523,8 @@ def run(instance: DynamicInstance, config: RunConfig,
     evals = 0
     accepted_n = 0
     success = eng.is_mfds()
-    watch_trap = hook is None
-    trapped = watch_trap and eng.is_trapped()
-    while not success and not trapped and evals < config.budget and m > 0:
+    zero = eng.zero_value()
+    while not success and evals < config.budget and m > 0:
         if fifth:
             d = draw_direction(rng)
         else:
@@ -496,12 +532,13 @@ def run(instance: DynamicInstance, config: RunConfig,
         selection = (draw_ea_selection(rng, m) if ea_like
                      else draw_rls_selection(rng, m))
         sign_before = eng.sign_now()
-        add = cnt = None
+        add = None
         if sign_before > 0:
             if d > 0:
-                accept, deltas, add, cnt = _decide_increase(eng, selection, q)
+                accept, deltas, add = _decide_increase(eng, selection, q)
             else:
-                accept = all(eng.vsign(eng.y[e]) == 0 for e in selection)
+                y = eng.y
+                accept = all(y[e] == zero for e in selection)
                 deltas = []
         else:
             if d > 0:
@@ -533,7 +570,7 @@ def run(instance: DynamicInstance, config: RunConfig,
                 demoted = tuple(selection)
             elif sign_before > 0:
                 if ea_like:
-                    dem = _i_prime_from(eng, selection, add, cnt)
+                    dem = _i_prime_from(eng, selection, q, add)
                 else:
                     dem = selection
                 for e in dem:
@@ -544,13 +581,8 @@ def run(instance: DynamicInstance, config: RunConfig,
             hook(TransitionRecord(
                 evals, accept, d, sign_before, eng.sign_now(),
                 tuple(selection), changed, changed_viol, demoted))
-        if accept:
-            if eng.is_mfds():
-                success = True
-            elif watch_trap:
-                trapped = eng.is_trapped()
-    if trapped:
-        evals = config.budget
+        if accept and eng.is_mfds():
+            success = True
     return RunResult(evals, success, eng.coeff_rows(alpha.basis_dim),
                      accepted_n)
 
@@ -627,9 +659,7 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
     certificate, with y carried as coefficient rows.  With a hook, every
     evaluation emits the TransitionRecord run() emits, each field
     recomputed from scratch by the oracle (values as coefficient tuples),
-    so the two streams must match record for record.  Without a hook it
-    stops where run() does, at the first state ``oracle.trap_edge``
-    certifies, and reports the same RunResult."""
+    so the two streams must match record for record."""
     alpha = canonicalize_alpha(config.alpha)
     g = instance.graph_star
     y = oracle.coefficient_rows(alpha, instance.y_init)
@@ -641,8 +671,7 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
     evals = 0
     accepted_n = 0
     success = oracle.success_defect(g, alpha, y) is None
-    trapped = hook is None and oracle.trap_edge(g, alpha, y) is not None
-    while not success and not trapped and evals < config.budget and g.m > 0:
+    while not success and evals < config.budget and g.m > 0:
         violated = oracle.violated(g, alpha, y)
         sign_before = -1 if violated else 1
         d = draw_direction(rng) if fifth else sign_before
@@ -667,9 +696,5 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
         if accepted:
             accepted_n += 1
             success = oracle.success_defect(g, alpha, y) is None
-            if not success and hook is None:
-                trapped = oracle.trap_edge(g, alpha, y) is not None
-    if trapped:
-        evals = config.budget
     return RunResult(evals, success, tuple(tuple(row) for row in y),
                      accepted_n)

@@ -13,9 +13,10 @@ def engine_decision(eng, selection, q, direction):
     """(accept, deltas) for one proposal, as run() decides it."""
     if eng.sign_now() > 0:
         if direction > 0:
-            accept, deltas, _add, _cnt = _decide_increase(eng, selection, q)
+            accept, deltas, _add = _decide_increase(eng, selection, q)
             return accept, deltas
-        return all(eng.vsign(eng.y[e]) == 0 for e in selection), []
+        zero = eng.zero_value()
+        return all(eng.y[e] == zero for e in selection), []
     if direction > 0:
         return not selection, []
     return _decide_decrease_infeasible(eng, selection, q)

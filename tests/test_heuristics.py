@@ -12,11 +12,12 @@ from dualvc.graph import Edit, WeightedGraph
 from dualvc.harness import BenchCell, build_instance
 from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
                                _decide_increase, _i_prime_from, _IntEngine,
-                               _reference_step, draw_direction,
+                               _reference_step, _VecEngine, draw_direction,
                                draw_ea_selection, draw_rls_selection, run,
                                run_reference)
 from dualvc.instances import (hard_instance, make_dynamic, random_dynamic)
-from dualvc.numeric import canonicalize_alpha, q_max_for
+from dualvc.numeric import (canonicalize_alpha, q_max_for, sign_of_coeffs,
+                            step_coeffs)
 from dualvc.oracle import (coefficient_rows, trap_edge, validate_mfds_naive,
                            violated)
 
@@ -155,9 +156,9 @@ def assert_i_prime(g, values, selection, expected):
     assert not accepted
     assert set(demoted) == expected
     eng = _IntEngine(g, values, g.max_weight(), A2, q_cap)
-    accept, _deltas, add, cnt = _decide_increase(eng, selection, [0] * g.m)
+    accept, _deltas, add = _decide_increase(eng, selection, [0] * g.m)
     assert not accept
-    assert set(_i_prime_from(eng, selection, add, cnt)) == expected
+    assert set(_i_prime_from(eng, selection, [0] * g.m, add)) == expected
 
 
 def test_i_prime_disjoint_edges_both_demotable():
@@ -174,6 +175,81 @@ def test_i_prime_mixed():
     # star plus a detached edge: only the detached edge demotes
     g = WeightedGraph(5, (1, 1, 1, 1, 1), ((0, 1), (0, 2), (3, 4)))
     assert_i_prime(g, (0, 0, 1), [0, 2], {2})          # raised to 1 and 2
+
+
+# -- the vector engine's float filter -----------------------------------------------
+
+#: Per alpha: R with sqrt(R) a basis element, its coordinate, and the
+#: fundamental solution of p^2 - R*q^2 = 1.
+PELL = {2: (2, 2, (3, 2)), 9: (3, 1, (2, 1))}
+
+
+def near_zero(alpha, dim, n):
+    """p - q*sqrt(R) = 1 / (p + q*sqrt(R)) > 0 for the n-th Pell solution,
+    as a coefficient row: a value far below float resolution relative to
+    its coefficients once n is large."""
+    r, k, (p0, q0) = PELL[alpha]
+    p, q = p0, q0
+    for _ in range(n):
+        p, q = p * p0 + r * q * q0, p * q0 + q * p0
+    row = [0] * dim
+    row[0], row[k] = p, -q
+    return row
+
+
+@pytest.mark.parametrize("alpha", [2, 9])
+def test_vector_engine_float_filter_is_exact(alpha):
+    """The vector engine's load signs and overload tests, filtered through
+    floats, equal the exact sign: on gaps from 0.2 down to far below float
+    resolution, on tight loads, and on loads beyond the float range."""
+    a = canonicalize_alpha(alpha)
+    dim = a.basis_dim
+    q_cap = q_max_for(a, 2 ** 10)
+    g = WeightedGraph(2, (2 ** 40, 2 ** 40), ((0, 1),))
+    big = WeightedGraph(2, (2 ** 1100, 2 ** 1100), ((0, 1),))
+    checked = 0
+    for graph in (g, big):
+        w = graph.weights[0]
+        for n in range(0, 24, 3):
+            t = near_zero(alpha, dim, n)
+            for s in (1, -1, 0):
+                for step in (None, 1, 6):
+                    row = [s * c for c in t]
+                    row[0] += w
+                    if step is not None:
+                        row = [x - c for x, c in
+                               zip(row, step_coeffs(step, a))]
+                    eng = _VecEngine(graph, [tuple(row)], 2 ** 10, a, q_cap)
+                    exact = sign_of_coeffs([row[0] - w] + row[1:], a)
+                    assert eng.slack == [exact, exact]
+                    if step is None:
+                        continue
+                    q = [step]
+                    over = eng.overloads(0, eng.step_size[step], [0], q)
+                    assert over == (s > 0)
+                    checked += 1
+    assert checked == 2 * 8 * 3 * 2
+    huge = 2 ** 1100
+    for row in ([huge] + [0] * (dim - 1), [-huge, huge] + [0] * (dim - 2),
+                [huge, -huge] + [0] * (dim - 2)):
+        eng = _VecEngine(g, [tuple(row)], 2 ** 10, a, q_cap)
+        exact = sign_of_coeffs([row[0] - g.weights[0]] + row[1:], a)
+        assert eng.slack == [exact, exact]
+        raised = [x + c for x, c in zip(row, step_coeffs(1, a))]
+        raised[0] -= g.weights[0]
+        assert eng.overloads(0, eng.step_size[1], [0], [1]) == \
+            (sign_of_coeffs(raised, a) > 0)
+    rng = random.Random(alpha)
+    for _ in range(300):
+        row = tuple(rng.randint(-2 ** 20, 2 ** 20) for _ in range(dim))
+        step = rng.randint(0, q_cap)
+        eng = _VecEngine(g, [row], 2 ** 10, a, q_cap)
+        w = g.weights[0]
+        assert eng.slack[0] == sign_of_coeffs((row[0] - w,) + row[1:], a)
+        raised = [x + c for x, c in zip(row, step_coeffs(step, a))]
+        raised[0] -= w
+        assert eng.overloads(0, eng.step_size[step], [0], [step]) == \
+            (sign_of_coeffs(raised, a) > 0)
 
 
 # -- one evaluation of _reference_step ------------------------------------------------
@@ -366,66 +442,45 @@ def normalised(records, dim):
 
 def first_trap(inst, alpha, records):
     """Replay a normalised hook stream from the start values.  Returns
-    (eval index, coefficient rows, accepted count) at the first state that
+    (eval index, coefficient rows) at the first state that
     ``oracle.trap_edge`` certifies, or None if no state does."""
     g = inst.graph_star
     y = [tuple(row) for row in coefficient_rows(alpha, inst.y_init)]
-    accepted = 0
     if trap_edge(g, alpha, y) is not None:
-        return 0, tuple(y), accepted
+        return 0, tuple(y)
     for r in records:
         for e, old, new in r.changed:
             assert y[e] == old
             y[e] = new
-        accepted += r.accepted
         if r.accepted and trap_edge(g, alpha, y) is not None:
-            return r.eval_index, tuple(y), accepted
+            return r.eval_index, tuple(y)
     return None
 
 
 def assert_run_matches_reference(inst, cfg):
     """Engine and reference emit the same hook stream, record for record,
-    and the same RunResult; the comparison is not vacuous.  Without a hook
-    the two again agree, on the full run's evaluations and success; they
-    stop early only at a trap the oracle certifies in the hooked stream,
-    with the state and accepted count of that evaluation, and the full run
-    then fails.  Returns whether the hooked stream reached a trap."""
+    and the same RunResult; the comparison is not vacuous, and the hook
+    does not perturb the engine."""
     assert not validate_mfds_naive(inst.graph_star, inst.y_init)
-    alpha = canonicalize_alpha(cfg.alpha)
+    dim = canonicalize_alpha(cfg.alpha).basis_dim
     fast_stream, ref_stream = [], []
     fast = run(inst, cfg, hook=fast_stream.append)
     ref = run_reference(inst, cfg, hook=ref_stream.append)
     assert fast.evaluations >= 1
     assert len(fast_stream) == fast.evaluations
     assert len(ref_stream) == ref.evaluations
-    stream = normalised(fast_stream, alpha.basis_dim)
-    for a, b in zip(stream, normalised(ref_stream, alpha.basis_dim)):
+    for a, b in zip(normalised(fast_stream, dim), normalised(ref_stream, dim)):
         assert a == b, f"evaluation {a.eval_index}"
     assert fast == ref
-    bare = run(inst, cfg)
-    assert bare == run_reference(inst, cfg)
-    assert (bare.evaluations, bare.success) == (fast.evaluations,
-                                                fast.success)
-    trap = first_trap(inst, alpha, stream)
-    if trap is None:
-        assert bare == fast
-        return False
-    _at, y, accepted = trap
-    assert bare.final_coeffs == y
-    assert bare.accepted == accepted
-    assert not fast.success
-    return True
+    assert run(inst, cfg) == fast
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_engine_matches_reference_path(algorithm):
-    trapped = 0
     for alpha, inst in EQUIV_CASES:
         for seed in (1, 2):
-            trapped += assert_run_matches_reference(inst, RunConfig(
+            assert_run_matches_reference(inst, RunConfig(
                 algorithm, alpha, inst.w_max, 400, seed))
-    if algorithm.endswith("fifth"):
-        assert trapped, "no case reached a trap certificate"
 
 
 def test_engine_matches_reference_alpha_three():
@@ -435,15 +490,16 @@ def test_engine_matches_reference_alpha_three():
             inst, RunConfig(algorithm, 3, inst.w_max, 300, 9))
 
 
-# -- the trap stop ----------------------------------------------------------------------
+# -- the trap certificate --------------------------------------------------------------
 
-def test_trapped_runs_never_succeed_when_run_out():
+def test_trapped_runs_never_succeed():
     """Quarter-step runs on random one-sided edits (n 16, m 24, d 3,
     w_max 2^10) at alpha 3 and 9, a shorter budget than the benchmark's:
-    every run whose hook-free result the oracle certifies as trapped also
-    fails when a counting hook makes it run to the budget."""
+    once a state of the run is certified by ``oracle.trap_edge``, the run
+    fails and its final state is certified too."""
     trapped = runs = 0
     for alpha in (3, 9):
+        a = canonicalize_alpha(alpha)
         for variant in ("E+", "E-", "W+", "W-"):
             for algorithm in ("rls_fifth", "ea_fifth"):
                 cell = BenchCell(variant, algorithm, alpha, 3, 3_000,
@@ -453,18 +509,17 @@ def test_trapped_runs_never_succeed_when_run_out():
                     inst = build_instance(cell, t)
                     cfg = RunConfig(algorithm, alpha, inst.w_max,
                                     cell.budget, cell.seed + t)
-                    bare = run(inst, cfg)
+                    seen = []
+                    result = run(inst, cfg, hook=seen.append)
                     runs += 1
-                    if trap_edge(inst.graph_star, canonicalize_alpha(alpha),
-                                 bare.final_coeffs) is None:
+                    trap = first_trap(inst, a, normalised(seen, a.basis_dim))
+                    if trap is None:
                         continue
                     trapped += 1
-                    seen = []
-                    full = run(inst, cfg, hook=seen.append)
-                    assert not bare.success and not full.success
-                    assert bare.evaluations == full.evaluations \
-                        == len(seen) == cfg.budget
-                    assert bare.accepted <= full.accepted
+                    assert not result.success
+                    assert result.evaluations == len(seen) == cfg.budget
+                    assert trap_edge(inst.graph_star, a,
+                                     result.final_coeffs) is not None
     assert runs == 48
     assert trapped >= runs // 2
 
@@ -483,19 +538,16 @@ def trapped_start_instance():
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_trapped_start_stops_at_evaluation_zero(algorithm):
+def test_trapped_start_never_succeeds(algorithm):
     inst = trapped_start_instance()
     g = inst.graph_star
     start = tuple(tuple(row) for row in coefficient_rows(A2, inst.y_init))
     assert trap_edge(g, A2, start) == g.edges.index((0, 1))
     cfg = RunConfig(algorithm, 2, inst.w_max, 250, 4)
-    bare = run(inst, cfg)
-    assert bare == run_reference(inst, cfg)
-    assert (bare.evaluations, bare.success, bare.accepted) == (250, False, 0)
-    assert bare.final_coeffs == start
-    seen = []
-    full = run(inst, cfg, hook=seen.append)
-    assert not full.success and len(seen) == full.evaluations == 250
+    result = run(inst, cfg)
+    assert result == run_reference(inst, cfg)
+    assert (result.evaluations, result.success) == (250, False)
+    assert trap_edge(g, A2, result.final_coeffs) is not None
 
 
 # -- per-evaluation hook ----------------------------------------------------------------

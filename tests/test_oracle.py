@@ -258,33 +258,6 @@ def test_trap_edge_never_fires_at_degree_one():
     assert trap_edge(PATH4, a, [Fraction(3, 2)] * 3) is None
 
 
-@pytest.mark.parametrize("alpha", [2, 9])
-def test_engine_trap_matches_the_oracle(alpha):
-    """The vector engine's incremental trap flag agrees with trap_edge
-    from scratch, at the start and after every commit of random values."""
-    a = canonicalize_alpha(alpha)
-    dim = a.basis_dim
-    rng = random.Random(alpha)
-    g = WeightedGraph(6, (5, 6, 4, 5, 6, 5),
-                      ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)))
-
-    def value():
-        return tuple(rng.randint(0, 2) if k == 0 else rng.randint(-1, 1)
-                     for k in range(dim))
-
-    seen = set()
-    for _ in range(40):
-        vals = [value() for _ in range(g.m)]
-        eng = _VecEngine(g, vals, 6, a, q_max_for(a, 6))
-        for _step in range(10):
-            trapped = trap_edge(g, a, eng.y) is not None
-            assert eng.is_trapped() == trapped
-            seen.add(trapped)
-            eng.commit([(e, value()) for e in
-                        rng.sample(range(g.m), rng.randint(1, 3))])
-    assert seen == {True, False}
-
-
 # -- grid enumeration ------------------------------------------------------------
 
 def test_enumerate_single_edge():
