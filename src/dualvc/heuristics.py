@@ -19,7 +19,8 @@ that select nothing still cost one.  Acceptance is decided exactly: the
 integer engine covers integer-valued starts of ea/rls at any alpha and of
 all four algorithms where alpha is a perfect fourth power (field degree 1,
 so every step beta^q is an integer); the vector engine covers
-quarter-exponent values as integer coefficient vectors.  Tests hold
+quarter-exponent values as integer coefficient vectors, and takes a float
+approximation's sign only where a rounding bound proves it.  Tests hold
 both against ``run_reference``, a slow replay of the same draws over
 coefficient rows in which :mod:`dualvc.oracle` decides every evaluation
 from scratch: the two emit the same per-evaluation ``TransitionRecord``
@@ -27,9 +28,9 @@ stream to a hook, and the tests compare those streams record for record.
 
 The integer engine is kept beside the vector engine because it pays for
 itself: on one trial of each of the 36 ``harness.scaling_plan`` cells
-(283,157 evaluations, identical rows either way) it took 5.5-7.3 us per
-evaluation, against 11.3-15.2 us with the same runs forced onto the vector
-engine (CPython 3.11.7, 2 vCPUs, several runs).
+(base seed 1, 267,228 evaluations, identical rows either way) it took
+4.8-5.1 us per evaluation, against 6.4-7.0 us with the same runs forced
+onto the vector engine (CPython 3.11.7, 2 vCPUs, three alternating runs).
 
 Reproducibility contract: randomness comes from ``random.Random(seed)``
 (Mersenne Twister).  The stream also depends on CPython's
