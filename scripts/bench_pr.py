@@ -7,11 +7,11 @@ temporary directory, and the worktree is removed again at the end.  For
 every workload in ``BENCHMARK.json`` and each of the ten seeds in ``SEEDS``
 (ten pairs, the fewest a gain claim rests on), the benchmark command
 (``python3 perfbench/run.py``) runs once in each checkout, alternating which
-side runs first, for the run length ``BENCHMARK.json`` sets.  Seed 1,
-whose runs also check the golden rows, is left to a run by hand
-(``perfbench/run.py --seed 1``).  The last line
-of each run's standard output is its JSON result.  Only these child
-processes are measured.
+side runs first, for the run length ``BENCHMARK.json`` sets.  The last line
+of each run's standard output is its JSON result, and an earlier line its
+``rows_sha256``, the hash of the rows the run produced.  Only these child
+processes are measured.  Each side also runs every workload once, briefly,
+at seed 1, where the benchmark checks each row against its golden row.
 
 ``BENCH_<N>.json``, at the root of the repository, records both revisions,
 the Python version and the CPU count; per workload and end-to-end metric,
@@ -20,6 +20,11 @@ the working tree did better (the paired wins) and the metric's bound;
 every run's ``correct``, ``attempted`` and ``failed``; and the
 ``git status --porcelain`` lines of the working tree, untracked files
 included, since the working tree as it stands is what was measured.
+Each run's ``rows_sha256`` is recorded too; per workload, ``rows_match``
+says whether both sides produced the same rows at every paired seed, and
+``golden`` holds each side's ``correct`` at seed 1.  The script exits 1 if
+any pair's rows differ or a seed-1 run is not correct, after writing the
+file.
 """
 
 from __future__ import annotations
@@ -38,6 +43,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "pr")
 SEEDS = tuple(range(2, 12))
+#: The benchmark's default seed, whose rows must equal the golden rows.
+GOLDEN_SEED = 1
+#: Run length of the seed-1 check: one pass is enough to check every row.
+GOLDEN_SECONDS = 1.0
 
 
 def parse_result(stdout: str) -> dict:
@@ -46,6 +55,16 @@ def parse_result(stdout: str) -> dict:
     if not lines:
         raise ValueError("benchmark printed nothing")
     return json.loads(lines[-1])
+
+
+def parse_rows_sha256(stdout: str) -> str:
+    """The hash on the run's ``rows_sha256 <workload> seed <n> <hash>``
+    line."""
+    for line in stdout.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "rows_sha256":
+            return fields[-1]
+    raise ValueError("benchmark printed no rows_sha256 line")
 
 
 def quartiles(values: list) -> tuple[float, float, float]:
@@ -59,8 +78,10 @@ def quartiles(values: list) -> tuple[float, float, float]:
 def summarize(benchmark: dict, runs: list) -> dict:
     """Per workload: each end-to-end metric's median and IQR per side, the
     paired wins of the working tree over the parent (runs at the same
-    seed), and every run's outcome.  `runs` holds dicts with ``workload``,
-    ``seed``, ``side`` ("parent" or "pr") and the run's parsed ``result``.
+    seed), whether both sides produced the same rows at every paired seed,
+    and every run's outcome.  `runs` holds dicts with ``workload``,
+    ``seed``, ``side`` ("parent" or "pr"), the run's parsed ``result`` and
+    its ``rows_sha256``.
     """
     out = {}
     for workload in (w["name"] for w in benchmark["workloads"]):
@@ -68,6 +89,7 @@ def summarize(benchmark: dict, runs: list) -> dict:
         by_side = {side: {r["seed"]: r["result"] for r in mine
                           if r["side"] == side} for side in SIDES}
         paired = sorted(set(by_side["parent"]) & set(by_side["pr"]))
+        hashes = {(r["side"], r["seed"]): r["rows_sha256"] for r in mine}
         metrics = {}
         for spec in benchmark["end_to_end"]:
             name = spec["name"]
@@ -90,16 +112,20 @@ def summarize(benchmark: dict, runs: list) -> dict:
             metrics[name] = entry
         out[workload] = {
             "metrics": metrics,
+            "rows_match": all(hashes["parent", s] == hashes["pr", s]
+                              for s in paired),
             "runs": [{"side": r["side"], "seed": r["seed"],
                       "correct": r["result"]["correct"],
                       "attempted": r["result"]["attempted"],
-                      "failed": r["result"]["failed"]} for r in mine],
+                      "failed": r["result"]["failed"],
+                      "rows_sha256": r["rows_sha256"]} for r in mine],
         }
     return out
 
 
 def run_benchmark(command: list, checkout: Path, workload: str, seed: int,
-                  seconds: float) -> dict:
+                  seconds: float) -> tuple[dict, str]:
+    """One benchmark run: its parsed result and its rows_sha256."""
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
@@ -107,7 +133,7 @@ def run_benchmark(command: list, checkout: Path, workload: str, seed: int,
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited"
                            f" {done.returncode}: {done.stderr[-2000:]}")
-    return parse_result(done.stdout)
+    return parse_result(done.stdout), parse_rows_sha256(done.stdout)
 
 
 def git(*args: str) -> str:
@@ -131,6 +157,7 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="bench_pr-"))
     worktree = tmp / "parent"
     runs = []
+    golden = {w["name"]: {} for w in benchmark["workloads"]}
     try:
         git("worktree", "add", "--detach", str(worktree), parent_rev)
         checkouts = {"parent": worktree, "pr": ROOT}
@@ -139,13 +166,23 @@ def main(argv=None) -> int:
         for i, (workload, seed) in enumerate(jobs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = run_benchmark(benchmark["command"], checkouts[side],
-                                       workload, seed, seconds)
+                result, rows = run_benchmark(
+                    benchmark["command"], checkouts[side], workload, seed,
+                    seconds)
                 runs.append({"workload": workload, "seed": seed,
-                             "side": side, "result": result})
+                             "side": side, "result": result,
+                             "rows_sha256": rows})
                 print(f"{workload} seed {seed} {side}: correct"
-                      f" {result['correct']}, failed {result['failed']}",
-                      file=sys.stderr)
+                      f" {result['correct']}, failed {result['failed']},"
+                      f" rows {rows[:12]}", file=sys.stderr)
+        for workload in golden:
+            for side in SIDES:
+                result, _rows = run_benchmark(
+                    benchmark["command"], checkouts[side], workload,
+                    GOLDEN_SEED, GOLDEN_SECONDS)
+                golden[workload][side] = result["correct"]
+                print(f"{workload} seed {GOLDEN_SEED} {side}: correct"
+                      f" {result['correct']}", file=sys.stderr)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force",
                         str(worktree)], cwd=ROOT, capture_output=True,
@@ -162,6 +199,8 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "workloads": summarize(benchmark, runs),
     }
+    for workload, entry in report["workloads"].items():
+        entry["golden"] = golden[workload]
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
@@ -170,7 +209,17 @@ def main(argv=None) -> int:
                   f" pr {m['pr']['median']:.4g} ({m['change']:+.1%})"
                   f" wins {m['wins']}/{m['pairs']} bound {m['bound']}")
     print(f"wrote {out_path}")
-    return 0
+    status = 0
+    for workload, entry in report["workloads"].items():
+        if not entry["rows_match"]:
+            print(f"{workload}: rows differ between parent and change",
+                  file=sys.stderr)
+            status = 1
+        if not all(entry["golden"].values()):
+            print(f"{workload}: seed {GOLDEN_SEED} golden rows not"
+                  f" reproduced: {entry['golden']}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

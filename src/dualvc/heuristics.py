@@ -36,9 +36,11 @@ Reproducibility contract: randomness comes from ``random.Random(seed)``
 (Mersenne Twister).  The stream also depends on CPython's
 ``random.sample``/``randrange`` internals, so it is pinned per CPython
 version by the golden rows in ``perfbench/golden/``.  Per step, ea draws
-one uniform for the binomial selection count and (if nonzero) one sample
-of that many edge ids; rls draws one randrange; the fifth variants draw
-one direction bit *before* their selection draws.
+one uniform for the binomial selection count, then one randrange when
+that count is 1 (the one draw ``sample(range(m), 1)`` makes, as a test
+pins) or one sample of that many edge ids when it is larger; rls draws
+one randrange; the fifth variants draw one direction bit *before* their
+selection draws.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ def draw_ea_selection(rng: random.Random, m: int) -> list[int]:
     1/m coin flips (count first, then a uniform subset of that size)."""
     u = rng.random()
     k = bisect_right(_binomial_cdf(m), u)
+    if k == 1:  # the one _randbelow(m) draw rng.sample(range(m), 1) makes
+        return [rng.randrange(m)]
     return rng.sample(range(m), k) if k else []
 
 
@@ -434,22 +438,34 @@ def _make_engine(instance: DynamicInstance, config: RunConfig):
 
 
 def _decide_increase(eng, selection, q):
-    """Feasible-sign increase: accepted iff no endpoint gets overloaded.
-    Returns (accept, deltas, per-vertex sum of the engine's step sizes)."""
+    """Feasible-sign increase of a nonempty selection: accepted iff no
+    endpoint gets overloaded.  Returns (accept, deltas, overloaded
+    endpoints), the last listing every one of them on rejection."""
     step = eng.step_size
     edges = eng.graph.edges
-    add: dict = {}
-    for e in selection:
+    if len(selection) == 1:
+        e = selection[0]
         s = step[q[e]]
         u, v = edges[e]
-        add[u] = add[u] + s if u in add else s
-        add[v] = add[v] + s if v in add else s
-    for v, extra in add.items():
-        if eng.overloads(v, extra, selection, q):
-            return False, [], add
+        over = []
+        if eng.overloads(u, s, selection, q):
+            over.append(u)
+        if eng.overloads(v, s, selection, q):
+            over.append(v)
+    else:
+        add: dict = {}
+        for e in selection:
+            s = step[q[e]]
+            u, v = edges[e]
+            add[u] = add[u] + s if u in add else s
+            add[v] = add[v] + s if v in add else s
+        over = [w for w, extra in add.items()
+                if eng.overloads(w, extra, selection, q)]
+    if over:
+        return False, [], over
     y = eng.y
     return True, [(e, eng._vadd(y[e], eng.sigma(q[e])))
-                  for e in selection], add
+                  for e in selection], over
 
 
 def _decide_decrease_infeasible(eng, selection, q):
@@ -478,14 +494,11 @@ def _decide_decrease_infeasible(eng, selection, q):
     return False, []
 
 
-def _i_prime_from(eng, selection, q, add):
-    """Demotion set of a rejected ea increase: selected edges with a
-    violated endpoint in the proposal, none of whose violated endpoints is
-    shared with another selected edge."""
-    touches = {}
-    for v, extra in add.items():
-        if eng.overloads(v, extra, selection, q):
-            touches[v] = 0
+def _i_prime_from(eng, selection, over):
+    """Demotion set of a rejected ea increase: selected edges with an
+    endpoint in `over` (the endpoints the proposal overloads), none of
+    whose overloaded endpoints is shared with another selected edge."""
+    touches = dict.fromkeys(over, 0)
     edges = eng.graph.edges
     for e in selection:
         u, v = edges[e]
@@ -512,7 +525,8 @@ def run(instance: DynamicInstance, config: RunConfig,
     Deterministic: identical (instance, config) pairs replay evaluation for
     evaluation.  The maximality detector is a certificate check outside the
     evaluation count; it runs once at the start (a carried-over solution may
-    already be maximal) and after every accepted transition.
+    already be maximal) and after every accepted transition that changes a
+    value.
     """
     eng, q_cap = _make_engine(instance, config)
     m = eng.m
@@ -520,30 +534,30 @@ def run(instance: DynamicInstance, config: RunConfig,
     q = [0] * m
     rng = random.Random(config.seed)
     fifth = config.algorithm.endswith("fifth")
-    ea_like = config.algorithm.startswith("ea")
+    draw = (draw_ea_selection if config.algorithm.startswith("ea")
+            else draw_rls_selection)
+    budget = config.budget
     evals = 0
     accepted_n = 0
     success = eng.is_mfds()
     zero = eng.zero_value()
-    while not success and evals < config.budget and m > 0:
-        if fifth:
-            d = draw_direction(rng)
-        else:
-            d = eng.sign_now()
-        selection = (draw_ea_selection(rng, m) if ea_like
-                     else draw_rls_selection(rng, m))
+    while not success and evals < budget and m > 0:
         sign_before = eng.sign_now()
-        add = None
-        if sign_before > 0:
+        d = draw_direction(rng) if fifth else sign_before
+        selection = draw(rng, m)
+        over = ()
+        if not selection:
+            accept, deltas = True, []  # a no-op: every branch accepts it
+        elif sign_before > 0:
             if d > 0:
-                accept, deltas, add = _decide_increase(eng, selection, q)
+                accept, deltas, over = _decide_increase(eng, selection, q)
             else:
                 y = eng.y
                 accept = all(y[e] == zero for e in selection)
                 deltas = []
         else:
             if d > 0:
-                accept, deltas = (not selection), []
+                accept, deltas = False, []
             else:
                 accept, deltas = _decide_decrease_infeasible(
                     eng, selection, q)
@@ -570,8 +584,9 @@ def run(instance: DynamicInstance, config: RunConfig,
                         q[e] -= 1
                 demoted = tuple(selection)
             elif sign_before > 0:
-                if ea_like:
-                    dem = _i_prime_from(eng, selection, q, add)
+                # one selected edge alone touches its overloaded endpoint
+                if len(selection) > 1:
+                    dem = _i_prime_from(eng, selection, over)
                 else:
                     dem = selection
                 for e in dem:
@@ -582,7 +597,9 @@ def run(instance: DynamicInstance, config: RunConfig,
             hook(TransitionRecord(
                 evals, accept, d, sign_before, eng.sign_now(),
                 tuple(selection), changed, changed_viol, demoted))
-        if accept and eng.is_mfds():
+        # an accepted step without deltas leaves the state the last check
+        # found not maximal
+        if accept and deltas and eng.is_mfds():
             success = True
     return RunResult(evals, success, eng.coeff_rows(alpha.basis_dim),
                      accepted_n)

@@ -11,24 +11,27 @@ from dualvc.oracle import coefficient_rows, reference_fitness
 
 def engine_decision(eng, selection, q, direction):
     """(accept, deltas) for one proposal, as run() decides it."""
+    if not selection:
+        return True, []
     if eng.sign_now() > 0:
         if direction > 0:
-            accept, deltas, _add = _decide_increase(eng, selection, q)
+            accept, deltas, _over = _decide_increase(eng, selection, q)
             return accept, deltas
         zero = eng.zero_value()
         return all(eng.y[e] == zero for e in selection), []
     if direction > 0:
-        return not selection, []
+        return False, []
     return _decide_decrease_infeasible(eng, selection, q)
 
 
-def engine_agrees(eng, values, q, selection, direction):
-    """True iff the engine (a _VecEngine holding `values`) accepts exactly
-    when reference_fitness does, and an accepted step moves it to the
-    proposal."""
-    rows = coefficient_rows(eng.alpha, values)
-    proposed = _reference_proposal(eng.alpha, rows, q, selection, direction)
-    ref = reference_fitness(eng.graph, eng.alpha, rows, proposed, eng.w_max)
+def engine_agrees(eng, values, q, selection, direction, alpha=None):
+    """True iff the engine holding `values` accepts exactly when
+    reference_fitness does, and an accepted step moves it to the proposal.
+    `alpha` defaults to the engine's; an _IntEngine keeps none."""
+    alpha = alpha or eng.alpha
+    rows = coefficient_rows(alpha, values)
+    proposed = _reference_proposal(alpha, rows, q, selection, direction)
+    ref = reference_fitness(eng.graph, alpha, rows, proposed, eng.w_max)
     accept, deltas = engine_decision(eng, selection, q, direction)
     if accept != ref.accept:
         return False
@@ -37,4 +40,4 @@ def engine_agrees(eng, values, q, selection, direction):
     after = list(eng.y)
     for e, new in deltas:
         after[e] = new
-    return after == proposed
+    return coefficient_rows(alpha, after) == proposed

@@ -2,11 +2,14 @@
 
 import random
 import statistics
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from dualvc import heuristics
 from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
 from dualvc.harness import BenchCell, build_instance
@@ -20,6 +23,7 @@ from dualvc.numeric import (canonicalize_alpha, q_max_for, sign_of_coeffs,
                             step_coeffs)
 from dualvc.oracle import (coefficient_rows, trap_edge, validate_mfds_naive,
                            violated)
+from engine_decisions import engine_agrees
 
 A2 = canonicalize_alpha(2)
 
@@ -68,6 +72,31 @@ def test_ea_selection_single_edge_always_selected():
     rng = random.Random(0)
     for _ in range(50):
         assert draw_ea_selection(rng, 1) == [0]
+
+
+def test_ea_one_edge_draw_matches_random_sample():
+    """draw_ea_selection draws a one-edge selection with one randrange(m),
+    standing in for rng.sample(range(m), 1): both must make the same single
+    _randbelow(m) draw, in sample's pool branch (m <= 21) and its set
+    branch (m > 21) alike, and leave the stream at the same position."""
+    def old_form(rng, m):
+        k = bisect_right(_binomial_cdf(m), rng.random())
+        return rng.sample(range(m), k) if k else []
+
+    for m in list(range(1, 31)) + [64, 128, 256]:
+        ones = 0
+        for seed in range(60):
+            a, b = random.Random(seed), random.Random(seed)
+            assert a.sample(range(m), 1) == [b.randrange(m)], \
+                f"sample(range({m}), 1) no longer draws one randrange({m})"
+            assert a.random() == b.random(), \
+                f"sample(range({m}), 1) moves the stream unlike randrange"
+            for _ in range(8):
+                sel = draw_ea_selection(a, m)
+                assert sel == old_form(b, m)
+                ones += len(sel) == 1
+            assert a.random() == b.random()
+        assert ones >= 60  # about 37% of 480 draws select one edge
 
 
 def test_ea_selection_matches_binomial_pmf():
@@ -156,9 +185,9 @@ def assert_i_prime(g, values, selection, expected):
     assert not accepted
     assert set(demoted) == expected
     eng = _IntEngine(g, values, g.max_weight(), A2, q_cap)
-    accept, _deltas, add = _decide_increase(eng, selection, [0] * g.m)
+    accept, _deltas, over = _decide_increase(eng, selection, [0] * g.m)
     assert not accept
-    assert set(_i_prime_from(eng, selection, [0] * g.m, add)) == expected
+    assert set(_i_prime_from(eng, selection, over)) == expected
 
 
 def test_i_prime_disjoint_edges_both_demotable():
@@ -175,6 +204,71 @@ def test_i_prime_mixed():
     # star plus a detached edge: only the detached edge demotes
     g = WeightedGraph(5, (1, 1, 1, 1, 1), ((0, 1), (0, 2), (3, 4)))
     assert_i_prime(g, (0, 0, 1), [0, 2], {2})          # raised to 1 and 2
+
+
+# -- one-edge increases at exact ties --------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [2, 9, 16])
+def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
+    """A feasible one-edge increase is decided as reference_fitness decides
+    it, on both engines, where the step fills an endpoint exactly, exceeds
+    its weight by the smallest coefficient step or falls short by it, and
+    (on the vector engine at degrees 4 and 2) misses the weight by a gap
+    far below float resolution.  At degrees 4 and 2 the vector engine's
+    float gap at such a tie is inside _FLOAT_TOL, so the exact sign
+    decides it.  A rejected one is demoted as ea demotes it: the edge
+    alone, as _reference_step and _i_prime_from demote it."""
+    exact_calls = []
+
+    def counted(coeffs, a):
+        exact_calls.append(coeffs)
+        return sign_of_coeffs(coeffs, a)
+
+    monkeypatch.setattr(heuristics, "sign_of_coeffs", counted)
+    a = canonicalize_alpha(alpha)
+    dim = a.basis_dim
+    w = 2 ** 12
+    g = WeightedGraph(3, (w, w, w), ((0, 1), (1, 2)))
+    q_cap = q_max_for(a, w)
+    unit = (1,) + (0,) * (dim - 1)
+    nudges = [(0,) * dim, unit, tuple(-c for c in unit)]
+    if alpha in PELL:
+        tiny = tuple(near_zero(alpha, dim, 12))
+        nudges += [tiny, tuple(-c for c in tiny)]
+    outcomes = Counter()
+    for qs in range(q_cap + 1):
+        if alpha ** (qs / 4) > 2 ** 10:  # keep y1 well above zero
+            break
+        s = step_coeffs(qs, a)
+        q = [qs, 0]
+        for nudge in nudges:
+            # vertex 1 carries 3 + y1 = w - beta^qs + nudge before the step
+            y1 = tuple((w - 3) * (k == 0) - s[k] + nudge[k]
+                       for k in range(dim))
+            values = [3, y1]
+            engines = [_VecEngine(g, values, w, a, q_cap)]
+            if not any(y1[1:]) and not any(s[1:]):
+                values = [3, y1[0]]
+                engines.append(_IntEngine(g, values, w, a, q_cap))
+            for eng in engines:
+                assert eng.sign_now() > 0
+                del exact_calls[:]
+                assert engine_agrees(eng, values, q, [0], 1, alpha=a)
+                accept, _deltas, over = _decide_increase(eng, [0], q)
+                tie = not any(nudge) or nudge in nudges[3:]
+                if isinstance(eng, _VecEngine) and tie and dim > 1:
+                    assert exact_calls, (qs, nudge)
+                outcomes[type(eng).__name__, accept] += 1
+                if accept:
+                    continue
+                assert over == [1]
+                assert _i_prime_from(eng, [0], over) == [0]
+                _y, accepted, demoted = _reference_step(
+                    g, RunConfig("ea", alpha, w, 1, 0),
+                    coefficient_rows(a, values), 1, list(q), [0], 1)
+                assert not accepted and demoted == (0,)
+    assert min(outcomes.values()) >= 3
+    assert len(outcomes) == 4
 
 
 # -- the vector engine's float filter -----------------------------------------------

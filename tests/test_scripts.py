@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from dualvc.harness import read_records
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,13 +54,29 @@ def test_run_scaling_smoke(tmp_path, monkeypatch, capsys):
     assert "within_factor_4=" in capsys.readouterr().out
 
 
-def canned_stdout(correct, failed, **values):
-    """A benchmark run's output: human lines, then its JSON result."""
+def canned_stdout(correct, failed, rows="ab12", **values):
+    """A benchmark run's output: human lines with its rows hash, then its
+    JSON result."""
     result = {"correct": correct, "attempted": 144, "failed": failed,
               "metrics": {k: {"value": v, "unit": "u"}
                           for k, v in values.items()}}
-    return "workload quarter seed 2: 144 trials\n  golden rows\n" + \
-        json.dumps(result) + "\n"
+    return ("workload quarter seed 2: 144 trials\n"
+            f"  rows_sha256 quarter seed 2 {rows}\n  golden rows\n"
+            + json.dumps(result) + "\n")
+
+
+def canned_runs(script, sides, rows=lambda side, seed: "ab12"):
+    """Parsed runs of the quarter workload; `sides` maps side -> seed ->
+    (trials_per_s, trial_ms_p50)."""
+    runs = []
+    for side, seeds in sides.items():
+        for seed, (rate, p50) in seeds.items():
+            out = canned_stdout(True, 0, rows(side, seed),
+                                trials_per_s=rate, trial_ms_p50=p50)
+            runs.append({"workload": "quarter", "seed": seed, "side": side,
+                         "result": script.parse_result(out),
+                         "rows_sha256": script.parse_rows_sha256(out)})
+    return runs
 
 
 def test_bench_pr_summarize_canned_runs():
@@ -75,14 +93,8 @@ def test_bench_pr_summarize_canned_runs():
         "parent": {2: (19.0, 58.0), 3: (20.0, 57.0), 4: (21.0, 60.0)},
         "pr": {2: (120.0, 1.5), 3: (19.5, 62.0), 4: (130.0, 1.4)},
     }
-    runs = []
-    for side, seeds in sides.items():
-        for seed, (rate, p50) in seeds.items():
-            out = canned_stdout(True, 0, trials_per_s=rate,
-                                trial_ms_p50=p50)
-            runs.append({"workload": "quarter", "seed": seed, "side": side,
-                         "result": script.parse_result(out)})
-    summary = script.summarize(benchmark, runs)["quarter"]
+    summary = script.summarize(benchmark, canned_runs(script, sides))[
+        "quarter"]
     rate = summary["metrics"]["trials_per_s"]
     assert rate["parent"]["median"] == 20.0
     assert rate["parent"]["iqr"] == 1.0        # quartiles 19.5 and 20.5
@@ -94,3 +106,30 @@ def test_bench_pr_summarize_canned_runs():
     assert p50["pr"]["median"] == 1.5
     assert len(summary["runs"]) == 6
     assert all(r["correct"] and r["failed"] == 0 for r in summary["runs"])
+    assert summary["rows_match"]
+    assert {r["rows_sha256"] for r in summary["runs"]} == {"ab12"}
+
+
+def test_bench_pr_flags_rows_that_differ():
+    script = load_script("bench_pr")
+    benchmark = {
+        "workloads": [{"name": "quarter"}],
+        "end_to_end": [{"name": "trials_per_s", "unit": "trials/s",
+                        "better": "higher", "bound": 0.2}],
+    }
+    sides = {side: {2: (20.0, 1.0), 3: (21.0, 1.0)}
+             for side in ("parent", "pr")}
+    same = script.summarize(benchmark, canned_runs(script, sides))
+    assert same["quarter"]["rows_match"]
+    # the change's rows differ at seed 3 only
+    differ = script.summarize(benchmark, canned_runs(
+        script, sides,
+        lambda side, seed: "cd34" if (side, seed) == ("pr", 3) else "ab12"))
+    assert not differ["quarter"]["rows_match"]
+    # an unpaired seed's rows are not compared
+    sides["pr"][4] = (22.0, 1.0)
+    unpaired = script.summarize(benchmark, canned_runs(
+        script, sides, lambda side, seed: "ef56" if seed == 4 else "ab12"))
+    assert unpaired["quarter"]["rows_match"]
+    with pytest.raises(ValueError):
+        script.parse_rows_sha256("workload quarter seed 2\n{}\n")
