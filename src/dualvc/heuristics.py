@@ -29,8 +29,9 @@ stream to a hook, and the tests compare those streams record for record.
 The integer engine is kept beside the vector engine because it pays for
 itself: on one trial of each of the 36 ``harness.scaling_plan`` cells
 (base seed 1, 267,228 evaluations, identical rows either way) it took
-4.8-5.1 us per evaluation, against 6.4-7.0 us with the same runs forced
-onto the vector engine (CPython 3.11.7, 2 vCPUs, three alternating runs).
+3.4-4.3 us per evaluation, against 4.5-6.0 us with the same runs forced
+onto the vector engine, and was faster in each of six alternating pairs
+(CPython 3.11.7, 2 vCPUs, two sets of three alternating runs).
 
 Reproducibility contract: randomness comes from ``random.Random(seed)``
 (Mersenne Twister).  The stream also depends on CPython's

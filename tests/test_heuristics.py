@@ -206,71 +206,6 @@ def test_i_prime_mixed():
     assert_i_prime(g, (0, 0, 1), [0, 2], {2})          # raised to 1 and 2
 
 
-# -- one-edge increases at exact ties --------------------------------------------------
-
-@pytest.mark.parametrize("alpha", [2, 9, 16])
-def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
-    """A feasible one-edge increase is decided as reference_fitness decides
-    it, on both engines, where the step fills an endpoint exactly, exceeds
-    its weight by the smallest coefficient step or falls short by it, and
-    (on the vector engine at degrees 4 and 2) misses the weight by a gap
-    far below float resolution.  At degrees 4 and 2 the vector engine's
-    float gap at such a tie is inside _FLOAT_TOL, so the exact sign
-    decides it.  A rejected one is demoted as ea demotes it: the edge
-    alone, as _reference_step and _i_prime_from demote it."""
-    exact_calls = []
-
-    def counted(coeffs, a):
-        exact_calls.append(coeffs)
-        return sign_of_coeffs(coeffs, a)
-
-    monkeypatch.setattr(heuristics, "sign_of_coeffs", counted)
-    a = canonicalize_alpha(alpha)
-    dim = a.basis_dim
-    w = 2 ** 12
-    g = WeightedGraph(3, (w, w, w), ((0, 1), (1, 2)))
-    q_cap = q_max_for(a, w)
-    unit = (1,) + (0,) * (dim - 1)
-    nudges = [(0,) * dim, unit, tuple(-c for c in unit)]
-    if alpha in PELL:
-        tiny = tuple(near_zero(alpha, dim, 12))
-        nudges += [tiny, tuple(-c for c in tiny)]
-    outcomes = Counter()
-    for qs in range(q_cap + 1):
-        if alpha ** (qs / 4) > 2 ** 10:  # keep y1 well above zero
-            break
-        s = step_coeffs(qs, a)
-        q = [qs, 0]
-        for nudge in nudges:
-            # vertex 1 carries 3 + y1 = w - beta^qs + nudge before the step
-            y1 = tuple((w - 3) * (k == 0) - s[k] + nudge[k]
-                       for k in range(dim))
-            values = [3, y1]
-            engines = [_VecEngine(g, values, w, a, q_cap)]
-            if not any(y1[1:]) and not any(s[1:]):
-                values = [3, y1[0]]
-                engines.append(_IntEngine(g, values, w, a, q_cap))
-            for eng in engines:
-                assert eng.sign_now() > 0
-                del exact_calls[:]
-                assert engine_agrees(eng, values, q, [0], 1, alpha=a)
-                accept, _deltas, over = _decide_increase(eng, [0], q)
-                tie = not any(nudge) or nudge in nudges[3:]
-                if isinstance(eng, _VecEngine) and tie and dim > 1:
-                    assert exact_calls, (qs, nudge)
-                outcomes[type(eng).__name__, accept] += 1
-                if accept:
-                    continue
-                assert over == [1]
-                assert _i_prime_from(eng, [0], over) == [0]
-                _y, accepted, demoted = _reference_step(
-                    g, RunConfig("ea", alpha, w, 1, 0),
-                    coefficient_rows(a, values), 1, list(q), [0], 1)
-                assert not accepted and demoted == (0,)
-    assert min(outcomes.values()) >= 3
-    assert len(outcomes) == 4
-
-
 # -- the vector engine's float filter -----------------------------------------------
 
 #: Per alpha: R with sqrt(R) a basis element, its coordinate, and the
@@ -344,6 +279,71 @@ def test_vector_engine_float_filter_is_exact(alpha):
         raised[0] -= w
         assert eng.overloads(0, eng.step_size[step], [0], [step]) == \
             (sign_of_coeffs(raised, a) > 0)
+
+
+# -- one-edge increases at exact ties --------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [2, 9, 16])
+def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
+    """A feasible one-edge increase is decided as reference_fitness decides
+    it, on both engines, where the step fills an endpoint exactly, exceeds
+    its weight by the smallest coefficient step or falls short by it, and
+    (on the vector engine at degrees 4 and 2) misses the weight by a gap
+    far below float resolution.  The vector engine's float gap at such a
+    tie is inside _FLOAT_TOL, so the exact sign decides it.  A rejected
+    one is demoted as ea demotes it: the edge alone, as _reference_step
+    and _i_prime_from demote it."""
+    exact_calls = []
+
+    def counted(coeffs, a):
+        exact_calls.append(coeffs)
+        return sign_of_coeffs(coeffs, a)
+
+    monkeypatch.setattr(heuristics, "sign_of_coeffs", counted)
+    a = canonicalize_alpha(alpha)
+    dim = a.basis_dim
+    w = 2 ** 12
+    g = WeightedGraph(3, (w, w, w), ((0, 1), (1, 2)))
+    q_cap = q_max_for(a, w)
+    unit = (1,) + (0,) * (dim - 1)
+    nudges = [(0,) * dim, unit, tuple(-c for c in unit)]
+    if alpha in PELL:
+        tiny = tuple(near_zero(alpha, dim, 12))
+        nudges += [tiny, tuple(-c for c in tiny)]
+    outcomes = Counter()
+    for qs in range(q_cap + 1):
+        if alpha ** (qs / 4) > 2 ** 10:  # keep y1 well above zero
+            break
+        s = step_coeffs(qs, a)
+        q = [qs, 0]
+        for nudge in nudges:
+            # vertex 1 carries 3 + y1 = w - beta^qs + nudge before the step
+            y1 = tuple((w - 3) * (k == 0) - s[k] + nudge[k]
+                       for k in range(dim))
+            values = [3, y1]
+            engines = [_VecEngine(g, values, w, a, q_cap)]
+            if not any(y1[1:]) and not any(s[1:]):
+                values = [3, y1[0]]
+                engines.append(_IntEngine(g, values, w, a, q_cap))
+            for eng in engines:
+                assert eng.sign_now() > 0
+                del exact_calls[:]
+                assert engine_agrees(eng, values, q, [0], 1, alpha=a)
+                accept, _deltas, over = _decide_increase(eng, [0], q)
+                tie = not any(nudge) or nudge in nudges[3:]
+                if isinstance(eng, _VecEngine) and tie:
+                    assert exact_calls, (qs, nudge)
+                outcomes[type(eng).__name__, accept] += 1
+                if accept:
+                    continue
+                assert over == [1]
+                assert _i_prime_from(eng, [0], over) == [0]
+                _y, accepted, demoted = _reference_step(
+                    g, RunConfig("ea", alpha, w, 1, 0),
+                    coefficient_rows(a, values), 1, list(q), [0], 1)
+                assert not accepted and demoted == (0,)
+    assert min(outcomes.values()) >= 3
+    assert len(outcomes) == 4
 
 
 # -- one evaluation of _reference_step ------------------------------------------------
