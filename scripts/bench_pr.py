@@ -2,8 +2,8 @@
 
     python3 scripts/bench_pr.py --parent <rev> --pr <N>
 
-The parent is checked out with ``git worktree add --detach`` under a
-temporary directory, and the worktree is removed again at the end.  For
+The parent's committed files are unpacked with ``git archive`` into a
+temporary directory, which is removed again at the end.  For
 every workload in ``BENCHMARK.json`` and each of the ten seeds in ``SEEDS``
 (ten pairs, the fewest a gain claim rests on), the benchmark command
 (``python3 perfbench/run.py``) runs once in each checkout, alternating which
@@ -30,6 +30,7 @@ file.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -37,6 +38,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -155,12 +157,14 @@ def main(argv=None) -> int:
     out_path = ROOT / f"BENCH_{args.pr}.json"
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pr-"))
-    worktree = tmp / "parent"
     runs = []
     golden = {w["name"]: {} for w in benchmark["workloads"]}
     try:
-        git("worktree", "add", "--detach", str(worktree), parent_rev)
-        checkouts = {"parent": worktree, "pr": ROOT}
+        archive = subprocess.run(["git", "archive", parent_rev], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "parent", filter="data")
+        checkouts = {"parent": tmp / "parent", "pr": ROOT}
         jobs = [(w["name"], seed) for w in benchmark["workloads"]
                 for seed in SEEDS]
         for i, (workload, seed) in enumerate(jobs):
@@ -184,9 +188,6 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {GOLDEN_SEED} {side}: correct"
                       f" {result['correct']}", file=sys.stderr)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force",
-                        str(worktree)], cwd=ROOT, capture_output=True,
-                       check=False)
         shutil.rmtree(tmp, ignore_errors=True)
 
     report = {

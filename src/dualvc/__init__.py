@@ -2,9 +2,8 @@
 solutions (2-approximate weighted vertex covers) under dynamic graph edits,
 with exact arithmetic over Q(alpha^(1/4)) and a seeded benchmark harness."""
 
-from .numeric import (TAU, Alpha, RadicalValue, canonicalize_alpha,
-                      float_sign, float_value, interval_sign, q_max_for,
-                      sign_of_coeffs, step_coeffs)
+from .numeric import (Alpha, RadicalValue, canonicalize_alpha, float_value,
+                      interval_sign, q_max_for, sign_of_coeffs, step_coeffs)
 from .graph import Edit, EditDiff, WeightedGraph, apply_edit, canonical_edge
 from .dual import DualSolution, extract_cover
 from .oracle import (CoverCertificate, ExactCoverResult, FitnessOutcome,
@@ -17,16 +16,14 @@ from .instances import (HARD_VARIANTS, VARIANTS, DynamicInstance, derive_seed,
 from .heuristics import (ALGORITHMS, RunConfig, RunResult, TransitionRecord,
                          run, run_reference)
 from .harness import (BenchCell, BenchPlan, BenchRecord, ScalingCell,
-                      ScalingReport, bound_shape, execute_plan,
-                      format_scaling_report, read_records, run_trial,
-                      scaling_report)
+                      bound_shape, execute_plan, format_scaling_report,
+                      read_records, run_trial, scaling_report)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TAU", "Alpha", "RadicalValue", "canonicalize_alpha", "float_sign",
-    "float_value", "interval_sign", "q_max_for", "sign_of_coeffs",
-    "step_coeffs",
+    "Alpha", "RadicalValue", "canonicalize_alpha", "float_value",
+    "interval_sign", "q_max_for", "sign_of_coeffs", "step_coeffs",
     "Edit", "EditDiff", "WeightedGraph", "apply_edit", "canonical_edge",
     "DualSolution", "extract_cover",
     "CoverCertificate", "ExactCoverResult", "FitnessOutcome",
@@ -37,7 +34,7 @@ __all__ = [
     "random_instance",
     "ALGORITHMS", "RunConfig", "RunResult", "TransitionRecord", "run",
     "run_reference",
-    "BenchCell", "BenchPlan", "BenchRecord", "ScalingCell", "ScalingReport",
+    "BenchCell", "BenchPlan", "BenchRecord", "ScalingCell",
     "bound_shape", "execute_plan", "format_scaling_report", "read_records",
     "run_trial", "scaling_report",
     "__version__",

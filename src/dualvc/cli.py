@@ -91,8 +91,6 @@ def _plain_values(values: Sequence[RadicalValue]) -> tuple:
 
 def _instance_from_args(args) -> DynamicInstance:
     if args.hard:
-        if args.m < 2:
-            raise ValueError("--hard needs --m >= 2")
         return hard_instance(args.variant, args.m, args.alpha)
     if not (args.graph and args.edit and args.y0):
         raise ValueError("need --graph, --edit and --y0 (or --hard)")
@@ -108,8 +106,6 @@ def _instance_from_args(args) -> DynamicInstance:
 def cmd_gen(args) -> int:
     """Emit <out>.graph.json, <out>.edit.json and <out>.y0.txt."""
     if args.hard:
-        if args.m < 2:
-            raise ValueError("--hard needs --m >= 2")
         inst = hard_instance(args.variant, args.m, args.alpha)
     else:
         if args.variant is None:

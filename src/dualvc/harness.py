@@ -366,12 +366,8 @@ class ScalingCell:
     super_bound_growth: bool  # ratios strictly increase across every m
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    cells: tuple[ScalingCell, ...]
-
-
-def scaling_report(records: Sequence[BenchRecord]) -> ScalingReport:
+def scaling_report(records: Sequence[BenchRecord]
+                   ) -> tuple[ScalingCell, ...]:
     """Group rows by everything but m and compare median evaluations against
     bound_shape across m.
 
@@ -409,12 +405,12 @@ def scaling_report(records: Sequence[BenchRecord]) -> ScalingReport:
         raise ValueError(
             "scaling report needs >= 3 distinct m values for some "
             "(variant, algorithm, D, alpha, wmax) group")
-    return ScalingReport(tuple(cells))
+    return tuple(cells)
 
 
-def format_scaling_report(report: ScalingReport) -> str:
+def format_scaling_report(cells: Sequence[ScalingCell]) -> str:
     lines = []
-    for c in report.cells:
+    for c in cells:
         lines.append(f"variant={c.variant} algorithm={c.algorithm}"
                      f" D={c.d_scale} alpha={c.alpha}"
                      f" wmax={encode_wmax(c.wmax, c.alpha)}")

@@ -159,10 +159,21 @@ class _BaseEngine:
     Tracks per-vertex slack signs (load vs weight), the violated-vertex
     count, per-edge tight-endpoint counts and the count of edges with no
     tight endpoint, so feasibility and maximality are O(1) queries.
+
+    Each engine sets ``zero`` (which also seeds the loads),
+    ``sigma_table[q]`` (the exact step beta^q) and ``step_size[q]`` (the
+    step ``overloads`` adds) before calling this constructor.  It supplies
+    the value operations ``_vadd``, ``_vsub``, ``vsign``, ``scale_int`` and
+    ``coeff_rows``, and two load tests: ``_load_sign(v)``, the sign of
+    load(v) - W(v), and ``overloads(v, extra, selection, q)``, whether
+    raising every selected edge e by beta^q[e] puts v's load above W(v),
+    `extra` being the sum of ``step_size[q[e]]`` over the selected edges at
+    v.
     """
 
     __slots__ = ("graph", "n", "m", "weights", "adj", "w_max", "penalty",
-                 "y", "load", "slack", "nviol", "tight_ends", "untight")
+                 "y", "load", "slack", "nviol", "tight_ends", "untight",
+                 "zero", "sigma_table", "step_size")
 
     def __init__(self, graph, y_init, w_max: int) -> None:
         self.graph = graph
@@ -173,7 +184,7 @@ class _BaseEngine:
         self.w_max = w_max
         self.penalty = graph.m * w_max
         self.y = list(y_init)
-        self.load = self._zero_loads()
+        self.load = [self.zero] * graph.n
         for e, (u, v) in enumerate(graph.edges):
             self.load[u] = self._vadd(self.load[u], self.y[e])
             self.load[v] = self._vadd(self.load[v], self.y[e])
@@ -183,27 +194,6 @@ class _BaseEngine:
         for e, (u, v) in enumerate(graph.edges):
             self.tight_ends[e] = (self.slack[u] == 0) + (self.slack[v] == 0)
         self.untight = sum(1 for t in self.tight_ends if t == 0)
-
-    # subclass-provided value ops ----------------------------------------
-
-    def _zero_loads(self):
-        raise NotImplementedError
-
-    def _vadd(self, a, b):
-        raise NotImplementedError
-
-    def _slack_sign(self, load, w) -> int:
-        raise NotImplementedError
-
-    def _load_sign(self, v: int) -> int:
-        """Sign of load(v) - W(v), from the stored load."""
-        return self._slack_sign(self.load[v], self.weights[v])
-
-    def overloads(self, v: int, extra, selection, q) -> bool:
-        """Whether raising every selected edge e by beta^q[e] puts v's load
-        above W(v); `extra` is the sum of ``step_size[q[e]]`` over the
-        selected edges at v."""
-        raise NotImplementedError
 
     # shared bookkeeping ---------------------------------------------------
 
@@ -250,35 +240,28 @@ class _BaseEngine:
         for v in touched:
             self._refresh_vertex(v)
 
-    def _vsub(self, a, b):
-        raise NotImplementedError
-
 
 class _IntEngine(_BaseEngine):
     """Integer starting values whose steps stay integers, so every value
     stays a plain int: ea/rls (q = 0 mod 4, integer powers of alpha) at any
-    alpha, and every algorithm at field degree 1.  ``pow_beta[q]`` is
-    beta^q, or None where that step is irrational."""
+    alpha, and every algorithm at field degree 1.  ``sigma_table[q]`` is
+    beta^q, or None where that step is irrational; ``step_size`` is the
+    same list."""
 
-    __slots__ = ("pow_beta", "step_size")
+    __slots__ = ()
 
     def __init__(self, graph, y_init, w_max, alpha: Alpha, q_cap) -> None:
-        super().__init__(graph, [int(v) for v in y_init], w_max)
         rows = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
-        self.pow_beta = [None if any(row[1:]) else row[0] for row in rows]
-        self.step_size = self.pow_beta
-
-    def _zero_loads(self):
-        return [0] * self.n
+        self.zero = 0
+        self.sigma_table = self.step_size = [
+            None if any(row[1:]) else row[0] for row in rows]
+        super().__init__(graph, [int(v) for v in y_init], w_max)
 
     def _vadd(self, a, b):
         return a + b
 
     def _vsub(self, a, b):
         return a - b
-
-    def _slack_sign(self, load, w) -> int:
-        return (load > w) - (load < w)
 
     def _load_sign(self, v: int) -> int:
         load = self.load[v]
@@ -287,12 +270,6 @@ class _IntEngine(_BaseEngine):
 
     def overloads(self, v: int, extra, selection, q) -> bool:
         return self.load[v] + extra > self.weights[v]
-
-    def sigma(self, q: int):
-        return self.pow_beta[q]
-
-    def zero_value(self):
-        return 0
 
     def vsign(self, a) -> int:
         return (a > 0) - (a < 0)
@@ -319,8 +296,7 @@ class _VecEngine(_BaseEngine):
     among them, and loads beyond the float range (NaN or inf, which fail
     both comparisons) are decided by ``sign_of_coeffs``."""
 
-    __slots__ = ("alpha", "dim", "sigma_table", "beta_f", "step_size",
-                 "fslack", "fmag")
+    __slots__ = ("alpha", "dim", "beta_f", "fslack", "fmag")
 
     def __init__(self, graph, y_init, w_max, alpha: Alpha, q_cap) -> None:
         self.alpha = alpha
@@ -328,11 +304,11 @@ class _VecEngine(_BaseEngine):
         self.beta_f = [alpha.alpha ** (k / 4) for k in range(self.dim)]
         self.fslack = [nan] * graph.n
         self.fmag = [inf] * graph.n
-        values = [self._lift(v) for v in y_init]
-        super().__init__(graph, values, w_max)
+        self.zero = (0,) * self.dim
         self.sigma_table = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
         self.step_size = [self._float_of(row)[0]
                           for row in self.sigma_table]
+        super().__init__(graph, [self._lift(v) for v in y_init], w_max)
 
     def _lift(self, v):
         if isinstance(v, RadicalValue):
@@ -345,9 +321,6 @@ class _VecEngine(_BaseEngine):
                 raise ValueError(f"value {v!r} has wrong dimension")
             return v
         return (v,) + (0,) * (self.dim - 1)
-
-    def _zero_loads(self):
-        return [(0,) * self.dim] * self.n
 
     def _vadd(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -401,12 +374,6 @@ class _VecEngine(_BaseEngine):
             if v in self.graph.edges[e]:
                 load = self._vadd(load, self.sigma_table[q[e]])
         return self._slack_sign(load, self.weights[v]) > 0
-
-    def sigma(self, q: int):
-        return self.sigma_table[q]
-
-    def zero_value(self):
-        return (0,) * self.dim
 
     def vsign(self, a) -> int:
         if all(c == 0 for c in a):
@@ -465,21 +432,20 @@ def _decide_increase(eng, selection, q):
     if over:
         return False, [], over
     y = eng.y
-    return True, [(e, eng._vadd(y[e], eng.sigma(q[e])))
+    return True, [(e, eng._vadd(y[e], eng.sigma_table[q[e]]))
                   for e in selection], over
 
 
 def _decide_decrease_infeasible(eng, selection, q):
     """Infeasible-sign decrease: gains on edges at violated vertices fight
     the m*w_max penalty on all other touched edges."""
-    gain = eng.zero_value()
-    pen = eng.zero_value()
+    gain = pen = eng.zero
     deltas = []
     for e in selection:
         ycur = eng.y[e]
-        s = eng.sigma(q[e])
+        s = eng.sigma_table[q[e]]
         if eng.vsign(eng._vsub(ycur, s)) <= 0:
-            dec, new = ycur, eng.zero_value()  # clamped to zero
+            dec, new = ycur, eng.zero  # clamped to zero
         else:
             dec, new = s, eng._vsub(ycur, s)
         if eng.vsign(dec) == 0:
@@ -541,7 +507,7 @@ def run(instance: DynamicInstance, config: RunConfig,
     evals = 0
     accepted_n = 0
     success = eng.is_mfds()
-    zero = eng.zero_value()
+    zero = eng.zero
     while not success and evals < budget and m > 0:
         sign_before = eng.sign_now()
         d = draw_direction(rng) if fifth else sign_before

@@ -20,8 +20,10 @@ of rounding artifacts.
 Step sizes are never materialized eagerly: they are carried as the integer
 quarter-exponent q with sigma = alpha^(q/4), clamped to [0, q_max].
 
-Floats decide nothing.  The one numeric approximation is a fixed-point
-bracket of a value between integers, from floor(beta * 2^bits); it backs the
+Floats decide only in the vector engine's filter (``heuristics._VecEngine``),
+which takes a float sign where a rounding bound proves it and this module's
+exact sign otherwise.  The one approximation here is a fixed-point bracket
+of a value between integers, from floor(beta * 2^bits); it backs the
 interval sign the tests check the exact signs against, and the float that
 ``solve --log`` and ``dualvc verify`` print for sum(Y).
 """
@@ -35,10 +37,6 @@ from math import inf, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
-
-#: Absolute tolerance of the float backend.  Sign queries whose float
-#: estimate lands within TAU of zero are escalated to the exact backend.
-TAU = 2.0 ** -20
 
 
 def _iroot4(x: int) -> int:
@@ -301,15 +299,3 @@ def float_value(coeffs: Sequence[Rational], alpha: Alpha) -> float:
         return (lo + hi) / (2 * scale)
     except OverflowError:
         return inf if lo + hi > 0 else -inf
-
-
-def float_sign(coeffs: Sequence[Rational], alpha: Alpha, tau: float = TAU,
-               escalate: bool = True) -> int:
-    """Sign via float_value.  Estimates within tau of zero are escalated to
-    the exact backend when `escalate`, else resolved as 0."""
-    v = float_value(coeffs, alpha)
-    if v > tau:
-        return 1
-    if v < -tau:
-        return -1
-    return sign_of_coeffs(coeffs, alpha) if escalate else 0

@@ -17,8 +17,7 @@ def engine_decision(eng, selection, q, direction):
         if direction > 0:
             accept, deltas, _over = _decide_increase(eng, selection, q)
             return accept, deltas
-        zero = eng.zero_value()
-        return all(eng.y[e] == zero for e in selection), []
+        return all(eng.y[e] == eng.zero for e in selection), []
     if direction > 0:
         return False, []
     return _decide_decrease_infeasible(eng, selection, q)

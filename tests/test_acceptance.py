@@ -20,6 +20,7 @@ from math import ceil
 
 import pytest
 
+from dualvc import heuristics
 from dualvc.dual import DualSolution, extract_cover
 from dualvc.graph import WeightedGraph
 from dualvc.harness import (BenchCell, BenchPlan, contrast_bound,
@@ -28,12 +29,12 @@ from dualvc.harness import (BenchCell, BenchPlan, contrast_bound,
 from dualvc.heuristics import ALGORITHMS, RunConfig, _VecEngine, run
 from dualvc.instances import (VARIANTS, derive_seed, hard_instance,
                               random_dynamic)
-from dualvc.numeric import (TAU, RadicalValue, canonicalize_alpha,
-                            float_sign, float_value, q_max_for,
+from dualvc.numeric import (RadicalValue, canonicalize_alpha, q_max_for,
                             sign_of_coeffs, step_coeffs)
 from dualvc.oracle import enumerate_mfds, exact_min_wvc, validate_mfds_naive
 
 from engine_decisions import engine_agrees
+from near_ties import PELL, near_zero
 
 A2 = canonicalize_alpha(2)
 ALPHA = 2
@@ -318,23 +319,54 @@ def test_criterion_4_fitness_and_maximality_match_the_oracle(capsys):
 # criterion 5: numeric kernel
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_float_backend_and_step_identities(capsys):
-    """Float and exact sign agree on 1e5 random values of magnitude >= tau;
-    one full step up multiplies the step value by alpha exactly, across the
-    whole exponent range for alpha in {2, 3, 9, 16}."""
+def test_criterion_5_float_backend_and_step_identities(capsys, monkeypatch):
+    """The vector engine's float filter (_VecEngine._load_sign and
+    overloads) gives the exact sign on 1e5 load tests at alpha in
+    {2, 3, 9, 16}: random loads, and at alpha 2 and 9 loads whose gap to
+    the weight, before or after the step, is zero or a Pell unit far below
+    float resolution.  Its sign_of_coeffs calls are the exact fallbacks;
+    the floats settle every other sign.  One full step up multiplies the
+    step value by alpha exactly, across the whole exponent range."""
+    fallbacks = 0
+
+    def counted(coeffs, a):
+        nonlocal fallbacks
+        fallbacks += 1
+        return sign_of_coeffs(coeffs, a)
+
     rng = random.Random(5050)
+    w = 2 ** 20
+    g = WeightedGraph(2, (w, w), ((0, 1),))
+    cases = []
+    for alpha in (2, 2, 2, 3, 9, 16):
+        a = canonicalize_alpha(alpha)
+        q_cap = q_max_for(a, w)
+        ties = [near_zero(alpha, a.basis_dim, n) for n in range(24)
+                ] if alpha in PELL else []
+        cases.append((a, _VecEngine(g, [0], w, a, q_cap), q_cap, ties))
+    monkeypatch.setattr(heuristics, "sign_of_coeffs", counted)
     compared = mismatches = 0
-    alphas = [canonicalize_alpha(a) for a in (2, 2, 2, 3, 9, 16)]
     while compared < 100_000:
-        a = alphas[compared % len(alphas)]
-        coeffs = tuple(Fraction(rng.randint(-10 ** 6, 10 ** 6),
-                                rng.randint(1, 1000))
-                       for _ in range(a.basis_dim))
-        if abs(float_value(coeffs, a)) <= TAU:
-            continue
-        if float_sign(coeffs, a, escalate=False) != sign_of_coeffs(coeffs, a):
+        a, eng, q_cap, ties = cases[compared // 2 % len(cases)]
+        step = rng.randint(0, q_cap)
+        sigma = step_coeffs(step, a)
+        if ties and rng.random() < 0.5:
+            s = rng.choice((1, -1, 0))
+            gap = [s * c for c in rng.choice(ties)]
+            if rng.getrandbits(1):  # the step, not the load, meets the tie
+                gap = [x - c for x, c in zip(gap, sigma)]
+        else:
+            gap = [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                            rng.randint(1, 1000)) for _ in sigma]
+        eng.load[0] = (gap[0] + w,) + tuple(gap[1:])
+        raised = [x + c for x, c in zip(gap, sigma)]
+        if eng._load_sign(0) != sign_of_coeffs(gap, a):
             mismatches += 1
-        compared += 1
+        if eng.overloads(0, eng.step_size[step], [0], [step]) != \
+                (sign_of_coeffs(raised, a) > 0):
+            mismatches += 1
+        compared += 2
+    float_settled = compared - fallbacks
     identity_failures = 0
     for alpha in (2, 3, 9, 16):
         a = canonicalize_alpha(alpha)
@@ -343,12 +375,15 @@ def test_criterion_5_float_backend_and_step_identities(capsys):
             if step_coeffs(q + 4, a) != tuple(alpha * c
                                               for c in step_coeffs(q, a)):
                 identity_failures += 1
-    ok = mismatches == 0 and identity_failures == 0
+    ok = (mismatches == 0 and float_settled > 0 and fallbacks > 0
+          and identity_failures == 0)
     verdict(capsys, 5, ok,
             f"sign_comparisons={compared} mismatches={mismatches}"
+            f" float_settled={float_settled} exact_fallbacks={fallbacks}"
             f" step_identity_failures={identity_failures}")
     assert compared == 100_000
     assert mismatches == 0
+    assert float_settled > 0 and fallbacks > 0
     assert identity_failures == 0
 
 
@@ -474,22 +509,22 @@ def test_criterion_8_median_scaling_stays_within_band(capsys):
     plan = scaling_plan(trials=12)
     records = [run_trial(cell, t) for cell in plan.cells
                for t in range(cell.trials)]
-    report = scaling_report(records)
+    cells = scaling_report(records)
     elapsed = time.perf_counter() - t0
-    in_band = [c.within_band for c in report.cells]
+    in_band = [c.within_band for c in cells]
     growth_flags = [f"{c.variant}/{c.algorithm}/D={c.d_scale}"
-                    for c in report.cells if c.super_bound_growth]
+                    for c in cells if c.super_bound_growth]
     ok = all(in_band)
-    detail = (f"groups={len(report.cells)} within_band={sum(in_band)}"
+    detail = (f"groups={len(cells)} within_band={sum(in_band)}"
               f"/{len(in_band)}"
-              f" max_spread={max(c.spread for c in report.cells):.2f}"
+              f" max_spread={max(c.spread for c in cells):.2f}"
               f" elapsed={elapsed:.1f}s")
     if growth_flags:
         detail += f"\nmonotone-growth flags (diagnostic): {growth_flags}"
-    detail += "\n" + format_scaling_report(report)
+    detail += "\n" + format_scaling_report(cells)
     verdict(capsys, 8, ok, detail)
-    assert len(report.cells) == 12
-    assert all(in_band), format_scaling_report(report)
+    assert len(cells) == 12
+    assert all(in_band), format_scaling_report(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -355,9 +355,9 @@ def test_scaling_report_constant_ratio_group():
         b = bound_shape(m, 1, 2, 16)
         for t in range(3):
             records.append(synth(m, int(2 * b), seed=t))
-    report = scaling_report(records)
-    assert len(report.cells) == 1
-    c = report.cells[0]
+    cells = scaling_report(records)
+    assert len(cells) == 1
+    c = cells[0]
     assert c.ms == (8, 16, 32)
     assert c.within_band and c.spread < 1.05
     assert 1.9 < c.fit_constant < 2.05
@@ -367,15 +367,14 @@ def test_scaling_report_constant_ratio_group():
 def test_scaling_report_flags_super_bound_growth():
     records = [synth(m, int(bound_shape(m, 1, 2, 16) * m * m))
                for m in (8, 16, 32)]
-    report = scaling_report(records)
-    c = report.cells[0]
+    c = scaling_report(records)[0]
     assert c.super_bound_growth
     assert not c.within_band and c.spread > 4
 
 
 def test_scaling_report_floors_zero_medians():
     records = [synth(m, 0) for m in (8, 16, 32)]
-    c = scaling_report(records).cells[0]
+    c = scaling_report(records)[0]
     assert all(r == 1.0 / b for r, b in zip(c.ratios, c.bounds))
 
 
@@ -389,8 +388,7 @@ def test_scaling_report_groups_by_algorithm():
     for algo in ("ea", "rls"):
         for m in (8, 16, 32):
             records.append(synth(m, 100, algorithm=algo))
-    report = scaling_report(records)
-    assert [c.algorithm for c in report.cells] == ["ea", "rls"]
+    assert [c.algorithm for c in scaling_report(records)] == ["ea", "rls"]
 
 
 def test_format_scaling_report():
@@ -496,6 +494,17 @@ def test_cli_gen_hard_and_solve_hard(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.splitlines()[1].startswith("E+,ea,3,1,2,8,")
+
+
+def test_cli_hard_below_two_edges_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["gen", "--hard", "--variant", "E+", "--m", "1",
+                     "--out", "p"]) == 2
+    assert cli_main(["solve", "--hard", "--variant", "W-", "--m", "1",
+                     "--algo", "rls"]) == 2
+    assert "m >= 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_solve_budget_exhaustion_exit_code(capsys):

@@ -24,6 +24,7 @@ from dualvc.numeric import (canonicalize_alpha, q_max_for, sign_of_coeffs,
 from dualvc.oracle import (coefficient_rows, trap_edge, validate_mfds_naive,
                            violated)
 from engine_decisions import engine_agrees
+from near_ties import PELL, near_zero
 
 A2 = canonicalize_alpha(2)
 
@@ -207,24 +208,6 @@ def test_i_prime_mixed():
 
 
 # -- the vector engine's float filter -----------------------------------------------
-
-#: Per alpha: R with sqrt(R) a basis element, its coordinate, and the
-#: fundamental solution of p^2 - R*q^2 = 1.
-PELL = {2: (2, 2, (3, 2)), 9: (3, 1, (2, 1))}
-
-
-def near_zero(alpha, dim, n):
-    """p - q*sqrt(R) = 1 / (p + q*sqrt(R)) > 0 for the n-th Pell solution,
-    as a coefficient row: a value far below float resolution relative to
-    its coefficients once n is large."""
-    r, k, (p0, q0) = PELL[alpha]
-    p, q = p0, q0
-    for _ in range(n):
-        p, q = p * p0 + r * q * q0, p * q0 + q * p0
-    row = [0] * dim
-    row[0], row[k] = p, -q
-    return row
-
 
 @pytest.mark.parametrize("alpha", [2, 9])
 def test_vector_engine_float_filter_is_exact(alpha):
