@@ -156,7 +156,7 @@ def test_step_value_rejects_out_of_range():
         step_coeffs(-1, a2)
 
 
-# -- float backend -----------------------------------------------------------
+# -- float values ------------------------------------------------------------
 
 def test_float_value_rational_is_exact():
     a2 = canonicalize_alpha(2)
