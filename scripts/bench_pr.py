@@ -22,9 +22,10 @@ every run's ``correct``, ``attempted`` and ``failed``; and the
 included, since the working tree as it stands is what was measured.
 Each run's ``rows_sha256`` is recorded too; per workload, ``rows_match``
 says whether both sides produced the same rows at every paired seed, and
-``golden`` holds each side's ``correct`` at seed 1.  The script exits 1 if
-any pair's rows differ or a seed-1 run is not correct, after writing the
-file.
+``golden`` holds each side's ``correct`` at seed 1.  ``src_lines`` holds
+each side's line count of ``src/**/*.py``, and the script prints the net
+change.  The script exits 1 if any pair's rows differ or a seed-1 run is
+not correct, after writing the file.
 """
 
 from __future__ import annotations
@@ -138,6 +139,12 @@ def run_benchmark(command: list, checkout: Path, workload: str, seed: int,
     return parse_result(done.stdout), parse_rows_sha256(done.stdout)
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under the checkout's ``src``."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (checkout / "src").rglob("*.py"))
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.rstrip()
@@ -165,6 +172,7 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "parent", filter="data")
         checkouts = {"parent": tmp / "parent", "pr": ROOT}
+        lines = {side: src_lines(checkouts[side]) for side in SIDES}
         jobs = [(w["name"], seed) for w in benchmark["workloads"]
                 for seed in SEEDS]
         for i, (workload, seed) in enumerate(jobs):
@@ -198,6 +206,7 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
         "seeds": list(SEEDS),
         "seconds": seconds,
+        "src_lines": lines,
         "workloads": summarize(benchmark, runs),
     }
     for workload, entry in report["workloads"].items():
@@ -209,6 +218,8 @@ def main(argv=None) -> int:
                   f" parent {m['parent']['median']:.4g}"
                   f" pr {m['pr']['median']:.4g} ({m['change']:+.1%})"
                   f" wins {m['wins']}/{m['pairs']} bound {m['bound']}")
+    print(f"src_lines parent {lines['parent']} pr {lines['pr']}"
+          f" ({lines['pr'] - lines['parent']:+d})")
     print(f"wrote {out_path}")
     status = 0
     for workload, entry in report["workloads"].items():

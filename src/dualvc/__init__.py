@@ -2,8 +2,8 @@
 solutions (2-approximate weighted vertex covers) under dynamic graph edits,
 with exact arithmetic over Q(alpha^(1/4)) and a seeded benchmark harness."""
 
-from .numeric import (Alpha, RadicalValue, canonicalize_alpha, float_value,
-                      interval_sign, q_max_for, sign_of_coeffs, step_coeffs)
+from .numeric import (Alpha, canonicalize_alpha, float_value, interval_sign,
+                      q_max_for, sign_of_coeffs, step_coeffs)
 from .graph import Edit, EditDiff, WeightedGraph, apply_edit, canonical_edge
 from .dual import DualSolution, extract_cover
 from .oracle import (CoverCertificate, ExactCoverResult, FitnessOutcome,
@@ -22,7 +22,7 @@ from .harness import (BenchCell, BenchPlan, BenchRecord, ScalingCell,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alpha", "RadicalValue", "canonicalize_alpha", "float_value",
+    "Alpha", "canonicalize_alpha", "float_value",
     "interval_sign", "q_max_for", "sign_of_coeffs", "step_coeffs",
     "Edit", "EditDiff", "WeightedGraph", "apply_edit", "canonical_edge",
     "DualSolution", "extract_cover",

@@ -18,7 +18,7 @@ from .harness import (SOLVE_HEADER, BenchRecord, RunLogger, execute_plan,
 from .heuristics import ALGORITHMS, RunConfig, run
 from .instances import (VARIANTS, DynamicInstance, hard_instance,
                         make_dynamic, random_dynamic)
-from .numeric import RadicalValue, float_value
+from .numeric import float_value
 from .oracle import cover_certificate
 
 
@@ -76,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _plain_values(values: Sequence[RadicalValue]) -> tuple:
-    """Map rational RadicalValues to plain rationals (ints when whole), so
-    only truly irrational values stay tied to the alpha of their dump."""
+def _plain_values(rows: Sequence[tuple]) -> tuple:
+    """Map rational rows to plain rationals (ints when whole), so only truly
+    irrational values stay tied to the alpha of their dump."""
     out = []
-    for v in values:
-        c0 = v.coeffs[0]
-        if any(c != 0 for c in v.coeffs[1:]):
-            out.append(v)
+    for row in rows:
+        c0 = row[0]
+        if any(row[1:]):
+            out.append(row)
         else:
             out.append(int(c0) if c0.denominator == 1 else c0)
     return tuple(out)
@@ -97,10 +97,15 @@ def _instance_from_args(args) -> DynamicInstance:
     g = load_instance(args.graph)
     edit = load_edit(args.edit)
     y0 = load_dual(args.y0, g)
+    values = _plain_values(y0.y)
+    if (y0.alpha.alpha != args.alpha
+            and any(isinstance(v, tuple) for v in values)):
+        raise ValueError(f"{args.y0} holds irrational values over alpha"
+                         f" {y0.alpha.alpha}, not --alpha {args.alpha}")
     variant = args.variant
     if variant is None:
         variant = "E" if edit.kind == "edges" else "W"
-    return make_dynamic(g, _plain_values(y0.y), edit, variant)
+    return make_dynamic(g, values, edit, variant, y0.alpha)
 
 
 def cmd_gen(args) -> int:
@@ -116,7 +121,7 @@ def cmd_gen(args) -> int:
                               args.wmax, args.seed)
     if not args.out:
         raise ValueError("gen needs --out <prefix>")
-    y0 = DualSolution.from_ints(inst.graph, args.alpha, inst.y_orig)
+    y0 = DualSolution(inst.graph, args.alpha, inst.y_orig)
     paths = (args.out + ".graph.json", args.out + ".edit.json",
              args.out + ".y0.txt")
     save_instance(inst.graph, paths[0])
@@ -151,8 +156,8 @@ def cmd_solve(args) -> int:
     print(SOLVE_HEADER)
     print(record.row_prefix())
     if args.out:
-        final = DualSolution.from_coeffs(instance.graph_star, args.alpha,
-                                         result.final_coeffs)
+        final = DualSolution(instance.graph_star, args.alpha,
+                             result.final_coeffs)
         save_dual(final, args.out)
     return 0 if result.success else 1
 

@@ -9,58 +9,45 @@ endpoint, i.e. no single value can be raised.  The tight vertices of an
 MFDS cover every edge with total weight at most twice the value sum, which
 is the 2-approximation certificate this package is built around.
 
-Values are RadicalValues, because a dump names its alpha and a bare
-coefficient tuple cannot.  Every check of a solution is the oracle's cover
-certificate (:func:`dualvc.oracle.cover_certificate`), computed on integer
-coefficient rows.  The search runs on the engines in
-:mod:`dualvc.heuristics`, and the reference replay the tests hold them to
-runs over coefficient rows too.
+Values are rows of Fraction coefficients over the solution's alpha, which
+the dump names in its header because a bare row cannot.  Every check of a
+solution is the oracle's cover certificate
+(:func:`dualvc.oracle.cover_certificate`), computed on integer coefficient
+columns.  The search runs on the engines in :mod:`dualvc.heuristics`, and
+the reference replay the tests hold them to runs over coefficient rows too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .graph import WeightedGraph
-from .numeric import Alpha, RadicalValue, canonicalize_alpha
-from .oracle import CoverCertificate, cover_certificate
+from .numeric import Alpha, canonicalize_alpha, sign_of_coeffs
+from .oracle import (CoverCertificate, Value, coefficient_rows,
+                     cover_certificate)
 
 _PAD = 4  # dump lines always carry 4 coefficient columns
 
 
 class DualSolution:
-    """One non-negative RadicalValue per edge, all over one alpha."""
+    """One non-negative value per edge, stored as a tuple of Fraction
+    coefficients over the basis of one alpha."""
 
     __slots__ = ("graph", "alpha", "y")
 
     def __init__(self, graph: WeightedGraph, alpha: Union[int, Alpha],
-                 values: Optional[Sequence[RadicalValue]] = None) -> None:
+                 values: Sequence[Value]) -> None:
+        """`values`: ints, Fractions or coefficient rows over `alpha`."""
         self.graph = graph
         self.alpha = canonicalize_alpha(alpha)
-        if values is None:
-            values = [RadicalValue.zero(self.alpha)] * graph.m
         if len(values) != graph.m:
             raise ValueError(f"{len(values)} values for {graph.m} edges")
-        for v in values:
-            if v.alpha != self.alpha:
-                raise ValueError("value alpha mismatch")
-            if v.sign() < 0:
-                raise ValueError(f"negative LP value {v!r}")
-        self.y = list(values)
-
-    @classmethod
-    def from_ints(cls, graph: WeightedGraph, alpha: Union[int, Alpha],
-                  values: Sequence[int]) -> "DualSolution":
-        a = canonicalize_alpha(alpha)
-        return cls(graph, a,
-                   [RadicalValue.from_rational(a, v) for v in values])
-
-    @classmethod
-    def from_coeffs(cls, graph: WeightedGraph, alpha: Union[int, Alpha],
-                    coeff_rows: Sequence[Sequence]) -> "DualSolution":
-        a = canonicalize_alpha(alpha)
-        return cls(graph, a, [RadicalValue(a, row) for row in coeff_rows])
+        self.y = [tuple(map(Fraction, row))
+                  for row in coefficient_rows(self.alpha, values)]
+        for row in self.y:
+            if sign_of_coeffs(row, self.alpha) < 0:
+                raise ValueError(f"negative LP value {row!r}")
 
 
 def extract_cover(y: DualSolution) -> tuple[frozenset[int], CoverCertificate]:
@@ -84,8 +71,8 @@ def extract_cover(y: DualSolution) -> tuple[frozenset[int], CoverCertificate]:
 
 def dump_dual(y: DualSolution) -> str:
     lines = [f"alpha {y.alpha.alpha}"]
-    for e, val in enumerate(y.y):
-        cs = list(val.coeffs) + [Fraction(0)] * (_PAD - len(val.coeffs))
+    for e, row in enumerate(y.y):
+        cs = list(row) + [Fraction(0)] * (_PAD - len(row))
         lines.append(f"{e} " + " ".join(str(c) for c in cs))
     return "\n".join(lines) + "\n"
 
@@ -96,7 +83,7 @@ def parse_dual(text: str, graph: WeightedGraph) -> DualSolution:
     if len(header) != 2 or header[0] != "alpha":
         raise ValueError("dual dump must start with an 'alpha <int>' line")
     alpha = canonicalize_alpha(int(header[1]))
-    rows: dict[int, RadicalValue] = {}
+    rows: dict[int, list] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 1 + _PAD:
@@ -112,7 +99,7 @@ def parse_dual(text: str, graph: WeightedGraph) -> DualSolution:
                 f"edge {e}: nonzero coefficient beyond basis dimension")
         if e in rows:
             raise ValueError(f"duplicate edge id {e} in dump")
-        rows[e] = RadicalValue(alpha, coeffs[:alpha.basis_dim])
+        rows[e] = coeffs[:alpha.basis_dim]
     if sorted(rows) != list(range(graph.m)):
         raise ValueError(
             f"dump covers edges {sorted(rows)}, expected 0..{graph.m - 1}")

@@ -200,7 +200,9 @@ def edit_from_json(text: str) -> Edit:
     obj = _json_object(text)
     if obj["kind"] == "edges":
         return Edit("edges", edges=_edge_list(obj["edges"]))
-    return Edit("weights", weights=_int_list(obj["weights"], "weights"))
+    if obj["kind"] == "weights":
+        return Edit("weights", weights=_int_list(obj["weights"], "weights"))
+    raise ValueError(f"unknown edit kind {obj['kind']!r}")
 
 
 def save_edit(edit: Edit, path: str) -> None:

@@ -57,8 +57,8 @@ from typing import Callable, Optional, Sequence
 
 from . import oracle
 from .instances import DynamicInstance
-from .numeric import (Alpha, RadicalValue, canonicalize_alpha, q_max_for,
-                      sign_of_coeffs, step_coeffs)
+from .numeric import (Alpha, canonicalize_alpha, q_max_for, sign_of_coeffs,
+                      step_coeffs)
 
 ALGORITHMS = ("ea", "rls", "ea_fifth", "rls_fifth")
 
@@ -311,11 +311,6 @@ class _VecEngine(_BaseEngine):
         super().__init__(graph, [self._lift(v) for v in y_init], w_max)
 
     def _lift(self, v):
-        if isinstance(v, RadicalValue):
-            if v.alpha != self.alpha:
-                raise ValueError(
-                    f"value alpha {v.alpha!r} differs from {self.alpha!r}")
-            v = v.coeffs
         if isinstance(v, tuple):
             if len(v) != self.dim:
                 raise ValueError(f"value {v!r} has wrong dimension")

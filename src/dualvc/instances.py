@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 from . import oracle
 from .graph import Edit, EditDiff, WeightedGraph, apply_edit
-from .numeric import canonicalize_alpha
+from .numeric import Alpha, canonicalize_alpha
 
 VARIANTS = ("E+", "E-", "E", "W+", "W-", "W")
 HARD_VARIANTS = ("E+", "E-", "W+", "W-")
@@ -71,7 +71,6 @@ class DynamicInstance:
     edit: Edit
     graph_star: WeightedGraph
     d_scale: int
-    diff: EditDiff
     requested: str        # family asked for at plan level
     derived_tag: str      # family implied by the diff sets
     w_max: int            # max weight across both graphs
@@ -115,13 +114,15 @@ def _check_tag(requested: str, derived: str, edit: Edit) -> None:
 
 
 def make_dynamic(g: WeightedGraph, y_orig: Sequence, edit: Edit,
-                 requested: str) -> DynamicInstance:
+                 requested: str, alpha: Optional[Alpha] = None
+                 ) -> DynamicInstance:
     """Assemble and validate a dynamic instance.
 
     y_orig must be a maximal feasible solution of g (independently checked
-    here); values carry over to surviving edges by endpoint pair.
+    here); values carry over to surviving edges by endpoint pair.  Values
+    that are coefficient rows need the `alpha` they are rows over.
     """
-    if not oracle.validate_mfds_naive(g, y_orig):
+    if not oracle.validate_mfds_naive(g, y_orig, alpha):
         raise ValueError("y_orig is not a maximal feasible solution of g")
     g_star, d, diff = apply_edit(g, edit)
     derived = _tag_from_diff(edit, diff, requested)
@@ -130,8 +131,8 @@ def make_dynamic(g: WeightedGraph, y_orig: Sequence, edit: Edit,
     old_ids = g.edge_ids()
     y_init = [y_orig[old_ids[e]] if e in old_ids else 0
               for e in g_star.edges]
-    return DynamicInstance(g, tuple(y_orig), edit, g_star, d, diff,
-                           requested, derived, w_max, tuple(y_init))
+    return DynamicInstance(g, tuple(y_orig), edit, g_star, d, requested,
+                           derived, w_max, tuple(y_init))
 
 
 def hard_instance(variant: str, m: int, alpha: int) -> DynamicInstance:

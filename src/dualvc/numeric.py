@@ -9,13 +9,13 @@ alpha the extension degree is 4, 2 or 1:
 * otherwise                     -> beta = alpha^(1/4), degree 4.
 
 A value is a vector of rational coefficients over the power basis
-{1, beta, ..., beta^(dim-1)}, and beta^dim is an integer ("radicand").  The
-engines and the oracle compute on such coefficient tuples directly;
-RadicalValue only tags one with its alpha, for input and the dump format,
-because a bare tuple cannot tell alpha = 4 from alpha = 9.  Signs are
-decided exactly with integer arithmetic only (no precision parameter to
-tune), which keeps the accept/reject decisions of the search heuristics free
-of rounding artifacts.
+{1, beta, ..., beta^(dim-1)}, and beta^dim is an integer ("radicand").  A
+rational value may also stay a plain int or Fraction.  A row carries no
+alpha of its own (it cannot tell alpha = 4 from alpha = 9), so every
+function that reads one takes the Alpha as an argument.  Signs are decided
+exactly with integer arithmetic only (no precision parameter to tune), which
+keeps the accept/reject decisions of the search heuristics free of rounding
+artifacts.
 
 Step sizes are never materialized eagerly: they are carried as the integer
 quarter-exponent q with sigma = alpha^(q/4), clamped to [0, q_max].
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, isqrt, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -134,68 +134,6 @@ def sign_of_coeffs(coeffs: Sequence[Rational], alpha: Alpha) -> int:
         return _sign_quadratic(coeffs[0], coeffs[1], alpha.radicand)
     return _sign_quartic(coeffs[0], coeffs[1], coeffs[2], coeffs[3],
                          alpha.alpha)
-
-
-# ---------------------------------------------------------------------------
-# RadicalValue
-# ---------------------------------------------------------------------------
-
-
-class RadicalValue:
-    """An element of Q(alpha^(1/4)) in canonical coordinates, tagged with
-    its alpha.  Immutable; it has a sign but no arithmetic."""
-
-    __slots__ = ("alpha", "coeffs")
-
-    def __init__(self, alpha: Union[int, Alpha],
-                 coeffs: Iterable[Rational]) -> None:
-        a = canonicalize_alpha(alpha)
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != a.basis_dim:
-            raise ValueError(
-                f"expected {a.basis_dim} coefficients for alpha={a.alpha}, "
-                f"got {len(cs)}")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability
-        raise AttributeError("RadicalValue is immutable")
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, alpha: Union[int, Alpha]) -> "RadicalValue":
-        a = canonicalize_alpha(alpha)
-        return cls(a, (0,) * a.basis_dim)
-
-    @classmethod
-    def from_rational(cls, alpha: Union[int, Alpha],
-                      value: Rational) -> "RadicalValue":
-        a = canonicalize_alpha(alpha)
-        return cls(a, (Fraction(value),) + (Fraction(0),) * (a.basis_dim - 1))
-
-    # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def sign(self) -> int:
-        if self.is_zero():
-            return 0
-        return sign_of_coeffs(self.coeffs, self.alpha)
-
-    # -- identity ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadicalValue):
-            return NotImplemented
-        return self.alpha == other.alpha and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"RadicalValue(alpha={self.alpha.alpha}, {list(self.coeffs)})"
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from .graph import WeightedGraph
-from .numeric import Alpha, Rational, RadicalValue, sign_of_coeffs
+from .numeric import Alpha, Rational, sign_of_coeffs
 
-Value = Union[Rational, tuple, RadicalValue]
+Value = Union[Rational, tuple]
 
 _MAX_EXACT_N = 24
 _MAX_ENUM_M = 6
@@ -123,8 +123,9 @@ _NOT_MAXIMAL = "reported solution failed the independent maximality check"
 
 def coefficient_rows(alpha: Alpha, values: Sequence[Value]) -> list:
     """Values as coefficient rows over the basis of `alpha`: ints and
-    Fractions become rational rows, rows (tuples or lists) must have
-    basis_dim coefficients, and RadicalValues must belong to `alpha`."""
+    Fractions become rational rows, and rows (tuples or lists) must have
+    basis_dim coefficients.  A row does not say which alpha it belongs to;
+    the caller's `alpha` decides how it is read."""
     dim = alpha.basis_dim
     pad = (0,) * (dim - 1)
     rows = []
@@ -133,26 +134,19 @@ def coefficient_rows(alpha: Alpha, values: Sequence[Value]) -> list:
             if len(v) != dim:
                 raise ValueError(f"row {v!r} needs {dim} coefficients")
             rows.append(v)
-        elif isinstance(v, RadicalValue):
-            if v.alpha != alpha:
-                raise ValueError(f"mixed alphas: {alpha!r} vs {v.alpha!r}")
-            rows.append(v.coeffs)
         else:
             rows.append((v,) + pad)
     return rows
 
 
-def _columns(values: Sequence[Value], alpha: Optional[Alpha] = None
-             ) -> tuple[Optional[Alpha], list]:
-    """Coordinate columns over `alpha`, by default the alpha of the first
-    RadicalValue; plain rationals without one make a single column."""
+def _columns(values: Sequence[Value], alpha: Optional[Alpha]) -> list:
+    """Coordinate columns over `alpha`; plain rationals need no alpha and
+    make a single column, rows without one are an error."""
     if alpha is None:
-        rad = next((v for v in values if isinstance(v, RadicalValue)), None)
-        if rad is None:
-            return None, [list(values)]
-        alpha = rad.alpha
-    rows = coefficient_rows(alpha, values)
-    return alpha, [list(col) for col in zip(*rows)] or [[]]
+        if any(isinstance(v, (tuple, list)) for v in values):
+            raise ValueError("coefficient rows need an alpha")
+        return [list(values)]
+    return [list(col) for col in zip(*coefficient_rows(alpha, values))] or [[]]
 
 
 def _integer_columns(cols: list) -> tuple[list, int]:
@@ -275,7 +269,7 @@ def cover_certificate(g: WeightedGraph, alpha: Alpha,
     lifts)."""
     if len(values) != g.m:
         raise ValueError(f"{len(values)} values for {g.m} edges")
-    return _certify(g, *_columns(values, alpha))
+    return _certify(g, alpha, _columns(values, alpha))
 
 
 def success_defect(g: WeightedGraph, alpha: Alpha,
@@ -290,18 +284,19 @@ def success_defect(g: WeightedGraph, alpha: Alpha,
     return cover_certificate(g, alpha, rows).defect
 
 
-def validate_mfds_naive(g: WeightedGraph, values: Sequence[Value]) -> bool:
-    """Full-recompute check that `values` (ints, Fractions, RadicalValues or
-    a mix) form a maximal feasible solution."""
+def validate_mfds_naive(g: WeightedGraph, values: Sequence[Value],
+                        alpha: Optional[Alpha] = None) -> bool:
+    """Full-recompute check that `values` form a maximal feasible solution:
+    ints and Fractions, or with `alpha` also coefficient rows over it."""
     if len(values) != g.m:
         raise ValueError(f"{len(values)} values for {g.m} edges")
-    return _certify(g, *_columns(values)).defect is None
+    return _certify(g, alpha, _columns(values, alpha)).defect is None
 
 
 def violated(g: WeightedGraph, alpha: Alpha,
              values: Sequence[Value]) -> list[int]:
     """Vertices whose load, recomputed from scratch, exceeds their weight."""
-    cols, den = _integer_columns(_columns(values, alpha)[1])
+    cols, den = _integer_columns(_columns(values, alpha))
     return [v for v, s in enumerate(_slack_signs(g, alpha, cols, den))
             if s > 0]
 
@@ -319,7 +314,7 @@ def trap_edge(g: WeightedGraph, alpha: Alpha,
     tight.  A negative coordinate does not count."""
     if len(values) != g.m:
         raise ValueError(f"{len(values)} values for {g.m} edges")
-    cols, den = _integer_columns(_columns(values, alpha)[1])
+    cols, den = _integer_columns(_columns(values, alpha))
     if len(cols) == 1 or 1 in _slack_signs(g, alpha, cols, den):
         return None
     lifted = [any(x > 0 for x in vec) for vec in zip(*_loads(g, cols[1:]))]
@@ -350,7 +345,7 @@ def reference_fitness(g: WeightedGraph, alpha: Alpha,
     m = g.m
     if len(values) != m or len(proposed) != m:
         raise ValueError("value vectors must match the edge count")
-    cols, den = _integer_columns(_columns([*values, *proposed], alpha)[1])
+    cols, den = _integer_columns(_columns([*values, *proposed], alpha))
     now = [col[:m] for col in cols]
     diff = [[b - a for a, b in zip(col, col[m:])] for col in cols]
     slack = _slack_signs(g, alpha, now, den)

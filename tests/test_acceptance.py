@@ -29,8 +29,8 @@ from dualvc.harness import (BenchCell, BenchPlan, contrast_bound,
 from dualvc.heuristics import ALGORITHMS, RunConfig, _VecEngine, run
 from dualvc.instances import (VARIANTS, derive_seed, hard_instance,
                               random_dynamic)
-from dualvc.numeric import (RadicalValue, canonicalize_alpha, q_max_for,
-                            sign_of_coeffs, step_coeffs)
+from dualvc.numeric import (canonicalize_alpha, q_max_for, sign_of_coeffs,
+                            step_coeffs)
 from dualvc.oracle import enumerate_mfds, exact_min_wvc, validate_mfds_naive
 
 from engine_decisions import engine_agrees
@@ -198,8 +198,7 @@ def _small_instance(i: int):
 
 
 def _solution_from(result, inst):
-    values = [RadicalValue(A2, row) for row in result.final_coeffs]
-    return DualSolution(inst.graph_star, A2, values)
+    return DualSolution(inst.graph_star, A2, result.final_coeffs)
 
 
 def _covers(g, cover):
@@ -267,12 +266,11 @@ def _random_values(rng, m):
     out = []
     for _ in range(m):
         if rng.random() < 0.6:
-            out.append(RadicalValue.from_rational(
-                A2, Fraction(rng.randint(0, 6), rng.choice((1, 2)))))
+            out.append((Fraction(rng.randint(0, 6), rng.choice((1, 2))),
+                        0, 0, 0))
         else:
-            out.append(RadicalValue(A2, (rng.randint(0, 4),
-                                         rng.randint(0, 2), 0,
-                                         rng.randint(0, 1))))
+            out.append((rng.randint(0, 4), rng.randint(0, 2), 0,
+                        rng.randint(0, 1)))
     return out
 
 
@@ -304,7 +302,7 @@ def test_criterion_4_fitness_and_maximality_match_the_oracle(capsys):
         vals = _random_values(rng, g.m)
         w_cap = g.max_weight()
         eng = _VecEngine(g, vals, w_cap, A2, q_max_for(A2, w_cap))
-        if eng.is_mfds() != validate_mfds_naive(g, vals):
+        if eng.is_mfds() != validate_mfds_naive(g, vals, A2):
             disagreements += 1
         mfds_cases += 1
     ok = disagreements == 0 and fit_cases == mfds_cases == 10_000

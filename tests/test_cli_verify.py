@@ -71,7 +71,7 @@ def test_verify_pins_cover_every_outcome():
 def _success(inst, config):
     result = run(inst, config)
     assert result.success
-    return inst.graph_star, DualSolution.from_coeffs(
+    return inst.graph_star, DualSolution(
         inst.graph_star, config.alpha, result.final_coeffs)
 
 
@@ -80,25 +80,26 @@ def _write_inputs() -> None:
     g2, y2 = _success(inst, RunConfig("ea_fifth", 2, inst.w_max, 5000, 3))
     cycle = WeightedGraph(5, (11,) * 5,
                           ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
-    y0 = DualSolution.from_coeffs(cycle, 9, [(Fraction(11, 2), 0)] * 5)
+    y0 = DualSolution(cycle, 9, [(Fraction(11, 2), 0)] * 5)
     inst9 = make_dynamic(cycle, y0.y,
-                         Edit("weights", weights=(9, 11, 13, 11, 11)), "W")
+                         Edit("weights", weights=(9, 11, 13, 11, 11)), "W",
+                         y0.alpha)
     g9, y9 = _success(inst9, RunConfig("rls", 9, inst9.w_max, 400, 1))
     path = WeightedGraph(4, (3, 2, 2, 3), ((0, 1), (1, 2), (2, 3)))
-    e = next(i for i, v in enumerate(y2.y) if v.sign() > 0)
-    rows = [list(v.coeffs) for v in y2.y]
+    e = next(i for i, row in enumerate(y2.y) if any(row))
+    rows = [list(row) for row in y2.y]
 
     def with_row(row):
         return rows[:e] + [list(row)] + rows[e + 1:]
 
     dumps = {
         "alpha2_irrational_maximal": (g2, dump_dual(y2)),
-        "alpha2_irrational_sum": (path, dump_dual(DualSolution.from_coeffs(
+        "alpha2_irrational_sum": (path, dump_dual(DualSolution(
             path, 2, [(2, -1, 0, 0), (0, 1, 0, 0), (2, -1, 0, 0)]))),
         "alpha9_fraction_maximal": (g9, dump_dual(y9)),
-        "non_maximal": (g2, dump_dual(DualSolution.from_coeffs(
+        "non_maximal": (g2, dump_dual(DualSolution(
             g2, 2, with_row(c / 2 for c in rows[e])))),
-        "infeasible": (g2, dump_dual(DualSolution.from_coeffs(
+        "infeasible": (g2, dump_dual(DualSolution(
             g2, 2, with_row([rows[e][0] + inst.w_max + 1] + rows[e][1:])))),
     }
     negative = dump_dual(y2).splitlines()

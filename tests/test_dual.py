@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dualvc.dual import (DualSolution, dump_dual, extract_cover, load_dual,
                          parse_dual, save_dual)
 from dualvc.graph import WeightedGraph
-from dualvc.numeric import RadicalValue, canonicalize_alpha
+from dualvc.numeric import canonicalize_alpha
 from dualvc.oracle import cover_certificate, reference_fitness, violated
 
 A2 = canonicalize_alpha(2)
@@ -21,7 +21,8 @@ def triangle(weights=(2, 2, 2)):
 
 
 def rv(x):
-    return RadicalValue.from_rational(A2, x)
+    """A rational value as a coefficient row over alpha 2."""
+    return (x, 0, 0, 0)
 
 
 def certificate(y):
@@ -31,23 +32,24 @@ def certificate(y):
 # -- construction and loads --------------------------------------
 
 def test_zero_solution_and_loads():
-    y = DualSolution(triangle((1, 1, 1)), 2)
-    assert all(v.is_zero() for v in y.y)
+    y = DualSolution(triangle((1, 1, 1)), 2, (0, 0, 0))
+    assert y.y == [(0, 0, 0, 0)] * 3
     cert = certificate(y)
     assert cert.slack == (-1, -1, -1)       # every load below weight 1
     # not maximal, so there is no cover to certify
     assert not cert.maximal and cert.cover_weight is None
 
 
-def test_from_ints_loads():
+def test_int_values_load():
     # load(0) = y01 + y02 = 1, load(1) = y01 + y12 = 3, load(2) = y12 = 2:
     # every vertex is tight exactly at weights (1, 3, 2)
-    y = DualSolution.from_ints(triangle((1, 3, 2)), 2, (1, 2, 0))
+    y = DualSolution(triangle((1, 3, 2)), 2, (1, 2, 0))
     assert y.y == [rv(1), rv(2), rv(0)]
+    assert all(type(c) is Fraction for row in y.y for c in row)
     cert = certificate(y)
     assert cert.slack == (0, 0, 0)
     assert cert.sum_y == (3, 0, 0, 0)
-    assert certificate(DualSolution.from_ints(
+    assert certificate(DualSolution(
         triangle((3, 4, 5)), 2, (1, 2, 0))).slack == (-1, -1, -1)
 
 
@@ -58,24 +60,25 @@ def test_value_validation():
     with pytest.raises(ValueError):
         DualSolution(g, 2, [rv(-1), rv(0), rv(0)])  # negative
     with pytest.raises(ValueError):
-        DualSolution(g, 2, [RadicalValue.from_rational(3, 1),
-                            rv(0), rv(0)])  # alpha mismatch
+        DualSolution(g, 2, [(1, 0), rv(0), rv(0)])  # row of another degree
+    with pytest.raises(ValueError):
+        DualSolution(g, 9, [(0, -1), 0, 0])  # negative at degree 2
 
 
 # -- slack signs, violation sets, solution sign -------------------------------
 
 def test_slack_signs():
-    y = DualSolution.from_ints(triangle((2, 2, 2)), 2, (1, 2, 0))
+    y = DualSolution(triangle((2, 2, 2)), 2, (1, 2, 0))
     # loads: 1, 3, 2 against weights 2, 2, 2
     assert certificate(y).slack == (-1, 1, 0)
 
 
 def test_violating_sets_and_sign():
     g = triangle((2, 2, 2))
-    y = DualSolution.from_ints(g, 2, (1, 2, 0))
+    y = DualSolution(g, 2, (1, 2, 0))
     assert violated(g, A2, y.y) == [1]
     assert not certificate(y).feasible
-    ok = DualSolution.from_ints(g, 2, (1, 1, 1))
+    ok = DualSolution(g, 2, (1, 1, 1))
     assert violated(g, A2, ok.y) == []
     assert certificate(ok).feasible
 
@@ -84,11 +87,11 @@ def test_slack_sign_irrational_tightness():
     # weight 2, load beta**2 = sqrt(2)... no: beta = 2**(1/4), beta**4 = 2,
     # so load beta**2 = sqrt(2) < 2 (slack) and (beta**2)**2 hits it exactly.
     g = WeightedGraph(2, (2, 2), ((0, 1),))
-    y = DualSolution(g, 2, [RadicalValue(A2, (0, 0, 1, 0))])
+    y = DualSolution(g, 2, [(0, 0, 1, 0)])
     assert certificate(y).slack[0] == -1
     y = DualSolution(g, 2, [rv(2)])
     assert certificate(y).slack[0] == 0
-    y = DualSolution(g, 2, [RadicalValue(A2, (2, 0, 1, 0))])
+    y = DualSolution(g, 2, [(2, 0, 1, 0)])
     assert certificate(y).slack[0] == 1
 
 
@@ -150,17 +153,17 @@ def test_is_mfds():
     def is_mfds(y):
         return certificate(y).maximal
 
-    assert not is_mfds(DualSolution(g, 2))              # edges not tight
+    assert not is_mfds(DualSolution(g, 2, (0, 0, 0)))   # edges not tight
     # y=(2,0,0): vertices 0 and 1 tight, every edge has a tight endpoint
-    assert is_mfds(DualSolution.from_ints(g, 2, (2, 0, 0)))
-    assert not is_mfds(DualSolution.from_ints(g, 2, (2, 2, 0)))  # violated
-    assert not is_mfds(DualSolution.from_ints(g, 2, (1, 1, 0)))  # (0,2) loose
-    assert is_mfds(DualSolution.from_ints(g, 2, (1, 1, 1)))
+    assert is_mfds(DualSolution(g, 2, (2, 0, 0)))
+    assert not is_mfds(DualSolution(g, 2, (2, 2, 0)))  # violated
+    assert not is_mfds(DualSolution(g, 2, (1, 1, 0)))  # (0,2) loose
+    assert is_mfds(DualSolution(g, 2, (1, 1, 1)))
 
 
 def test_extract_cover_certificate():
     g = triangle((2, 2, 2))
-    y = DualSolution.from_ints(g, 2, (1, 1, 1))
+    y = DualSolution(g, 2, (1, 1, 1))
     cover, cert = extract_cover(y)
     assert cover == frozenset({0, 1, 2}) == cert.cover
     assert cert.maximal
@@ -173,7 +176,7 @@ def test_extract_cover_certificate():
 def test_extract_cover_star():
     # star: tight center alone covers everything at weight 3 <= 2 * sum_y
     g = WeightedGraph(4, (3, 9, 9, 9), ((0, 1), (0, 2), (0, 3)))
-    y = DualSolution.from_ints(g, 2, (3, 0, 0))
+    y = DualSolution(g, 2, (3, 0, 0))
     cover, cert = extract_cover(y)
     assert cover == frozenset({0})
     assert cert.cover_weight == 3
@@ -183,18 +186,16 @@ def test_extract_cover_star():
 def test_extract_cover_requires_mfds():
     g = triangle((2, 2, 2))
     with pytest.raises(ValueError):
-        extract_cover(DualSolution(g, 2))          # not maximal
+        extract_cover(DualSolution(g, 2, (0, 0, 0)))  # not maximal
     with pytest.raises(ValueError):
-        extract_cover(DualSolution.from_ints(g, 2, (2, 2, 2)))  # infeasible
+        extract_cover(DualSolution(g, 2, (2, 2, 2)))  # infeasible
 
 
 def test_extract_cover_irrational_values():
     # tight vertex 1 carries (2 - beta) + beta; the value sum 4 - beta is
     # irrational, and the cover {1, 2} weighs 4 <= 2 * (4 - beta)
     g = WeightedGraph(4, (3, 2, 2, 3), ((0, 1), (1, 2), (2, 3)))
-    y = DualSolution(g, 2, [RadicalValue(A2, (2, -1, 0, 0)),
-                            RadicalValue(A2, (0, 1, 0, 0)),
-                            RadicalValue(A2, (2, -1, 0, 0))])
+    y = DualSolution(g, 2, [(2, -1, 0, 0), (0, 1, 0, 0), (2, -1, 0, 0)])
     cover, cert = extract_cover(y)
     assert cover == frozenset({1, 2})
     assert cert.sum_y == (4, -1, 0, 0)
@@ -205,9 +206,7 @@ def test_extract_cover_irrational_values():
 
 def test_dump_parse_round_trip():
     g = triangle((2, 2, 2))
-    y = DualSolution(g, 2, [rv(Fraction(1, 3)),
-                            RadicalValue(A2, (0, Fraction(2, 7), 0, 1)),
-                            rv(0)])
+    y = DualSolution(g, 2, [Fraction(1, 3), (0, Fraction(2, 7), 0, 1), 0])
     text = dump_dual(y)
     assert text.splitlines()[0] == "alpha 2"
     z = parse_dual(text, g)
@@ -217,7 +216,7 @@ def test_dump_parse_round_trip():
 
 def test_dump_pads_small_basis():
     g = WeightedGraph(2, (1, 1), ((0, 1),))
-    y = DualSolution.from_ints(g, 16, (1,))  # basis_dim 1
+    y = DualSolution(g, 16, (1,))  # basis_dim 1
     lines = dump_dual(y).splitlines()
     assert lines[0] == "alpha 16"
     assert lines[1].split() == ["0", "1", "0", "0", "0"]
@@ -227,7 +226,7 @@ def test_dump_pads_small_basis():
 
 def test_parse_dual_errors():
     g = triangle()
-    ok = dump_dual(DualSolution(g, 2))
+    ok = dump_dual(DualSolution(g, 2, (0, 0, 0)))
     with pytest.raises(ValueError):
         parse_dual("no header\n", g)
     with pytest.raises(ValueError):
@@ -248,7 +247,7 @@ def test_parse_dual_errors():
 
 def test_save_load_dual(tmp_path):
     g = triangle((2, 2, 2))
-    y = DualSolution.from_ints(g, 2, (1, 1, 1))
+    y = DualSolution(g, 2, (1, 1, 1))
     p = tmp_path / "y.dual"
     save_dual(y, str(p))
     z = load_dual(str(p), g)

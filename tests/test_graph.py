@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualvc.cli import main as cli_main
 from dualvc.graph import (Edit, WeightedGraph, apply_edit, edit_from_json,
                           edit_to_json, instance_from_json, instance_to_json,
                           load_edit, load_instance, save_edit, save_instance)
@@ -144,6 +145,21 @@ def test_edit_json_round_trip(tmp_path):
 def test_edit_json_canonicalizes_edges():
     edit = edit_from_json(edit_to_json(Edit("edges", edges=((5, 2),))))
     assert edit.edges == ((2, 5),)
+
+
+def test_edit_json_unknown_kind_rejected(tmp_path, capsys):
+    bogus = '{"kind": "bogus", "weights": [1, 2]}'
+    with pytest.raises(ValueError, match="unknown edit kind 'bogus'"):
+        edit_from_json(bogus)
+    g = path_graph(2, (2, 2))
+    paths = {k: tmp_path / k for k in ("g.json", "edit.json", "y0")}
+    save_instance(g, str(paths["g.json"]))
+    paths["edit.json"].write_text(bogus + "\n")
+    paths["y0"].write_text("alpha 2\n0 2 0 0 0\n")
+    assert cli_main(["solve", "--graph", str(paths["g.json"]),
+                     "--edit", str(paths["edit.json"]),
+                     "--y0", str(paths["y0"]), "--algo", "rls"]) == 2
+    assert "unknown edit kind" in capsys.readouterr().err
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,8 +20,7 @@ from dualvc.harness import (CSV_HEADER, SOLVE_HEADER, BenchCell, BenchPlan,
                             summarize, thread_count, verify_final)
 from dualvc.heuristics import RunConfig, _VecEngine, run
 from dualvc.instances import hard_instance, make_dynamic, random_dynamic
-from dualvc.numeric import (RadicalValue, canonicalize_alpha, q_max_for,
-                            sign_of_coeffs)
+from dualvc.numeric import canonicalize_alpha, q_max_for, sign_of_coeffs
 from dualvc.oracle import validate_mfds_naive
 
 
@@ -190,9 +189,9 @@ def fraction_success():
     """A run from half-weight Fraction values on a 5-cycle (alpha 9) that
     ends maximal with Fraction coefficients."""
     g = WeightedGraph(5, (11,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
-    y0 = DualSolution.from_coeffs(g, 9, [(Fraction(11, 2), 0)] * 5)
+    y0 = DualSolution(g, 9, [(Fraction(11, 2), 0)] * 5)
     inst = make_dynamic(g, y0.y, Edit("weights", weights=(9, 11, 13, 11, 11)),
-                        "W")
+                        "W", y0.alpha)
     return inst, RunConfig("rls", 9, inst.w_max, 400, 1)
 
 
@@ -210,12 +209,13 @@ def differential_successes():
 
 
 def reference_accepts(inst, alpha, rows):
-    """A partner that shares no code with the oracle: DualSolution's
-    validation, the vector engine's maximality counters, and the weight of
-    the engine's tight vertices against twice the value sum."""
+    """A partner that shares no check with the oracle's certificate:
+    DualSolution's sign validation, the vector engine's maximality
+    counters, and the weight of the engine's tight vertices against twice
+    the value sum."""
     a = canonicalize_alpha(alpha)
     try:
-        y = DualSolution.from_coeffs(inst.graph_star, a, rows)
+        y = DualSolution(inst.graph_star, a, rows)
     except ValueError:          # negative value or wrong row count
         return False
     eng = _VecEngine(inst.graph_star, y.y, inst.w_max, a,
@@ -232,7 +232,7 @@ def corruptions(inst, alpha, rows):
     loses both tight endpoints), negate one, drop one row."""
     a = canonicalize_alpha(alpha)
     e = next(i for i, row in enumerate(rows)
-             if RadicalValue(a, row).sign() > 0)
+             if sign_of_coeffs(row, a) > 0)
 
     def with_row(row):
         return rows[:e] + (tuple(row),) + rows[e + 1:]
@@ -559,7 +559,7 @@ def test_cli_solve_rational_start_dumped_at_another_alpha(tmp_path, capsys):
     paths = {k: str(tmp_path / k) for k in ("g.json", "edit.json", "y0")}
     save_instance(g, paths["g.json"])
     save_edit(Edit("weights", weights=(9, 11, 13, 11, 11)), paths["edit.json"])
-    save_dual(DualSolution.from_coeffs(g, 9, [(Fraction(11, 2), 0)] * 5),
+    save_dual(DualSolution(g, 9, [(Fraction(11, 2), 0)] * 5),
               paths["y0"])
     argv = ["solve", "--graph", paths["g.json"], "--edit", paths["edit.json"],
             "--y0", paths["y0"], "--algo", "rls", "--seed", "1",
@@ -572,13 +572,32 @@ def test_cli_solve_rational_start_dumped_at_another_alpha(tmp_path, capsys):
     assert captured.out.splitlines()[1] == "W,rls,5,2,2,13,1,10,1"
 
 
+def test_cli_solve_irrational_start_needs_its_alpha(tmp_path, capsys):
+    # y0 = (beta, 10 - beta) with beta = sqrt(2) at alpha 4 (degree 2):
+    # alpha 9 is degree 2 too, so only the dump's alpha may read the rows
+    paths = {k: tmp_path / k for k in ("g.json", "edit.json", "y0")}
+    paths["g.json"].write_text(
+        '{"n":3,"weights":[10,10,10],"edges":[[0,1],[1,2]]}\n')
+    paths["edit.json"].write_text('{"kind":"weights","weights":[10,11,10]}\n')
+    paths["y0"].write_text("alpha 4\n0 0 1 0 0\n1 10 -1 0 0\n")
+    argv = ["solve", "--graph", str(paths["g.json"]),
+            "--edit", str(paths["edit.json"]), "--y0", str(paths["y0"]),
+            "--algo", "rls_fifth", "--seed", "1", "--budget", "2000"]
+    assert cli_main(argv + ["--alpha", "4"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row == "W,rls_fifth,2,1,4,11,1,5,1"
+    for other in ("9", "2"):
+        assert cli_main(argv + ["--alpha", other]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_verify_non_maximal_exit_one(tmp_path, capsys):
     g = WeightedGraph(2, (2, 2), ((0, 1),))
     gp = str(tmp_path / "g.json")
     save_instance(g, gp)
     dp = str(tmp_path / "y.dual")
     with open(dp, "w") as fh:
-        fh.write(dump_dual(DualSolution(g, 2)))
+        fh.write(dump_dual(DualSolution(g, 2, (0,))))
     rc = cli_main(["verify", "--graph", gp, "--dual", dp])
     out = capsys.readouterr().out
     assert rc == 1

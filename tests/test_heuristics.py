@@ -472,11 +472,11 @@ def fraction_start_instance():
     """A 5-cycle held at half its vertex weights (alpha 9), reloaded from
     its dump, then hit by a mixed weight edit."""
     g = WeightedGraph(5, (11,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
-    y = DualSolution.from_coeffs(g, 9, [(Fraction(11, 2), 0)] * 5)
+    y = DualSolution(g, 9, [(Fraction(11, 2), 0)] * 5)
     y = parse_dual(dump_dual(y), g)
-    assert all(v.coeffs == (Fraction(11, 2), 0) for v in y.y)
+    assert all(row == (Fraction(11, 2), 0) for row in y.y)
     return make_dynamic(g, y.y, Edit("weights", weights=(9, 11, 13, 11, 11)),
-                        "W")
+                        "W", y.alpha)
 
 
 def fraction_edge_growth_instance():
@@ -538,8 +538,9 @@ def assert_run_matches_reference(inst, cfg):
     """Engine and reference emit the same hook stream, record for record,
     and the same RunResult; the comparison is not vacuous, and the hook
     does not perturb the engine."""
-    assert not validate_mfds_naive(inst.graph_star, inst.y_init)
-    dim = canonicalize_alpha(cfg.alpha).basis_dim
+    alpha = canonicalize_alpha(cfg.alpha)
+    assert not validate_mfds_naive(inst.graph_star, inst.y_init, alpha)
+    dim = alpha.basis_dim
     fast_stream, ref_stream = [], []
     fast = run(inst, cfg, hook=fast_stream.append)
     ref = run_reference(inst, cfg, hook=ref_stream.append)
@@ -608,10 +609,9 @@ def trapped_start_instance():
     whose new edge has two lifted endpoints."""
     g = WeightedGraph(6, (2,) * 6, ((0, 2), (2, 4), (1, 3), (3, 5)))
     beta, rest = (0, 1, 0, 0), (2, -1, 0, 0)
-    y = parse_dual(dump_dual(DualSolution.from_coeffs(
-        g, 2, [beta, rest, beta, rest])), g)
+    y = parse_dual(dump_dual(DualSolution(g, 2, [beta, rest, beta, rest])), g)
     return make_dynamic(g, y.y, Edit("edges", edges=g.edges + ((0, 1),)),
-                        "E+")
+                        "E+", y.alpha)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

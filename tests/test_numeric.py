@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualvc.numeric import (Alpha, RadicalValue, _bracket, canonicalize_alpha,
-                            ceil_log, float_value, interval_sign, q_max_for,
+from dualvc.numeric import (Alpha, _bracket, canonicalize_alpha, ceil_log,
+                            float_value, interval_sign, q_max_for,
                             sign_of_coeffs, step_coeffs)
 
 
@@ -85,27 +85,31 @@ small_fractions = st.fractions(
 
 @st.composite
 def radical_values(draw, alphas=(2, 3, 5, 9, 16)):
+    """A coefficient row and the alpha it is a row over."""
     alpha = canonicalize_alpha(draw(st.sampled_from(alphas)))
     coeffs = tuple(draw(small_fractions) for _ in range(alpha.basis_dim))
-    return RadicalValue(alpha, coeffs)
+    return coeffs, alpha
 
 
 @settings(max_examples=300, deadline=None)
 @given(radical_values())
 def test_sign_matches_interval_oracle(value):
-    assert value.sign() == interval_sign(value.coeffs, value.alpha, bits=256)
+    coeffs, alpha = value
+    assert sign_of_coeffs(coeffs, alpha) == interval_sign(coeffs, alpha,
+                                                          bits=256)
 
 
 @settings(max_examples=200, deadline=None)
 @given(radical_values())
 def test_bracket_encloses_value(value):
     # lo <= value * scale <= hi, decided exactly; 8 bits keeps it coarse
+    coeffs, alpha = value
     for bits in (8, 80):
-        lo, hi, scale = _bracket(value.coeffs, value.alpha, bits)
-        scaled = [c * scale for c in value.coeffs]
+        lo, hi, scale = _bracket(coeffs, alpha, bits)
+        scaled = [c * scale for c in coeffs]
         for bound, side in ((lo, 1), (hi, -1)):
             diff = (scaled[0] - bound,) + tuple(scaled[1:])
-            assert side * sign_of_coeffs(diff, value.alpha) >= 0
+            assert side * sign_of_coeffs(diff, alpha) >= 0
 
 
 # -- step exponents ----------------------------------------------------------
@@ -180,14 +184,6 @@ def test_float_value_beyond_float_range_is_infinite():
 
 
 # -- misc --------------------------------------------------------------------
-
-def test_coeffs_are_fractions_and_dim_checked():
-    a9 = canonicalize_alpha(9)
-    v = RadicalValue(a9, (1, 2))
-    assert all(isinstance(c, Fraction) for c in v.coeffs)
-    with pytest.raises(ValueError):
-        RadicalValue(a9, (1, 2, 3))
-
 
 def test_interval_sign_narrow_gap():
     # 665857/470832 is a convergent of sqrt(2): the difference is ~1e-12 and

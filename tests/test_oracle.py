@@ -11,7 +11,7 @@ import dualvc
 from dualvc.graph import WeightedGraph
 from dualvc.heuristics import _VecEngine
 from dualvc.instances import make_gs
-from dualvc.numeric import RadicalValue, canonicalize_alpha, q_max_for
+from dualvc.numeric import canonicalize_alpha, q_max_for
 from dualvc.oracle import (enumerate_mfds, exact_min_wvc, exhaustive_min_wvc,
                            reference_fitness, trap_edge, validate_mfds_naive)
 
@@ -21,7 +21,8 @@ A2 = canonicalize_alpha(2)
 
 
 def rv(x):
-    return RadicalValue.from_rational(A2, x)
+    """A rational value as a coefficient row over alpha 2."""
+    return (x, 0, 0, 0)
 
 
 def random_graph(rng, n_max=12, w_max=10):
@@ -112,29 +113,34 @@ def test_validate_mfds_rejects_negative_values():
     # edge a tight endpoint, but it is no dual solution
     g = WeightedGraph(3, (1, 1, 1), ((0, 1), (1, 2), (0, 2)))
     assert not validate_mfds_naive(g, (2, -1, -1))
-    assert not validate_mfds_naive(g, [rv(2), rv(-1), rv(-1)])
+    assert not validate_mfds_naive(g, [rv(2), rv(-1), rv(-1)], A2)
     assert not validate_mfds_naive(g, (Fraction(3, 2), Fraction(-1, 2),
                                        Fraction(-1, 2)))
     # path 2-0-1-3 with y(0,1) = -1: feasible, every edge has a tight end,
     # and the cover {0, 1} weighs 2 <= 2 * sum(y) = 6; only the sign fails
     path = WeightedGraph(4, (1, 1, 3, 3), ((0, 1), (0, 2), (1, 3)))
     assert not validate_mfds_naive(path, (-1, 2, 2))
-    assert not validate_mfds_naive(path, [rv(-1), rv(2), rv(2)])
+    assert not validate_mfds_naive(path, [rv(-1), rv(2), rv(2)], A2)
     assert validate_mfds_naive(path, (0, 1, 1))
 
 
 def test_validate_mfds_mixed_value_types():
-    # int zeros mixed with radical values must lift cleanly
+    # ints mixed with coefficient rows must lift cleanly
     g = WeightedGraph(4, (2, 2, 1, 1), ((0, 1), (2, 3)))
-    assert validate_mfds_naive(g, [rv(2), 1])
-    assert validate_mfds_naive(g, [2, rv(1)])
-    assert not validate_mfds_naive(g, [rv(2), 0])
+    assert validate_mfds_naive(g, [rv(2), 1], A2)
+    assert validate_mfds_naive(g, [2, rv(1)], A2)
+    assert not validate_mfds_naive(g, [rv(2), 0], A2)
     # irrational tight load: vertex 1 carries beta**2 + (2 - beta**2) == 2
     path = WeightedGraph(3, (2, 2, 2), ((0, 1), (1, 2)))
-    beta2 = RadicalValue(A2, (0, 0, 1, 0))
-    gap = RadicalValue(A2, (2, 0, -1, 0))
-    assert validate_mfds_naive(path, [beta2, gap])
-    assert not validate_mfds_naive(path, [beta2, rv(0)])
+    beta2 = (0, 0, 1, 0)
+    gap = (2, 0, -1, 0)
+    assert validate_mfds_naive(path, [beta2, gap], A2)
+    assert not validate_mfds_naive(path, [beta2, rv(0)], A2)
+    # a row cannot say which alpha it is over, so one without it is refused
+    with pytest.raises(ValueError, match="need an alpha"):
+        validate_mfds_naive(path, [beta2, gap])
+    with pytest.raises(ValueError, match="need an alpha"):
+        validate_mfds_naive(g, [2, rv(1)])
 
 
 def test_validate_mfds_empty_graph():
@@ -164,10 +170,10 @@ def test_reference_fitness_matches_fast_path():
 
 def test_reference_fitness_irrational_values():
     g = WeightedGraph(2, (2, 2), ((0, 1),))
-    beta = RadicalValue(A2, (0, 1, 0, 0))
+    beta = (0, 1, 0, 0)
     out = reference_fitness(g, A2, [rv(0)], [beta], w_max=2)
     assert out.accept
-    assert out.value == beta.coeffs
+    assert out.value == beta
     # the same proposal as coefficient rows, over one common denominator
     out = reference_fitness(g, A2, [(Fraction(1, 3), 0, 0, 0)],
                             [(Fraction(1, 3), Fraction(1, 2), 0, 0)], 2)
@@ -182,21 +188,21 @@ def test_reference_fitness_length_check():
         reference_fitness(g, A2, [(0, 0)], [(0, 0)], w_max=1)
 
 
-@pytest.mark.parametrize("first, second", [(2, 3), (4, 9), (9, 4)])
-def test_values_of_two_alphas_rejected(first, second):
-    """alpha 4 and 9 both have degree 2, so only the alpha tag tells their
-    values apart."""
+@pytest.mark.parametrize("first, second", [(2, 9), (9, 2)])
+def test_rows_of_another_dimension_rejected(first, second):
+    """A row over alpha `second` read over alpha `first` (degree 4 against
+    degree 2) has the wrong length, mixed in with rows that fit or not."""
     a, b = canonicalize_alpha(first), canonicalize_alpha(second)
     g = WeightedGraph(3, (2, 2, 2), ((0, 1), (1, 2)))
-    mixed = [RadicalValue.from_rational(a, 1),
-             RadicalValue.from_rational(b, 1)]
-    with pytest.raises(ValueError, match="mixed alphas"):
-        validate_mfds_naive(g, mixed)
-    with pytest.raises(ValueError, match="mixed alphas"):
-        reference_fitness(g, a, mixed, mixed[:1] * 2, w_max=2)
-    with pytest.raises(ValueError, match="mixed alphas"):
-        reference_fitness(g, a, mixed[:1] * 2, mixed, w_max=2)
-    with pytest.raises(ValueError):
+    fits = (1,) + (0,) * (a.basis_dim - 1)
+    mixed = [fits, (1,) + (0,) * (b.basis_dim - 1)]
+    with pytest.raises(ValueError, match="coefficients"):
+        validate_mfds_naive(g, mixed, a)
+    with pytest.raises(ValueError, match="coefficients"):
+        reference_fitness(g, a, mixed, [fits] * 2, w_max=2)
+    with pytest.raises(ValueError, match="coefficients"):
+        reference_fitness(g, a, [fits] * 2, mixed, w_max=2)
+    with pytest.raises(ValueError, match="wrong dimension"):
         _VecEngine(g, mixed, 2, a, q_max_for(a, 2))
 
 

@@ -133,3 +133,14 @@ def test_bench_pr_flags_rows_that_differ():
     assert unpaired["quarter"]["rows_match"]
     with pytest.raises(ValueError):
         script.parse_rows_sha256("workload quarter seed 2\n{}\n")
+
+
+def test_bench_pr_counts_src_lines(tmp_path):
+    script = load_script("bench_pr")
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("a = 1\nb = 2\n")
+    (pkg / "core.py").write_text("\n\nc = 3")     # no final newline
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "setup.py").write_text("outside = 1\n")
+    assert script.src_lines(tmp_path) == 5
