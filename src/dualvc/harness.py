@@ -21,6 +21,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, fields
 from math import ceil, e, log
 from typing import Sequence, TextIO
@@ -182,25 +183,25 @@ def build_instance(cell: BenchCell, trial: int) -> DynamicInstance:
     # A random edit can leave the carried solution maximal on the edited
     # graph, in which case the trial measures nothing; redraw (seeded, hence
     # reproducible) until the edit actually invalidates it.  Degenerate
-    # parameter corners where every edit is harmless give up after a cap and
-    # keep the last draw.
+    # parameter corners where every edit is harmless fail after the cap.
     label = f"instance:{trial}"
-    inst = random_dynamic(cell.variant, cell.n, cell.m, cell.d, cell.w_max,
-                          derive_seed(cell.seed, label))
-    for redraw in range(_MAX_REDRAWS):
-        if not oracle.validate_mfds_naive(inst.graph_star, inst.y_init):
-            break
+    for sub in [label] + [f"{label}:r{r}" for r in range(_MAX_REDRAWS)]:
         inst = random_dynamic(cell.variant, cell.n, cell.m, cell.d,
-                              cell.w_max,
-                              derive_seed(cell.seed, f"{label}:r{redraw}"))
-    return inst
+                              cell.w_max, derive_seed(cell.seed, sub))
+        if not oracle.validate_mfds_naive(inst.graph_star, inst.y_init):
+            return inst
+    raise ValueError(f"{cell} trial {trial}: none of {_MAX_REDRAWS + 1} "
+                     f"draws invalidates the carried solution")
 
 
 def verify_final(instance: DynamicInstance, alpha: int,
                  coeff_rows: Sequence[Sequence]) -> None:
     """Independent re-check of a reported success; raises RuntimeError."""
-    defect = oracle.success_defect(instance.graph_star,
-                                   canonicalize_alpha(alpha), coeff_rows)
+    try:
+        defect = oracle.cover_certificate(
+            instance.graph_star, canonicalize_alpha(alpha), coeff_rows).defect
+    except ValueError as exc:   # wrong row count or row length
+        raise RuntimeError(f"reported solution: {exc}") from exc
     if defect is not None:
         raise RuntimeError(defect)
 
@@ -245,15 +246,13 @@ def execute_plan(plan: BenchPlan, out: TextIO) -> list[BenchRecord]:
     out.write(CSV_HEADER + "\n")
     records: list[BenchRecord] = []
     workers = thread_count()
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(_trial_job, jobs, chunksize=1):
-                records.append(rec)
-                out.write(rec.to_csv() + "\n")
-                out.flush()
-    else:
-        for job in jobs:
-            rec = _trial_job(job)
+    with ExitStack() as stack:
+        trials = map(_trial_job, jobs)
+        if workers > 1 and len(jobs) > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers))
+            trials = pool.map(_trial_job, jobs, chunksize=1)
+        for rec in trials:
             records.append(rec)
             out.write(rec.to_csv() + "\n")
             out.flush()
@@ -442,7 +441,7 @@ class RunLogger:
                  alpha: int) -> None:
         self._fh = fh
         self._alpha = canonicalize_alpha(alpha)
-        # engine-native coefficients: ints stay ints
+        # exact per-coordinate totals: int starts keep int totals
         rows = oracle.coefficient_rows(self._alpha, instance.y_init)
         self._total = [sum(row[k] for row in rows)
                        for k in range(self._alpha.basis_dim)]
@@ -451,11 +450,8 @@ class RunLogger:
     def __call__(self, rec: TransitionRecord) -> None:
         total = self._total
         for _e, old, new in rec.changed:
-            if isinstance(new, tuple):
-                for k, (a, b) in enumerate(zip(old, new)):
-                    total[k] += b - a
-            else:
-                total[0] += new - old
+            for k, (a, b) in enumerate(zip(old, new)):
+                total[k] += b - a
         sum_y = float_value(total, self._alpha)
         self._fh.write(f"{rec.eval_index},{int(rec.accepted)},"
                        f"{len(rec.edges)},{rec.direction},{rec.sign_after},"

@@ -24,7 +24,8 @@ approximation's sign only where a rounding bound proves it.  Tests hold
 both against ``run_reference``, a slow replay of the same draws over
 coefficient rows in which :mod:`dualvc.oracle` decides every evaluation
 from scratch: the two emit the same per-evaluation ``TransitionRecord``
-stream to a hook, and the tests compare those streams record for record.
+stream to a hook, every value in it a coefficient row whichever engine
+ran, and the tests compare those streams with ``==``.
 
 The integer engine is kept beside the vector engine because it pays for
 itself: on one trial of each of the 36 ``harness.scaling_plan`` cells
@@ -135,7 +136,8 @@ class RunResult:
 
 @dataclass(frozen=True)
 class TransitionRecord:
-    """Per-evaluation hook payload (engine-native values: ints or tuples)."""
+    """Per-evaluation hook payload; every value is a coefficient row over
+    the basis of the run's alpha, whichever engine ran."""
 
     eval_index: int
     accepted: bool
@@ -143,7 +145,7 @@ class TransitionRecord:
     sign_before: int
     sign_after: int
     edges: tuple[int, ...]
-    changed: tuple  # tuples (edge, old, new) for actual changes
+    changed: tuple  # (edge, old row, new row) for actual changes
     changed_was_violating: tuple  # bool per changed edge, wrt pre-step state
     demoted: tuple[int, ...]
 
@@ -164,20 +166,20 @@ class _BaseEngine:
     ``sigma_table[q]`` (the exact step beta^q) and ``step_size[q]`` (the
     step ``overloads`` adds) before calling this constructor.  It supplies
     the value operations ``_vadd``, ``_vsub``, ``vsign``, ``scale_int`` and
-    ``coeff_rows``, and two load tests: ``_load_sign(v)``, the sign of
-    load(v) - W(v), and ``overloads(v, extra, selection, q)``, whether
+    ``row`` (a value as a coefficient row), and two load tests:
+    ``_load_sign(v)``, the sign of load(v) - W(v), and
+    ``overloads(v, extra, selection, q)``, whether
     raising every selected edge e by beta^q[e] puts v's load above W(v),
     `extra` being the sum of ``step_size[q[e]]`` over the selected edges at
     v.
     """
 
-    __slots__ = ("graph", "n", "m", "weights", "adj", "w_max", "penalty",
+    __slots__ = ("graph", "m", "weights", "adj", "w_max", "penalty",
                  "y", "load", "slack", "nviol", "tight_ends", "untight",
                  "zero", "sigma_table", "step_size")
 
     def __init__(self, graph, y_init, w_max: int) -> None:
         self.graph = graph
-        self.n = graph.n
         self.m = graph.m
         self.weights = list(graph.weights)
         self.adj = [graph.adjacency(v) for v in range(graph.n)]
@@ -246,12 +248,13 @@ class _IntEngine(_BaseEngine):
     stays a plain int: ea/rls (q = 0 mod 4, integer powers of alpha) at any
     alpha, and every algorithm at field degree 1.  ``sigma_table[q]`` is
     beta^q, or None where that step is irrational; ``step_size`` is the
-    same list."""
+    same list.  ``pad`` fills an int out to a coefficient row."""
 
-    __slots__ = ()
+    __slots__ = ("pad",)
 
     def __init__(self, graph, y_init, w_max, alpha: Alpha, q_cap) -> None:
         rows = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
+        self.pad = (0,) * (alpha.basis_dim - 1)
         self.zero = 0
         self.sigma_table = self.step_size = [
             None if any(row[1:]) else row[0] for row in rows]
@@ -277,9 +280,8 @@ class _IntEngine(_BaseEngine):
     def scale_int(self, a, k: int):
         return a * k
 
-    def coeff_rows(self, dim: int) -> tuple:
-        pad = (0,) * (dim - 1)
-        return tuple((v,) + pad for v in self.y)
+    def row(self, v) -> tuple:
+        return (v,) + self.pad
 
 
 class _VecEngine(_BaseEngine):
@@ -378,9 +380,8 @@ class _VecEngine(_BaseEngine):
     def scale_int(self, a, k: int):
         return tuple(c * k for c in a)
 
-    def coeff_rows(self, dim: int) -> tuple:
-        assert dim == self.dim
-        return tuple(tuple(v) for v in self.y)
+    def row(self, v) -> tuple:
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +493,6 @@ def run(instance: DynamicInstance, config: RunConfig,
     """
     eng, q_cap = _make_engine(instance, config)
     m = eng.m
-    alpha = canonicalize_alpha(config.alpha)
     q = [0] * m
     rng = random.Random(config.seed)
     fifth = config.algorithm.endswith("fifth")
@@ -528,7 +528,8 @@ def run(instance: DynamicInstance, config: RunConfig,
         changed = ()
         changed_viol = ()
         if hook is not None and accept and deltas:
-            changed = tuple((e, eng.y[e], new) for e, new in deltas
+            row = eng.row
+            changed = tuple((e, row(eng.y[e]), row(new)) for e, new in deltas
                             if new != eng.y[e])
             changed_viol = tuple(eng.edge_violating(e)
                                  for e, _o, _n in changed)
@@ -563,8 +564,7 @@ def run(instance: DynamicInstance, config: RunConfig,
         # found not maximal
         if accept and deltas and eng.is_mfds():
             success = True
-    return RunResult(evals, success, eng.coeff_rows(alpha.basis_dim),
-                     accepted_n)
+    return RunResult(evals, success, tuple(map(eng.row, eng.y)), accepted_n)
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +617,11 @@ def _reference_step(g, config: RunConfig, y: list, sign: int, q: list,
         demoted = tuple(selection)
         step = 4
     else:
-        violated = set(oracle.violated(g, alpha, proposed))
+        slack = oracle.cover_certificate(g, alpha, proposed).slack
         touches = Counter(w for e in selection for w in g.edges[e])
         out = []
         for e in selection:
-            ends = [w for w in g.edges[e] if w in violated]
+            ends = [w for w in g.edges[e] if slack[w] > 0]
             if ends and all(touches[w] == 1 for w in ends):
                 out.append(e)
         demoted = tuple(out)
@@ -635,11 +635,12 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
                   hook: Optional[Callable[[TransitionRecord], None]] = None
                   ) -> RunResult:
     """Slow replay of run(): the same random draws, each evaluation decided
-    by ``_reference_step`` and each maximality test by the oracle's cover
-    certificate, with y carried as coefficient rows.  With a hook, every
-    evaluation emits the TransitionRecord run() emits, each field
-    recomputed from scratch by the oracle (values as coefficient tuples),
-    so the two streams must match record for record."""
+    by ``_reference_step``, with y carried as coefficient rows.  Signs,
+    violating edges and maximality are read from the oracle's cover
+    certificate, computed once for the start and once after each accepted
+    step; a rejected step leaves y, and so its certificate, as it was.
+    With a hook, every evaluation emits the TransitionRecord run() emits,
+    so the two streams must be equal."""
     alpha = canonicalize_alpha(config.alpha)
     g = instance.graph_star
     y = oracle.coefficient_rows(alpha, instance.y_init)
@@ -650,31 +651,28 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
             else draw_rls_selection)
     evals = 0
     accepted_n = 0
-    success = oracle.success_defect(g, alpha, y) is None
+    cert = oracle.cover_certificate(g, alpha, y)
+    success = cert.defect is None
     while not success and evals < config.budget and g.m > 0:
-        violated = oracle.violated(g, alpha, y)
-        sign_before = -1 if violated else 1
+        before = cert
+        sign_before = 1 if before.feasible else -1
         d = draw_direction(rng) if fifth else sign_before
         selection = draw(rng, g.m)
         y_new, accepted, demoted = _reference_step(
             g, config, y, sign_before, q, selection, d)
         evals += 1
+        if accepted:
+            accepted_n += 1
+            cert = oracle.cover_certificate(g, alpha, y_new)
+            success = cert.defect is None
         if hook is not None:
             changed = tuple((e, y[e], y_new[e]) for e in selection
                             if y_new[e] != y[e])
-            # a rejected step returns y itself, so its sign is unchanged
-            sign_after = sign_before
-            if accepted:
-                sign_after = -1 if oracle.violated(g, alpha, y_new) else 1
             hook(TransitionRecord(
-                evals, accepted, d, sign_before, sign_after,
+                evals, accepted, d, sign_before, 1 if cert.feasible else -1,
                 tuple(selection), changed,
-                tuple(any(w in violated for w in g.edges[e])
+                tuple(any(before.slack[w] > 0 for w in g.edges[e])
                       for e, _o, _n in changed),
                 demoted))
         y = y_new
-        if accepted:
-            accepted_n += 1
-            success = oracle.success_defect(g, alpha, y) is None
-    return RunResult(evals, success, tuple(tuple(row) for row in y),
-                     accepted_n)
+    return RunResult(evals, success, tuple(map(tuple, y)), accepted_n)

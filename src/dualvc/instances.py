@@ -83,22 +83,12 @@ class DynamicInstance:
 
 def _tag_from_diff(edit: Edit, diff: EditDiff, requested: str) -> str:
     if edit.kind == "edges":
-        plus, minus = bool(diff.e_plus), bool(diff.e_minus)
-        if plus and minus:
-            return "E"
-        if plus:
-            return "E+"
-        if minus:
-            return "E-"
+        family, plus, minus = "E", diff.e_plus, diff.e_minus
+    else:
+        family, plus, minus = "W", diff.v_plus, diff.v_minus
+    if not (plus or minus):
         return requested  # identity edit: nothing to classify
-    plus, minus = bool(diff.v_plus), bool(diff.v_minus)
-    if plus and minus:
-        return "W"
-    if plus:
-        return "W+"
-    if minus:
-        return "W-"
-    return requested
+    return family + ("" if plus and minus else "+" if plus else "-")
 
 
 def _check_tag(requested: str, derived: str, edit: Edit) -> None:
@@ -191,21 +181,22 @@ def random_edit(g: WeightedGraph, variant: str, d: int, seed: int,
     if d < 1:
         raise ValueError("edit scale d must be >= 1")
     rng = random.Random(seed)
+    # (added, removed) edges or (raised, lowered) weights
+    if variant.endswith("+"):
+        n_up, n_down = d, 0
+    elif variant.endswith("-"):
+        n_up, n_down = 0, d
+    else:
+        n_up = rng.randint(1, d - 1) if d >= 2 else rng.randint(0, 1)
+        n_down = d - n_up
     if variant.startswith("E"):
         present = set(g.edges)
         free = [e for e in combinations(range(g.n), 2) if e not in present]
-        if variant == "E+":
-            n_add, n_del = d, 0
-        elif variant == "E-":
-            n_add, n_del = 0, d
-        else:
-            n_add = rng.randint(1, d - 1) if d >= 2 else rng.randint(0, 1)
-            n_del = d - n_add
-        if n_add > len(free) or n_del > g.m:
+        if n_up > len(free) or n_down > g.m:
             raise ValueError(
                 f"cannot {variant}-edit with d={d}: graph too full/empty")
-        added = rng.sample(free, n_add) if n_add else []
-        removed = set(rng.sample(range(g.m), n_del)) if n_del else set()
+        added = rng.sample(free, n_up) if n_up else []
+        removed = set(rng.sample(range(g.m), n_down)) if n_down else set()
         new_edges = tuple(e for i, e in enumerate(g.edges)
                           if i not in removed) + tuple(added)
         return Edit("edges", edges=new_edges)
@@ -213,13 +204,6 @@ def random_edit(g: WeightedGraph, variant: str, d: int, seed: int,
         w_cap = max(g.weights, default=1)
     raisable = [v for v in range(g.n) if g.weights[v] < w_cap]
     lowerable = [v for v in range(g.n) if g.weights[v] > 1]
-    if variant == "W+":
-        n_up, n_down = d, 0
-    elif variant == "W-":
-        n_up, n_down = 0, d
-    else:
-        n_up = rng.randint(1, d - 1) if d >= 2 else rng.randint(0, 1)
-        n_down = d - n_up
     if n_up > len(raisable):
         raise ValueError(
             f"cannot {variant}-edit with d={d}: weights leave no room")

@@ -5,8 +5,9 @@ success the harness reports.
 Nothing here shares caching or incremental logic with the rest of the
 package: loads are recomputed from scratch, covers are found by exhaustive
 or branch-and-bound search, and maximal solutions are enumerated over an
-integer grid.  The cover certificate (behind ``success_defect``,
-``validate_mfds_naive``, ``dual.extract_cover`` and ``dualvc verify``) and
+integer grid.  The cover certificate (behind ``validate_mfds_naive``,
+``harness.verify_final``, the reference replay's signs and maximality tests,
+``dual.extract_cover`` and ``dualvc verify``) and
 the acceptance functional ``reference_fitness`` both take edge values as
 coefficient rows over an explicit alpha and decide every sign on integer
 coefficient columns, so they cost little next to the search they check;
@@ -263,42 +264,21 @@ def _certify(g: WeightedGraph, alpha: Optional[Alpha],
                             _sign(two_sum_minus_cover, alpha) >= 0)
 
 
-def cover_certificate(g: WeightedGraph, alpha: Alpha,
+def cover_certificate(g: WeightedGraph, alpha: Optional[Alpha],
                       values: Sequence[Value]) -> CoverCertificate:
-    """The certificate of one value per edge (anything ``coefficient_rows``
-    lifts)."""
+    """The certificate of one value per edge: anything ``coefficient_rows``
+    lifts over `alpha`, or, without one, ints and Fractions only.  A wrong
+    value count or row length raises ValueError."""
     if len(values) != g.m:
         raise ValueError(f"{len(values)} values for {g.m} edges")
     return _certify(g, alpha, _columns(values, alpha))
-
-
-def success_defect(g: WeightedGraph, alpha: Alpha,
-                   rows: Sequence[Sequence[Rational]]) -> Optional[str]:
-    """Why coefficient rows (one per edge, int or Fraction coefficients
-    over the basis of `alpha`) fail the cover certificate, or None."""
-    if len(rows) != g.m:
-        return f"reported solution has {len(rows)} rows for {g.m} edges"
-    dim = alpha.basis_dim
-    if any(len(row) != dim for row in rows):
-        return f"reported solution rows must have {dim} coefficients"
-    return cover_certificate(g, alpha, rows).defect
 
 
 def validate_mfds_naive(g: WeightedGraph, values: Sequence[Value],
                         alpha: Optional[Alpha] = None) -> bool:
     """Full-recompute check that `values` form a maximal feasible solution:
     ints and Fractions, or with `alpha` also coefficient rows over it."""
-    if len(values) != g.m:
-        raise ValueError(f"{len(values)} values for {g.m} edges")
-    return _certify(g, alpha, _columns(values, alpha)).defect is None
-
-
-def violated(g: WeightedGraph, alpha: Alpha,
-             values: Sequence[Value]) -> list[int]:
-    """Vertices whose load, recomputed from scratch, exceeds their weight."""
-    cols, den = _integer_columns(_columns(values, alpha))
-    return [v for v, s in enumerate(_slack_signs(g, alpha, cols, den))
-            if s > 0]
+    return cover_certificate(g, alpha, values).defect is None
 
 
 def trap_edge(g: WeightedGraph, alpha: Alpha,

@@ -47,16 +47,6 @@ def verdict(capsys, k: int, ok: bool, detail: str = "") -> None:
         print(f"CRITERION {k}: {'PASS' if ok else 'FAIL'}")
 
 
-def value_decreased(old, new) -> bool:
-    """True iff new < old for engine-native values (ints or coeff tuples)."""
-    if isinstance(old, int) and isinstance(new, int):
-        return new < old
-    dim = A2.basis_dim
-    oc = old if isinstance(old, tuple) else (old,) + (0,) * (dim - 1)
-    nc = new if isinstance(new, tuple) else (new,) + (0,) * (dim - 1)
-    return sign_of_coeffs(tuple(a - b for a, b in zip(oc, nc)), A2) > 0
-
-
 # ---------------------------------------------------------------------------
 # shared run pool for criteria 1 and 2
 # ---------------------------------------------------------------------------
@@ -99,7 +89,8 @@ def _pool_hook(stats: PoolStats):
                                                rec.changed_was_violating):
                 if not was_viol:
                     stats.neg_membership_violations += 1
-                if not value_decreased(old, new):
+                if sign_of_coeffs([a - b for a, b in zip(old, new)],
+                                  A2) <= 0:
                     stats.neg_direction_violations += 1
     return hook
 

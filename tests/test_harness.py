@@ -139,6 +139,24 @@ def test_build_instance_random_is_deterministic_and_invalidated():
         assert not validate_mfds_naive(inst.graph_star, inst.y_init)
 
 
+def test_build_instance_raises_when_no_draw_invalidates_the_start(tmp_path,
+                                                                   capsys):
+    # every E- edit of a one-edge graph deletes that edge, and the empty
+    # solution of the edgeless graph is maximal, so no redraw helps
+    c = cell(variant="E-", n=2, m=1, d=1, trials=1)
+    with pytest.raises(ValueError, match="trial 0: none of 65 draws"):
+        build_instance(c, 0)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"cells": [
+        {k: getattr(c, k) for k in ("variant", "algorithm", "alpha",
+                                    "trials", "budget", "seed", "n", "m",
+                                    "d", "w_max")}]}))
+    out = tmp_path / "rows.csv"
+    assert cli_main(["bench", "--config", str(plan), "--out", str(out)]) == 2
+    assert "none of 65 draws" in capsys.readouterr().err
+    assert out.read_text() == CSV_HEADER + "\n"     # no row was written
+
+
 def test_run_trial_records_requested_parameters():
     c = cell(trials=1)
     rec = run_trial(c, 0)

@@ -4,12 +4,11 @@ import random
 import statistics
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from dualvc import heuristics
+from dualvc import heuristics, oracle
 from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
 from dualvc.harness import BenchCell, build_instance
@@ -21,8 +20,8 @@ from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
 from dualvc.instances import (hard_instance, make_dynamic, random_dynamic)
 from dualvc.numeric import (canonicalize_alpha, q_max_for, sign_of_coeffs,
                             step_coeffs)
-from dualvc.oracle import (coefficient_rows, trap_edge, validate_mfds_naive,
-                           violated)
+from dualvc.oracle import (coefficient_rows, cover_certificate, trap_edge,
+                           validate_mfds_naive)
 from engine_decisions import engine_agrees
 from near_ties import PELL, near_zero
 
@@ -169,7 +168,9 @@ def test_proposal_clamps_decreases_at_zero():
     run(inst, RunConfig("rls", 2, inst.w_max, 50, 1), hook=records.append)
     # infeasible, so each step lowers by sigma = 1, 2, 4: the last clamps
     changes = [r.changed for r in records[:3]]
-    assert changes == [((0, 6, 5),), ((0, 5, 3),), ((0, 3, 0),)]
+    six, five, three, zero = rows((6, 5, 3, 0))
+    assert changes == [((0, six, five),), ((0, five, three),),
+                       ((0, three, zero),)]
     assert all(r.accepted and r.direction == -1 for r in records[:3])
 
 
@@ -335,7 +336,7 @@ def reference_step(g, values, q, algorithm, selection, direction, w_max):
     """_reference_step at alpha 2 on rational values, given with their
     sign as the replay computes it."""
     y = rows(values)
-    sign = -1 if violated(g, A2, y) else 1
+    sign = 1 if cover_certificate(g, A2, y).feasible else -1
     return _reference_step(g, RunConfig(algorithm, 2, w_max, 1, 0), y, sign,
                            q, selection, direction)
 
@@ -503,22 +504,8 @@ EQUIV_CASES = [
 ]
 
 
-def _coeffs(value, dim):
-    if isinstance(value, tuple):
-        return value
-    return (value,) + (0,) * (dim - 1)
-
-
-def normalised(records, dim):
-    """Hook records with every changed value as a coefficient tuple, so
-    the integer engine's ints compare against reference rows."""
-    return [replace(r, changed=tuple((e, _coeffs(old, dim), _coeffs(new, dim))
-                                     for e, old, new in r.changed))
-            for r in records]
-
-
 def first_trap(inst, alpha, records):
-    """Replay a normalised hook stream from the start values.  Returns
+    """Replay a hook stream from the start values.  Returns
     (eval index, coefficient rows) at the first state that
     ``oracle.trap_edge`` certifies, or None if no state does."""
     g = inst.graph_star
@@ -540,15 +527,13 @@ def assert_run_matches_reference(inst, cfg):
     does not perturb the engine."""
     alpha = canonicalize_alpha(cfg.alpha)
     assert not validate_mfds_naive(inst.graph_star, inst.y_init, alpha)
-    dim = alpha.basis_dim
     fast_stream, ref_stream = [], []
     fast = run(inst, cfg, hook=fast_stream.append)
     ref = run_reference(inst, cfg, hook=ref_stream.append)
     assert fast.evaluations >= 1
     assert len(fast_stream) == fast.evaluations
     assert len(ref_stream) == ref.evaluations
-    for a, b in zip(normalised(fast_stream, dim), normalised(ref_stream, dim)):
-        assert a == b, f"evaluation {a.eval_index}"
+    assert fast_stream == ref_stream
     assert fast == ref
     assert run(inst, cfg) == fast
 
@@ -566,6 +551,30 @@ def test_engine_matches_reference_alpha_three():
     for algorithm in ALGORITHMS:
         assert_run_matches_reference(
             inst, RunConfig(algorithm, 3, inst.w_max, 300, 9))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_replay_computes_one_certificate_per_state(algorithm, monkeypatch):
+    """run_reference calls oracle.cover_certificate once for the start
+    and once after each accepted step; the only other call reads the slack
+    of a rejected ea increase's proposal, for its demotion set."""
+    calls = []
+    certify = oracle.cover_certificate
+
+    def counted(g, alpha, values):
+        calls.append(values)
+        return certify(g, alpha, values)
+
+    monkeypatch.setattr(oracle, "cover_certificate", counted)
+    for alpha, inst in EQUIV_CASES[::3]:
+        records = []
+        calls.clear()
+        result = run_reference(inst, RunConfig(algorithm, alpha, inst.w_max,
+                                               400, 1), hook=records.append)
+        assert result.accepted >= 1
+        demotion_reads = sum(algorithm == "ea" and not r.accepted
+                             and r.sign_before > 0 for r in records)
+        assert len(calls) == 1 + result.accepted + demotion_reads
 
 
 # -- the trap certificate --------------------------------------------------------------
@@ -590,7 +599,7 @@ def test_trapped_runs_never_succeed():
                     seen = []
                     result = run(inst, cfg, hook=seen.append)
                     runs += 1
-                    trap = first_trap(inst, a, normalised(seen, a.basis_dim))
+                    trap = first_trap(inst, a, seen)
                     if trap is None:
                         continue
                     trapped += 1
