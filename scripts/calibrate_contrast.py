@@ -27,9 +27,7 @@ from statistics import median, quantiles
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dualvc.harness import contrast_bound  # noqa: E402
-from dualvc.heuristics import RunConfig, run  # noqa: E402
-from dualvc.instances import hard_instance  # noqa: E402
+from dualvc.harness import BenchCell, contrast_bound, run_trial  # noqa: E402
 
 PILOT_M = 8
 PILOT_ALPHA = 2
@@ -38,18 +36,13 @@ MARGIN = 2.0
 
 
 def pilot_stats(algorithm, m, alpha, trials, seed, budget):
-    inst = hard_instance("E+", m, alpha)
-    evals, successes = [], 0
-    for trial in range(trials):
-        cfg = RunConfig(algorithm=algorithm, alpha=alpha, w_max=inst.w_max,
-                        budget=budget, seed=seed + trial)
-        result = run(inst, cfg)
-        successes += result.success
-        evals.append(result.evaluations)
-    evals.sort()
+    cell = BenchCell(variant="E+", algorithm=algorithm, alpha=alpha,
+                     trials=trials, budget=budget, seed=seed, kind="hard", m=m)
+    records = [run_trial(cell, t) for t in range(trials)]
+    evals = sorted(r.evaluations for r in records)
     return {
         "trials": trials,
-        "successes": successes,
+        "successes": sum(r.success for r in records),
         "median_evals": median(evals),
         "p95_evals": quantiles(evals, n=20)[-1] if trials >= 20 else evals[-1],
         "max_evals": evals[-1],

@@ -16,24 +16,18 @@ from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dualvc.harness import contrast_bound  # noqa: E402
-from dualvc.heuristics import RunConfig, run  # noqa: E402
-from dualvc.instances import hard_instance  # noqa: E402
+from dualvc.harness import BenchCell, contrast_bound, run_trial  # noqa: E402
 
 DEFAULT_CONFIG = (Path(__file__).resolve().parents[1]
                   / "tests" / "data" / "contrast_config.json")
 
 
 def trial_block(algorithm, m, alpha, trials, seed, budget):
-    inst = hard_instance("E+", m, alpha)
-    evals, succ = [], 0
-    for trial in range(trials):
-        cfg = RunConfig(algorithm=algorithm, alpha=alpha, w_max=inst.w_max,
-                        budget=budget, seed=seed + trial)
-        result = run(inst, cfg)
-        succ += result.success
-        evals.append(result.evaluations)
-    return succ, median(evals)
+    cell = BenchCell(variant="E+", algorithm=algorithm, alpha=alpha,
+                     trials=trials, budget=budget, seed=seed, kind="hard", m=m)
+    records = [run_trial(cell, t) for t in range(trials)]
+    return (sum(r.success for r in records),
+            median(r.evaluations for r in records))
 
 
 def main(argv=None):

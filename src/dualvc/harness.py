@@ -76,6 +76,8 @@ class BenchCell:
             raise ValueError("budget must be >= 1")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if self.kind == "hard" and self.m < 2:
+            raise ValueError("hard cells need m >= 2")
         if self.kind == "random" and (self.n < 2 or self.d < 1
                                       or self.w_max < 1):
             raise ValueError("random cells need n >= 2, d >= 1, w_max >= 1")
@@ -225,10 +227,6 @@ def run_trial(cell: BenchCell, trial: int) -> BenchRecord:
                        result.evaluations, result.success, wall_ms)
 
 
-def _trial_job(job: tuple[BenchCell, int]) -> BenchRecord:
-    return run_trial(*job)
-
-
 def thread_count() -> int:
     raw = os.environ.get("DUALVC_THREADS", "1")
     try:
@@ -241,17 +239,19 @@ def thread_count() -> int:
 
 
 def execute_plan(plan: BenchPlan, out: TextIO) -> list[BenchRecord]:
-    """Run all trials, streaming CSV rows in trial order, then the summary."""
-    jobs = [(cell, t) for cell in plan.cells for t in range(cell.trials)]
+    """Run all trials, streaming CSV rows in trial order, then the summary;
+    ``DUALVC_THREADS`` workers run them, at most one per trial and CPU."""
+    cells = [cell for cell in plan.cells for _ in range(cell.trials)]
+    indices = [t for cell in plan.cells for t in range(cell.trials)]
     out.write(CSV_HEADER + "\n")
     records: list[BenchRecord] = []
-    workers = thread_count()
+    workers = min(thread_count(), len(cells), os.cpu_count() or 1)
     with ExitStack() as stack:
-        trials = map(_trial_job, jobs)
-        if workers > 1 and len(jobs) > 1:
+        trials = map(run_trial, cells, indices)
+        if workers > 1:
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers))
-            trials = pool.map(_trial_job, jobs, chunksize=1)
+            trials = pool.map(run_trial, cells, indices, chunksize=1)
         for rec in trials:
             records.append(rec)
             out.write(rec.to_csv() + "\n")
@@ -323,18 +323,17 @@ def contrast_bound(m: int, alpha: int, w_max: int) -> float:
 
 def scaling_plan(trials: int = 12, base_seed: int = 20260821,
                  sizes: Sequence[int] = (64, 128, 256),
-                 d_scales: Sequence[int] = (1, 4, 16),
-                 w_max: int = 2 ** 14,
                  out: str = "scaling.csv") -> BenchPlan:
     """Canonical scaling-experiment plan: rls and ea on random edge-edit and
-    weight-edit families, n = m/2, 8x bound_shape budget headroom, one
-    well-separated seed block per cell."""
+    weight-edit families at edit scales 1, 4 and 16, n = m/2, weights up to
+    2^14, 8x bound_shape budget headroom, one well-separated seed block per
+    cell."""
     cells = []
-    alpha = 2
+    alpha, w_max = 2, 2 ** 14
     for variant in ("E", "W"):
         for algorithm in ("rls", "ea"):
             for m in sizes:
-                for d in d_scales:
+                for d in (1, 4, 16):
                     budget = ceil(8 * bound_shape(m, d, alpha, w_max))
                     cells.append(BenchCell(
                         variant=variant, algorithm=algorithm, alpha=alpha,

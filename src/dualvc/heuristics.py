@@ -439,13 +439,13 @@ def _decide_decrease_infeasible(eng, selection, q):
     deltas = []
     for e in selection:
         ycur = eng.y[e]
+        if ycur == eng.zero:  # values are never negative: nothing to lower
+            continue
         s = eng.sigma_table[q[e]]
         if eng.vsign(eng._vsub(ycur, s)) <= 0:
             dec, new = ycur, eng.zero  # clamped to zero
         else:
             dec, new = s, eng._vsub(ycur, s)
-        if eng.vsign(dec) == 0:
-            continue
         if eng.edge_violating(e):
             gain = eng._vadd(gain, dec)
         else:
@@ -503,7 +503,7 @@ def run(instance: DynamicInstance, config: RunConfig,
     accepted_n = 0
     success = eng.is_mfds()
     zero = eng.zero
-    while not success and evals < budget and m > 0:
+    while not success and evals < budget:
         sign_before = eng.sign_now()
         d = draw_direction(rng) if fifth else sign_before
         selection = draw(rng, m)
@@ -603,7 +603,8 @@ def _reference_step(g, config: RunConfig, y: list, sign: int, q: list,
     """
     alpha = canonicalize_alpha(config.alpha)
     proposed = _reference_proposal(alpha, y, q, selection, direction)
-    if oracle.reference_fitness(g, alpha, y, proposed, config.w_max).accept:
+    fitness = oracle.reference_fitness(g, alpha, y, proposed, config.w_max)
+    if fitness.accept:
         q_cap = q_max_for(alpha, config.w_max)
         for e in selection:
             q[e] = min(q[e] + 4, q_cap)
@@ -617,7 +618,7 @@ def _reference_step(g, config: RunConfig, y: list, sign: int, q: list,
         demoted = tuple(selection)
         step = 4
     else:
-        slack = oracle.cover_certificate(g, alpha, proposed).slack
+        slack = fitness.proposed_slack  # y is feasible here
         touches = Counter(w for e in selection for w in g.edges[e])
         out = []
         for e in selection:
@@ -653,7 +654,7 @@ def run_reference(instance: DynamicInstance, config: RunConfig,
     accepted_n = 0
     cert = oracle.cover_certificate(g, alpha, y)
     success = cert.defect is None
-    while not success and evals < config.budget and g.m > 0:
+    while not success and evals < config.budget:
         before = cert
         sign_before = 1 if before.feasible else -1
         d = draw_direction(rng) if fifth else sign_before

@@ -72,7 +72,6 @@ class DynamicInstance:
     graph_star: WeightedGraph
     d_scale: int
     requested: str        # family asked for at plan level
-    derived_tag: str      # family implied by the diff sets
     w_max: int            # max weight across both graphs
     y_init: tuple         # starting values, indexed by graph_star edge ids
 
@@ -81,26 +80,23 @@ class DynamicInstance:
         return self.graph_star.m
 
 
-def _tag_from_diff(edit: Edit, diff: EditDiff, requested: str) -> str:
-    if edit.kind == "edges":
-        family, plus, minus = "E", diff.e_plus, diff.e_minus
-    else:
-        family, plus, minus = "W", diff.v_plus, diff.v_minus
-    if not (plus or minus):
-        return requested  # identity edit: nothing to classify
-    return family + ("" if plus and minus else "+" if plus else "-")
-
-
-def _check_tag(requested: str, derived: str, edit: Edit) -> None:
+def _check_variant(requested: str, edit: Edit, diff: EditDiff) -> None:
+    """Raise ValueError unless the edit is of the variant's kind and, for a
+    one-sided variant, classifies as it; an identity edit fits any."""
     if requested not in VARIANTS:
         raise ValueError(f"unknown variant {requested!r}")
     kind = "edges" if requested.startswith("E") else "weights"
     if edit.kind != kind:
         raise ValueError(
             f"variant {requested} needs a {kind} edit, got {edit.kind}")
-    if requested in ("E+", "E-", "W+", "W-") and derived != requested:
-        raise ValueError(
-            f"edit classifies as {derived}, not {requested}")
+    plus, minus = ((diff.e_plus, diff.e_minus) if kind == "edges"
+                   else (diff.v_plus, diff.v_minus))
+    if requested in ("E+", "E-", "W+", "W-") and (plus or minus):
+        derived = requested[0] + ("" if plus and minus
+                                  else "+" if plus else "-")
+        if derived != requested:
+            raise ValueError(
+                f"edit classifies as {derived}, not {requested}")
 
 
 def make_dynamic(g: WeightedGraph, y_orig: Sequence, edit: Edit,
@@ -115,14 +111,13 @@ def make_dynamic(g: WeightedGraph, y_orig: Sequence, edit: Edit,
     if not oracle.validate_mfds_naive(g, y_orig, alpha):
         raise ValueError("y_orig is not a maximal feasible solution of g")
     g_star, d, diff = apply_edit(g, edit)
-    derived = _tag_from_diff(edit, diff, requested)
-    _check_tag(requested, derived, edit)
+    _check_variant(requested, edit, diff)
     w_max = max(g.max_weight(), g_star.max_weight())
     old_ids = g.edge_ids()
     y_init = [y_orig[old_ids[e]] if e in old_ids else 0
               for e in g_star.edges]
     return DynamicInstance(g, tuple(y_orig), edit, g_star, d, requested,
-                           derived, w_max, tuple(y_init))
+                           w_max, tuple(y_init))
 
 
 def hard_instance(variant: str, m: int, alpha: int) -> DynamicInstance:

@@ -140,8 +140,6 @@ def sign_of_coeffs(coeffs: Sequence[Rational], alpha: Alpha) -> int:
 # step exponents: sigma = alpha^(q/4), q an integer in [0, q_max]
 # ---------------------------------------------------------------------------
 
-StepExponent = int  # quarter-steps; kept as a plain int in hot paths
-
 
 def ceil_log(alpha: int, w: int) -> int:
     """Smallest t >= 0 with alpha^t >= w (w >= 1)."""
@@ -161,7 +159,7 @@ def q_max_for(alpha: Union[int, Alpha], w_max: int) -> int:
     return 4 * (ceil_log(a.alpha, w_max) + 1)
 
 
-def step_coeffs(q: StepExponent, alpha: Alpha) -> tuple:
+def step_coeffs(q: int, alpha: Alpha) -> tuple:
     """Integer coefficient vector of alpha^(q/4), a single basis monomial."""
     if q < 0:
         raise ValueError(f"step exponent {q} is negative")

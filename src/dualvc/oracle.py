@@ -140,19 +140,26 @@ def coefficient_rows(alpha: Alpha, values: Sequence[Value]) -> list:
     return rows
 
 
-def _columns(values: Sequence[Value], alpha: Optional[Alpha]) -> list:
-    """Coordinate columns over `alpha`; plain rationals need no alpha and
-    make a single column, rows without one are an error."""
+def _integer_columns(g: WeightedGraph, alpha: Optional[Alpha],
+                     *vectors: Sequence[Value]) -> tuple[list, int]:
+    """The vectors, one value per edge each, joined and taken apart into
+    coordinate columns over `alpha`, as ints over their common denominator,
+    and that denominator.  Plain rationals need no alpha and make a single
+    column, rows without one are an error; only the rational column is
+    kept when every irrational one is 0.  A wrong value count or row length
+    raises ValueError."""
+    values = []
+    for vec in vectors:
+        if len(vec) != g.m:
+            raise ValueError(f"{len(vec)} values for {g.m} edges")
+        values.extend(vec)
     if alpha is None:
         if any(isinstance(v, (tuple, list)) for v in values):
             raise ValueError("coefficient rows need an alpha")
-        return [list(values)]
-    return [list(col) for col in zip(*coefficient_rows(alpha, values))] or [[]]
-
-
-def _integer_columns(cols: list) -> tuple[list, int]:
-    """Columns as ints over their common denominator, and that denominator;
-    only the rational column is kept when every irrational one is 0."""
+        cols = [values]
+    else:
+        cols = [list(col) for col in zip(*coefficient_rows(alpha, values))
+                ] or [[]]
     den = 1
     if not set(map(type, chain.from_iterable(cols))) <= {int}:
         den = lcm(*(c.denominator for col in cols for c in col))
@@ -244,10 +251,12 @@ class CoverCertificate:
         return None
 
 
-def _certify(g: WeightedGraph, alpha: Optional[Alpha],
-             cols: list) -> CoverCertificate:
-    """The certificate of edge values given as coordinate columns."""
-    cols, den = _integer_columns(cols)
+def cover_certificate(g: WeightedGraph, alpha: Optional[Alpha],
+                      values: Sequence[Value]) -> CoverCertificate:
+    """The certificate of one value per edge: anything ``coefficient_rows``
+    lifts over `alpha`, or, without one, ints and Fractions only.  A wrong
+    value count or row length raises ValueError."""
+    cols, den = _integer_columns(g, alpha, values)
     negative = -1 in _signs(cols, alpha)
     slack = _slack_signs(g, alpha, cols, den)
     # every edge has a tight endpoint, i.e. the tight vertices cover it
@@ -262,16 +271,6 @@ def _certify(g: WeightedGraph, alpha: Optional[Alpha],
     return CoverCertificate(tuple(slack), negative, True, cover_weight,
                             _exact(alpha, sums, den),
                             _sign(two_sum_minus_cover, alpha) >= 0)
-
-
-def cover_certificate(g: WeightedGraph, alpha: Optional[Alpha],
-                      values: Sequence[Value]) -> CoverCertificate:
-    """The certificate of one value per edge: anything ``coefficient_rows``
-    lifts over `alpha`, or, without one, ints and Fractions only.  A wrong
-    value count or row length raises ValueError."""
-    if len(values) != g.m:
-        raise ValueError(f"{len(values)} values for {g.m} edges")
-    return _certify(g, alpha, _columns(values, alpha))
 
 
 def validate_mfds_naive(g: WeightedGraph, values: Sequence[Value],
@@ -292,9 +291,7 @@ def trap_edge(g: WeightedGraph, alpha: Alpha,
     positive monomials c*beta^k: those coordinates never decrease, and a
     tight vertex needs an integer load, so neither endpoint can become
     tight.  A negative coordinate does not count."""
-    if len(values) != g.m:
-        raise ValueError(f"{len(values)} values for {g.m} edges")
-    cols, den = _integer_columns(_columns(values, alpha))
+    cols, den = _integer_columns(g, alpha, values)
     if len(cols) == 1 or 1 in _slack_signs(g, alpha, cols, den):
         return None
     lifted = [any(x > 0 for x in vec) for vec in zip(*_loads(g, cols[1:]))]
@@ -306,6 +303,7 @@ def trap_edge(g: WeightedGraph, alpha: Alpha,
 class FitnessOutcome:
     value: tuple   # Fraction coefficients over the basis of alpha
     accept: bool
+    proposed_slack: Optional[tuple] = None  # None while values infeasible
 
 
 def reference_fitness(g: WeightedGraph, alpha: Alpha,
@@ -323,15 +321,16 @@ def reference_fitness(g: WeightedGraph, alpha: Alpha,
     one common denominator, and every sign is decided on integer columns.
     """
     m = g.m
-    if len(values) != m or len(proposed) != m:
-        raise ValueError("value vectors must match the edge count")
-    cols, den = _integer_columns(_columns([*values, *proposed], alpha))
+    cols, den = _integer_columns(g, alpha, values, proposed)
     now = [col[:m] for col in cols]
     diff = [[b - a for a, b in zip(col, col[m:])] for col in cols]
     slack = _slack_signs(g, alpha, now, den)
+    proposed_slack = None
     if 1 not in slack:
         total = [sum(col) for col in diff]
-        if 1 in _slack_signs(g, alpha, [col[m:] for col in cols], den):
+        proposed_slack = tuple(
+            _slack_signs(g, alpha, [col[m:] for col in cols], den))
+        if 1 in proposed_slack:
             total = [-t for t in total]
     else:
         # value = sum over edges at violated vertices of (y - y') minus
@@ -342,7 +341,8 @@ def reference_fitness(g: WeightedGraph, alpha: Alpha,
         weight = [1 if e in viol_edges else penalty * s
                   for e, s in enumerate(_signs(diff, alpha))]
         total = [-sum(c * d for c, d in zip(weight, col)) for col in diff]
-    return FitnessOutcome(_exact(alpha, total, den), _sign(total, alpha) >= 0)
+    return FitnessOutcome(_exact(alpha, total, den), _sign(total, alpha) >= 0,
+                          proposed_slack)
 
 
 def enumerate_mfds(g: WeightedGraph) -> list[tuple[int, ...]]:

@@ -27,8 +27,7 @@ from dualvc.harness import (BenchCell, BenchPlan, contrast_bound,
                             execute_plan, format_scaling_report, run_trial,
                             scaling_plan, scaling_report)
 from dualvc.heuristics import ALGORITHMS, RunConfig, _VecEngine, run
-from dualvc.instances import (VARIANTS, derive_seed, hard_instance,
-                              random_dynamic)
+from dualvc.instances import VARIANTS, derive_seed, random_dynamic
 from dualvc.numeric import (canonicalize_alpha, q_max_for, sign_of_coeffs,
                             step_coeffs)
 from dualvc.oracle import enumerate_mfds, exact_min_wvc, validate_mfds_naive
@@ -409,19 +408,22 @@ CONTRAST_SEED = 777_000
 TRIALS = 50
 
 
-def _contrast_rate(algorithm, m, budget, collect=None):
-    inst = hard_instance("E+", m, ALPHA)
-    successes = 0
-    for t in range(TRIALS):
-        result = run(inst, RunConfig(algorithm, ALPHA, inst.w_max, budget,
-                                     seed=CONTRAST_SEED + t))
-        successes += result.success
-        if collect is not None:
-            collect.append(result.evaluations)
-    return successes / TRIALS
+def _contrast_runs(legs):
+    """Per (algorithm, m, budget) leg, its TRIALS records on the hard E+
+    instance with seeds CONTRAST_SEED + t, run through the harness."""
+    cells = tuple(BenchCell(variant="E+", algorithm=algorithm, alpha=ALPHA,
+                            trials=TRIALS, budget=budget, seed=CONTRAST_SEED,
+                            kind="hard", m=m)
+                  for algorithm, m, budget in legs)
+    records = execute_plan(BenchPlan(cells), io.StringIO())
+    return [records[i:i + TRIALS] for i in range(0, len(records), TRIALS)]
 
 
-def test_criterion_7_step_adaptation_contrast(capsys):
+def _success_rate(records):
+    return sum(r.success for r in records) / TRIALS
+
+
+def test_criterion_7_step_adaptation_contrast(monkeypatch, capsys):
     """On the adversarial edge-addition family (alpha = 2, weight 2^m,
     m in {8, 10, 12}; 50 trials per leg): the full-step searchers and the
     quarter-step local search must reach the target within C * core*ln(core)
@@ -440,19 +442,18 @@ def test_criterion_7_step_adaptation_contrast(capsys):
     with open(CONTRAST_CONFIG, encoding="utf-8") as fh:
         frozen = json.load(fh)
     c_budget = frozen["budget_constant"]
-    rates: dict[tuple[str, int], float] = {}
-    rls_evals_by_m: dict[int, list[int]] = {}
-    for m in (8, 10, 12):
-        budget = ceil(c_budget * contrast_bound(m, ALPHA, 2 ** m))
-        collect: list[int] = []
-        rates[("rls", m)] = _contrast_rate("rls", m, budget, collect)
-        rls_evals_by_m[m] = collect
-        rates[("ea", m)] = _contrast_rate("ea", m, budget)
-        rates[("rls_fifth", m)] = _contrast_rate("rls_fifth", m, budget)
-    rls_median_12 = statistics.median(rls_evals_by_m[12])
+    monkeypatch.setenv("DUALVC_THREADS", "2")
+    legs = [(algorithm, m) for m in (8, 10, 12)
+            for algorithm in ("rls", "ea", "rls_fifth")]
+    runs = dict(zip(legs, _contrast_runs(
+        [(algorithm, m, ceil(c_budget * contrast_bound(m, ALPHA, 2 ** m)))
+         for algorithm, m in legs])))
+    rates = {leg: _success_rate(records) for leg, records in runs.items()}
+    rls_median_12 = statistics.median(
+        r.evaluations for r in runs[("rls", 12)])
     ea_fifth_budget = ceil(100 * rls_median_12)
-    ea_fifth_rate = _contrast_rate("ea_fifth", 12, ea_fifth_budget)
-    ea_fifth_failure = 1.0 - ea_fifth_rate
+    (ea_fifth,) = _contrast_runs([("ea_fifth", 12, ea_fifth_budget)])
+    ea_fifth_failure = 1.0 - _success_rate(ea_fifth)
     elapsed = time.perf_counter() - t0
 
     plain_ok = all(rates[(a, m)] >= 0.9
@@ -490,14 +491,13 @@ def test_criterion_7_step_adaptation_contrast(capsys):
 # criterion 8: scaling shape
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_median_scaling_stays_within_band(capsys):
+def test_criterion_8_median_scaling_stays_within_band(monkeypatch, capsys):
     """Across m in {64, 128, 256} and edit scales {1, 4, 16} on random
     edge- and weight-edit families, the ratio of median evaluations to the
     reference bound shape stays within a factor-4 band per group."""
     t0 = time.perf_counter()
-    plan = scaling_plan(trials=12)
-    records = [run_trial(cell, t) for cell in plan.cells
-               for t in range(cell.trials)]
+    monkeypatch.setenv("DUALVC_THREADS", "2")
+    records = execute_plan(scaling_plan(trials=12), io.StringIO())
     cells = scaling_report(records)
     elapsed = time.perf_counter() - t0
     in_band = [c.within_band for c in cells]

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualvc import harness
 from dualvc.cli import main as cli_main
 from dualvc.dual import DualSolution, dump_dual
 from dualvc.graph import Edit, WeightedGraph, load_instance, save_instance
@@ -33,7 +34,7 @@ def cell(**kw):
 
 # -- plan model -----------------------------------------------------------------
 
-def test_cell_validation():
+def test_cell_validation(tmp_path, capsys):
     cell()
     cell(kind="hard", variant="E+", m=3)
     with pytest.raises(ValueError):
@@ -54,6 +55,17 @@ def test_cell_validation():
         cell(n=1)
     with pytest.raises(ValueError):
         cell(d=0)
+    with pytest.raises(ValueError, match="hard cells need m >= 2"):
+        cell(kind="hard", variant="E+", m=1)
+    # the plan fails to load, before any trial runs or any CSV is opened
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"cells": [dict(
+        variant="E+", algorithm="rls", alpha=2, trials=1, budget=10,
+        seed=1, kind="hard", m=1)]}))
+    out = tmp_path / "rows.csv"
+    assert cli_main(["bench", "--config", str(plan), "--out", str(out)]) == 2
+    assert "hard cells need m >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plan_validation_and_json():
@@ -261,7 +273,7 @@ def corruptions(inst, alpha, rows):
             "dropped": rows[:-1]}
 
 
-def test_verify_final_agrees_with_radical_value_path():
+def test_verify_final_agrees_with_an_independent_partner():
     degrees = set()
     saw_fraction = False
     for inst, cfg in differential_successes():
@@ -334,6 +346,32 @@ def test_parallel_execution_matches_sequential(monkeypatch):
     monkeypatch.setenv("DUALVC_THREADS", "2")
     par = execute_plan(plan, io.StringIO())
     assert [r.row_prefix() for r in seq] == [r.row_prefix() for r in par]
+
+
+def test_worker_pool_is_capped(monkeypatch):
+    """No more workers than trials or CPUs, whatever DUALVC_THREADS asks;
+    the stand-in pool records the request and starts no process."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("DUALVC_THREADS", "1000000")
+    records = execute_plan(BenchPlan((cell(trials=3),)), io.StringIO())
+    assert len(records) == 3
+    workers = min(3, os.cpu_count() or 1)
+    assert requested == ([workers] if workers > 1 else [])
 
 
 def test_read_records_errors(tmp_path):
@@ -417,12 +455,13 @@ def test_format_scaling_report():
 
 
 def test_scaling_plan_shape():
-    plan = scaling_plan(trials=2, sizes=(16, 32), d_scales=(1, 4))
-    # E/W x rls/ea x 2 sizes x 2 scales
-    assert len(plan.cells) == 16
+    plan = scaling_plan(trials=2, sizes=(16, 32))
+    # E/W x rls/ea x 2 sizes x 3 scales
+    assert len(plan.cells) == 24
     assert {c.variant for c in plan.cells} == {"E", "W"}
     assert {c.algorithm for c in plan.cells} == {"rls", "ea"}
-    assert len({c.seed for c in plan.cells}) == 16
+    assert {c.d for c in plan.cells} == {1, 4, 16}
+    assert len({c.seed for c in plan.cells}) == 24
     for c in plan.cells:
         assert c.n == c.m // 2
         assert c.budget >= bound_shape(c.m, c.d, c.alpha, c.w_max)

@@ -73,7 +73,7 @@ def test_make_dynamic_carries_values_by_endpoints():
     assert inst.graph_star.edges == ((0, 1), (3, 4), (2, 3))
     assert inst.y_init == (2, 2, 0)
     assert inst.d_scale == 2
-    assert inst.requested == "E" and inst.derived_tag == "E"
+    assert inst.requested == "E"
     assert inst.m == 3
 
 
@@ -87,12 +87,20 @@ def test_make_dynamic_rejects_wrong_tag():
     g = WeightedGraph(3, (2, 2, 2), ((0, 1), (1, 2)))
     y = greedy_mfds_values(g)
     grow = Edit("edges", edges=g.edges + ((0, 2),))
-    with pytest.raises(ValueError):
-        make_dynamic(g, y, grow, "E-")      # it's an E+ edit
-    with pytest.raises(ValueError):
-        make_dynamic(g, y, grow, "W+")      # wrong edit kind entirely
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="classifies as E\\+, not E-"):
+        make_dynamic(g, y, grow, "E-")
+    with pytest.raises(ValueError, match="needs a weights edit"):
+        make_dynamic(g, y, grow, "W+")
+    with pytest.raises(ValueError, match="unknown variant"):
         make_dynamic(g, y, grow, "bogus")
+    swap = Edit("edges", edges=((0, 1), (0, 2)))
+    for variant in ("E+", "E-"):
+        with pytest.raises(ValueError, match="classifies as E, not"):
+            make_dynamic(g, y, swap, variant)
+    make_dynamic(g, y, swap, "E")
+    # an identity edit fits every variant of its kind
+    for variant in ("E+", "E-", "E"):
+        make_dynamic(g, y, Edit("edges", edges=g.edges), variant)
 
 
 # -- adversarial families ------------------------------------------------------------
@@ -103,7 +111,6 @@ def test_hard_instance_edge_growth():
     w = alpha ** m
     assert inst.w_max == w
     assert inst.d_scale == 1
-    assert inst.derived_tag == "E+"
     # the heavy edge (0,1) is the one added back, so it lands at the last id
     assert inst.graph_star.edges[-1] == (0, 1)
     assert inst.graph_star.weights[0] == inst.graph_star.weights[1] == w
@@ -119,7 +126,6 @@ def test_hard_instance_edge_removal():
     inst = hard_instance("E-", m, alpha)
     w = alpha ** m
     assert inst.d_scale == 1
-    assert inst.derived_tag == "E-"
     # removing the shared edge leaves vertex 0's other edge free to grow,
     # but also leaves the start feasible (removal only lowers loads)
     assert inst.graph_star.m == m
@@ -132,7 +138,6 @@ def test_hard_instance_weight_increase():
     inst = hard_instance("W+", m, alpha)
     w = alpha ** m
     assert inst.d_scale == 2
-    assert inst.derived_tag == "W+"
     assert inst.graph_star.weights[:2] == (w, w)
     assert validate_mfds_naive(inst.graph, inst.y_orig)
     assert not validate_mfds_naive(inst.graph_star, inst.y_init)
@@ -142,7 +147,6 @@ def test_hard_instance_weight_decrease():
     m, alpha = 3, 2
     inst = hard_instance("W-", m, alpha)
     assert inst.d_scale == 1
-    assert inst.derived_tag == "W-"
     assert validate_mfds_naive(inst.graph, inst.y_orig)
     # the lowered vertex is now overloaded: the start is infeasible
     assert not validate_mfds_naive(inst.graph_star, inst.y_init)
