@@ -26,7 +26,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     plan = scaling_plan(trials=args.trials, base_seed=args.seed,
-                        sizes=tuple(args.sizes), out=args.out)
+                        sizes=tuple(args.sizes))
     with open(args.out, "w") as fh:
         records = execute_plan(plan, fh)
     print(f"wrote {args.out} ({len(records)} rows)")

@@ -4,7 +4,7 @@ with exact arithmetic over Q(alpha^(1/4)) and a seeded benchmark harness."""
 
 from .numeric import (Alpha, canonicalize_alpha, float_value, interval_sign,
                       q_max_for, sign_of_coeffs, step_coeffs)
-from .graph import Edit, EditDiff, WeightedGraph, apply_edit, canonical_edge
+from .graph import Edit, WeightedGraph, apply_edit, canonical_edge
 from .dual import DualSolution, extract_cover
 from .oracle import (CoverCertificate, ExactCoverResult, FitnessOutcome,
                      cover_certificate, enumerate_mfds, exact_min_wvc,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Alpha", "canonicalize_alpha", "float_value",
     "interval_sign", "q_max_for", "sign_of_coeffs", "step_coeffs",
-    "Edit", "EditDiff", "WeightedGraph", "apply_edit", "canonical_edge",
+    "Edit", "WeightedGraph", "apply_edit", "canonical_edge",
     "DualSolution", "extract_cover",
     "CoverCertificate", "ExactCoverResult", "FitnessOutcome",
     "cover_certificate", "enumerate_mfds", "exact_min_wvc",

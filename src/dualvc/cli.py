@@ -150,7 +150,7 @@ def cmd_solve(args) -> int:
             log_fh.close()
     if result.success:
         verify_final(instance, args.alpha, result.final_coeffs)
-    record = BenchRecord(instance.requested, args.algo, instance.m,
+    record = BenchRecord(instance.requested, args.algo, instance.graph_star.m,
                          instance.d_scale, args.alpha, instance.w_max,
                          args.seed, result.evaluations, result.success, 0.0)
     print(SOLVE_HEADER)

@@ -63,9 +63,6 @@ class WeightedGraph:
     def max_weight(self) -> int:
         return max(self.weights, default=1)
 
-    def edge_ids(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     def adjacency(self, v: int) -> tuple[int, ...]:
         if not (0 <= v < self.n):
             raise ValueError(f"unknown vertex {v}")
@@ -99,18 +96,11 @@ class Edit:
             raise ValueError(f"unknown edit kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class EditDiff:
-    """Classified difference sets of an applied edit."""
-
-    e_plus: tuple[Edge, ...] = ()
-    e_minus: tuple[Edge, ...] = ()
-    v_plus: tuple[int, ...] = ()
-    v_minus: tuple[int, ...] = ()
-
-
-def apply_edit(g: WeightedGraph, edit: Edit) -> tuple[WeightedGraph, int, EditDiff]:
-    """Apply a replacement edit; returns (new graph, scale D, diff sets).
+def apply_edit(g: WeightedGraph, edit: Edit
+               ) -> tuple[WeightedGraph, tuple, tuple]:
+    """Apply a replacement edit; returns (new graph, plus, minus): the added
+    and removed edges of an edge edit, or the raised and lowered vertices
+    of a weight edit.  The edit's scale D is len(plus) + len(minus).
 
     For edge edits the new edge list keeps surviving edges in their old
     order, followed by the added edges in the order given by the edit, so
@@ -120,21 +110,17 @@ def apply_edit(g: WeightedGraph, edit: Edit) -> tuple[WeightedGraph, int, EditDi
         assert edit.edges is not None
         new_set = set(edit.edges)
         old_set = set(g.edges)
-        e_plus = tuple(e for e in edit.edges if e not in old_set)
-        e_minus = tuple(e for e in g.edges if e not in new_set)
+        plus = tuple(e for e in edit.edges if e not in old_set)
+        minus = tuple(e for e in g.edges if e not in new_set)
         survivors = tuple(e for e in g.edges if e in new_set)
-        g_star = WeightedGraph(g.n, g.weights, survivors + e_plus)
-        d = len(e_plus) + len(e_minus)
-        return g_star, d, EditDiff(e_plus=e_plus, e_minus=e_minus)
+        return WeightedGraph(g.n, g.weights, survivors + plus), plus, minus
     assert edit.weights is not None
     if len(edit.weights) != g.n:
         raise ValueError(
             f"{len(edit.weights)} weights for {g.n} vertices")
-    v_plus = tuple(v for v in range(g.n) if edit.weights[v] > g.weights[v])
-    v_minus = tuple(v for v in range(g.n) if edit.weights[v] < g.weights[v])
-    g_star = WeightedGraph(g.n, edit.weights, g.edges)
-    return g_star, len(v_plus) + len(v_minus), EditDiff(v_plus=v_plus,
-                                                        v_minus=v_minus)
+    plus = tuple(v for v in range(g.n) if edit.weights[v] > g.weights[v])
+    minus = tuple(v for v in range(g.n) if edit.weights[v] < g.weights[v])
+    return WeightedGraph(g.n, edit.weights, g.edges), plus, minus
 
 
 # ---------------------------------------------------------------------------

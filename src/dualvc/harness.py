@@ -78,9 +78,24 @@ class BenchCell:
             raise ValueError("m must be >= 1")
         if self.kind == "hard" and self.m < 2:
             raise ValueError("hard cells need m >= 2")
-        if self.kind == "random" and (self.n < 2 or self.d < 1
-                                      or self.w_max < 1):
-            raise ValueError("random cells need n >= 2, d >= 1, w_max >= 1")
+        if self.kind == "random":
+            if self.n < 2 or self.d < 1 or self.w_max < 1:
+                raise ValueError(
+                    "random cells need n >= 2, d >= 1, w_max >= 1")
+            # parameters under which no draw can build an instance
+            pairs = self.n * (self.n - 1) // 2
+            if self.m > pairs:
+                raise ValueError(
+                    f"m={self.m} exceeds the {pairs} vertex pairs")
+            if self.variant == "E+" and self.d > pairs - self.m:
+                raise ValueError(f"E+ with d={self.d} needs d free vertex "
+                                 f"pairs, only {pairs - self.m} left")
+            if self.variant == "E-" and self.d > self.m:
+                raise ValueError(
+                    f"E- with d={self.d} exceeds the m={self.m} edges")
+            if self.variant.startswith("W") and self.w_max < 2:
+                raise ValueError(
+                    f"{self.variant} cells need w_max >= 2 to edit weights")
 
 
 @dataclass(frozen=True)
@@ -322,8 +337,7 @@ def contrast_bound(m: int, alpha: int, w_max: int) -> float:
 
 
 def scaling_plan(trials: int = 12, base_seed: int = 20260821,
-                 sizes: Sequence[int] = (64, 128, 256),
-                 out: str = "scaling.csv") -> BenchPlan:
+                 sizes: Sequence[int] = (64, 128, 256)) -> BenchPlan:
     """Canonical scaling-experiment plan: rls and ea on random edge-edit and
     weight-edit families at edit scales 1, 4 and 16, n = m/2, weights up to
     2^14, 8x bound_shape budget headroom, one well-separated seed block per
@@ -340,7 +354,7 @@ def scaling_plan(trials: int = 12, base_seed: int = 20260821,
                         trials=trials, budget=budget,
                         seed=base_seed + 1000 * len(cells),
                         kind="random", n=m // 2, m=m, d=d, w_max=w_max))
-    return BenchPlan(tuple(cells), out=out)
+    return BenchPlan(tuple(cells))
 
 
 @dataclass(frozen=True)

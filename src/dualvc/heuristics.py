@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf, nan
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle
 from .instances import DynamicInstance
@@ -134,8 +134,7 @@ class RunResult:
     accepted: int
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(NamedTuple):
     """Per-evaluation hook payload; every value is a coefficient row over
     the basis of the run's alpha, whichever engine ran."""
 

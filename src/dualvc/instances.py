@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import oracle
-from .graph import Edit, EditDiff, WeightedGraph, apply_edit
+from .graph import Edit, WeightedGraph, apply_edit
 from .numeric import Alpha, canonicalize_alpha
 
 VARIANTS = ("E+", "E-", "E", "W+", "W-", "W")
@@ -75,12 +75,9 @@ class DynamicInstance:
     w_max: int            # max weight across both graphs
     y_init: tuple         # starting values, indexed by graph_star edge ids
 
-    @property
-    def m(self) -> int:
-        return self.graph_star.m
 
-
-def _check_variant(requested: str, edit: Edit, diff: EditDiff) -> None:
+def _check_variant(requested: str, edit: Edit, plus: tuple,
+                   minus: tuple) -> None:
     """Raise ValueError unless the edit is of the variant's kind and, for a
     one-sided variant, classifies as it; an identity edit fits any."""
     if requested not in VARIANTS:
@@ -89,8 +86,6 @@ def _check_variant(requested: str, edit: Edit, diff: EditDiff) -> None:
     if edit.kind != kind:
         raise ValueError(
             f"variant {requested} needs a {kind} edit, got {edit.kind}")
-    plus, minus = ((diff.e_plus, diff.e_minus) if kind == "edges"
-                   else (diff.v_plus, diff.v_minus))
     if requested in ("E+", "E-", "W+", "W-") and (plus or minus):
         derived = requested[0] + ("" if plus and minus
                                   else "+" if plus else "-")
@@ -110,14 +105,15 @@ def make_dynamic(g: WeightedGraph, y_orig: Sequence, edit: Edit,
     """
     if not oracle.validate_mfds_naive(g, y_orig, alpha):
         raise ValueError("y_orig is not a maximal feasible solution of g")
-    g_star, d, diff = apply_edit(g, edit)
-    _check_variant(requested, edit, diff)
+    g_star, plus, minus = apply_edit(g, edit)
+    _check_variant(requested, edit, plus, minus)
     w_max = max(g.max_weight(), g_star.max_weight())
-    old_ids = g.edge_ids()
+    old_ids = {e: i for i, e in enumerate(g.edges)}
     y_init = [y_orig[old_ids[e]] if e in old_ids else 0
               for e in g_star.edges]
-    return DynamicInstance(g, tuple(y_orig), edit, g_star, d, requested,
-                           w_max, tuple(y_init))
+    return DynamicInstance(g, tuple(y_orig), edit, g_star,
+                           len(plus) + len(minus), requested, w_max,
+                           tuple(y_init))
 
 
 def hard_instance(variant: str, m: int, alpha: int) -> DynamicInstance:
@@ -166,10 +162,10 @@ def random_instance(n: int, m: int, w_max: int, seed: int) -> WeightedGraph:
 
 
 def random_edit(g: WeightedGraph, variant: str, d: int, seed: int,
-                w_cap: Optional[int] = None) -> Edit:
+                w_cap: int) -> Edit:
     """Sample an edit of exact scale d matching the variant's shape.
 
-    Weight variants need w_cap (> 1) as the ceiling for raised weights.
+    w_cap is the ceiling for raised weights; edge variants ignore it.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -195,8 +191,6 @@ def random_edit(g: WeightedGraph, variant: str, d: int, seed: int,
         new_edges = tuple(e for i, e in enumerate(g.edges)
                           if i not in removed) + tuple(added)
         return Edit("edges", edges=new_edges)
-    if w_cap is None:
-        w_cap = max(g.weights, default=1)
     raisable = [v for v in range(g.n) if g.weights[v] < w_cap]
     lowerable = [v for v in range(g.n) if g.weights[v] > 1]
     if n_up > len(raisable):

@@ -216,14 +216,13 @@ def _bracket(coeffs: Sequence[Rational], alpha: Alpha,
     return lo, hi, den << ((alpha.basis_dim - 1) * bits)
 
 
-def interval_sign(coeffs: Sequence[Rational], alpha: Alpha,
-                  bits: int = 256) -> int:
-    """Sign by fixed-point evaluation with `bits` fractional bits of beta.
+def interval_sign(coeffs: Sequence[Rational], alpha: Alpha) -> int:
+    """Sign by fixed-point evaluation with 256 fractional bits of beta.
 
     Returns 0 when the enclosing interval straddles zero (the value may be
     zero or just smaller than the resolution); otherwise the exact sign.
     """
-    lo, hi, _scale = _bracket(coeffs, alpha, bits)
+    lo, hi, _scale = _bracket(coeffs, alpha, 256)
     return (lo > 0) - (hi < 0)
 
 

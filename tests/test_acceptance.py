@@ -307,7 +307,7 @@ def test_criterion_4_fitness_and_maximality_match_the_oracle(capsys):
 # criterion 5: numeric kernel
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_float_backend_and_step_identities(capsys, monkeypatch):
+def test_criterion_5_float_filter_and_step_identities(capsys, monkeypatch):
     """The vector engine's float filter (_VecEngine._load_sign and
     overloads) gives the exact sign on 1e5 load tests at alpha in
     {2, 3, 9, 16}: random loads, and at alpha 2 and 9 loads whose gap to

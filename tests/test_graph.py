@@ -25,7 +25,6 @@ def test_edges_are_canonicalized_and_indexed():
     assert g.edges == ((1, 3), (0, 2))
     assert g.m == 2
     assert g.max_weight() == 7
-    assert g.edge_ids() == {(1, 3): 0, (0, 2): 1}
 
 
 def test_adjacency():
@@ -70,6 +69,8 @@ def test_edit_validation():
     with pytest.raises(ValueError):
         Edit("weights", weights=(1, 0))                  # weight < 1
     with pytest.raises(ValueError):
+        Edit("weights", weights=(1, 1), edges=((0, 1),))  # both payloads
+    with pytest.raises(ValueError):
         Edit("edges", edges=((0, 1), (1, 0)))            # dup after canon
     with pytest.raises(ValueError):
         Edit("frobnicate", edges=((0, 1),))              # unknown kind
@@ -78,31 +79,27 @@ def test_edit_validation():
 def test_apply_edge_edit_survivor_order():
     g = WeightedGraph(5, (1,) * 5, ((0, 1), (1, 2), (2, 3)))
     edit = Edit("edges", edges=((2, 3), (3, 4), (0, 1)))
-    g_star, d, diff = apply_edit(g, edit)
+    g_star, plus, minus = apply_edit(g, edit)
     # survivors keep their old relative order, additions appended after
     assert g_star.edges == ((0, 1), (2, 3), (3, 4))
-    assert d == 2  # one removed (1,2), one added (3,4)
-    assert diff.e_plus == ((3, 4),)
-    assert diff.e_minus == ((1, 2),)
-    assert diff.v_plus == () and diff.v_minus == ()
+    assert plus == ((3, 4),)
+    assert minus == ((1, 2),)
 
 
 def test_apply_edge_edit_identity():
     g = path_graph(4)
-    g_star, d, diff = apply_edit(g, Edit("edges", edges=g.edges))
+    g_star, plus, minus = apply_edit(g, Edit("edges", edges=g.edges))
     assert g_star.edges == g.edges
-    assert d == 0
-    assert diff.e_plus == () == diff.e_minus
+    assert plus == () == minus
 
 
 def test_apply_weight_edit():
     g = path_graph(3, weights=(2, 5, 9))
-    g_star, d, diff = apply_edit(g, Edit("weights", weights=(4, 5, 1)))
+    g_star, plus, minus = apply_edit(g, Edit("weights", weights=(4, 5, 1)))
     assert g_star.weights == (4, 5, 1)
     assert g_star.edges == g.edges
-    assert d == 2
-    assert diff.v_plus == (0,)
-    assert diff.v_minus == (2,)
+    assert plus == (0,)
+    assert minus == (2,)
 
 
 def test_apply_weight_edit_length_checked():
@@ -184,11 +181,11 @@ def test_random_edge_edit_diff_partition():
         old = tuple(rng.sample(pairs, rng.randint(0, len(pairs))))
         new = tuple(rng.sample(pairs, rng.randint(0, len(pairs))))
         g = WeightedGraph(n, (1,) * n, old)
-        g_star, d, diff = apply_edit(g, Edit("edges", edges=new))
+        g_star, plus, minus = apply_edit(g, Edit("edges", edges=new))
         assert set(g_star.edges) == set(new)
-        assert d == len(set(old) ^ set(new))
-        assert set(diff.e_plus) == set(new) - set(old)
-        assert set(diff.e_minus) == set(old) - set(new)
+        assert len(plus) + len(minus) == len(set(old) ^ set(new))
+        assert set(plus) == set(new) - set(old)
+        assert set(minus) == set(old) - set(new)
         # survivors keep ids ordered as in the old graph
         survivors = [e for e in g.edges if e in set(new)]
         assert list(g_star.edges[:len(survivors)]) == survivors

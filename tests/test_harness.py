@@ -55,17 +55,35 @@ def test_cell_validation(tmp_path, capsys):
         cell(n=1)
     with pytest.raises(ValueError):
         cell(d=0)
-    with pytest.raises(ValueError, match="hard cells need m >= 2"):
-        cell(kind="hard", variant="E+", m=1)
-    # the plan fails to load, before any trial runs or any CSV is opened
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({"cells": [dict(
-        variant="E+", algorithm="rls", alpha=2, trials=1, budget=10,
-        seed=1, kind="hard", m=1)]}))
-    out = tmp_path / "rows.csv"
-    assert cli_main(["bench", "--config", str(plan), "--out", str(out)]) == 2
-    assert "hard cells need m >= 2" in capsys.readouterr().err
-    assert not out.exists()
+    # random cells under which no draw can build an instance
+    cell(n=4, m=6, d=6, variant="E-")      # at the edges of every bound
+    cell(n=4, m=5, d=1, variant="E+")
+    cell(w_max=2, variant="W")
+    unbuildable = [
+        (dict(n=4, m=10), "m=10 exceeds the 6 vertex pairs"),
+        (dict(n=4, m=6, d=1, variant="E+"), "only 0 left"),
+        (dict(m=2, d=3, variant="E-"), "exceeds the m=2 edges"),
+        (dict(w_max=1, variant="W+"), "need w_max >= 2"),
+        (dict(w_max=1, variant="W-"), "need w_max >= 2"),
+        (dict(w_max=1, variant="W"), "need w_max >= 2"),
+    ]
+    for kw, message in unbuildable:
+        with pytest.raises(ValueError, match=message):
+            cell(**kw)
+    # the plan fails to load, before any trial runs or any CSV is opened,
+    # even when a good cell comes first
+    good = dict(variant="E", algorithm="rls", alpha=2, trials=1, budget=10,
+                seed=1, n=8, m=10, d=2, w_max=8)
+    hard = dict(good, variant="E+", kind="hard", m=1)
+    for bad, message in [(hard, "hard cells need m >= 2")] + [
+            (dict(good, **kw), message) for kw, message in unbuildable]:
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"cells": [good, bad]}))
+        out = tmp_path / "rows.csv"
+        assert cli_main(["bench", "--config", str(plan),
+                         "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_plan_validation_and_json():
@@ -661,10 +679,36 @@ def test_cli_verify_non_maximal_exit_one(tmp_path, capsys):
     assert "feasible: yes" in out and "maximal: no" in out
 
 
+def test_cli_verification_failure_exits_one(tmp_path, capsys, monkeypatch):
+    def refuse(*_args):
+        raise RuntimeError("refused by the test")
+
+    monkeypatch.setattr("dualvc.cli.verify_final", refuse)
+    monkeypatch.setattr(harness, "verify_final", refuse)
+    monkeypatch.delenv("DUALVC_THREADS", raising=False)
+    assert cli_main(["solve", "--hard", "--variant", "E+", "--m", "3",
+                     "--algo", "rls", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "verification failure: refused by the test" in captured.err
+    assert captured.out == ""                 # no row for a refused success
+    plan_path = tmp_path / "plan.json"
+    out_path = tmp_path / "out.csv"
+    plan_path.write_text(json.dumps({"cells": [dict(
+        variant="E", algorithm="rls", alpha=2, trials=2, budget=20000,
+        seed=300, n=8, m=10, d=2, w_max=8)], "out": str(out_path)}))
+    assert cli_main(["bench", "--config", str(plan_path)]) == 1
+    assert "verification failure: refused by the test" in \
+        capsys.readouterr().err
+    assert out_path.read_text() == CSV_HEADER + "\n"   # no lying row
+
+
 def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert cli_main(["gen", "--variant", "E", "--n", "6", "--m", "5",
                      "--wmax", "8"]) == 2          # no --out
     assert cli_main(["gen", "--out", str(tmp_path / "x")]) == 2  # no variant
+    assert cli_main(["gen", "--variant", "E", "--n", "6", "--m", "5",
+                     "--out", str(tmp_path / "x")]) == 2  # no --wmax
+    assert "random gen needs --n, --m and --wmax" in capsys.readouterr().err
     assert cli_main(["solve", "--algo", "rls"]) == 2  # no instance source
     assert cli_main(["bench"]) == 2                   # no --config
     assert cli_main(["verify", "--graph", "/nonexistent.json",
@@ -681,6 +725,7 @@ def test_cli_malformed_graph_files_exit_two(tmp_path, capsys):
                  '{"n": 2, "weights": ["1", 1], "edges": []}',
                  '{"n": 2, "weights": [1, 1], "edges": [[0, "1"]]}',
                  '{"n": 2, "weights": [1, 1], "edges": [0]}',
+                 '{"n": 2, "weights": [1, 1], "edges": {"0": 1}}',
                  '[2]'):
         gp.write_text(text)
         assert cli_main(["verify", "--graph", str(gp), "--dual", dp]) == 2

@@ -146,7 +146,8 @@ def test_fifth_proposals_draw_direction_before_selection():
         ref = random.Random(seed)
         for rec in records:
             assert rec.direction == draw_direction(ref)
-            assert list(rec.edges) == draw_rls_selection(ref, inst.m)
+            assert list(rec.edges) == draw_rls_selection(
+                ref, inst.graph_star.m)
 
 
 def test_plain_proposals_use_solution_sign_as_direction():

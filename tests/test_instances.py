@@ -74,7 +74,7 @@ def test_make_dynamic_carries_values_by_endpoints():
     assert inst.y_init == (2, 2, 0)
     assert inst.d_scale == 2
     assert inst.requested == "E"
-    assert inst.m == 3
+    assert inst.graph_star.m == 3
 
 
 def test_make_dynamic_rejects_non_mfds_start():
@@ -175,8 +175,9 @@ def test_hard_instances_well_formed(variant, alpha):
     assert isinstance(inst, DynamicInstance)
     assert inst.w_max == alpha ** 3
     assert len(inst.y_init) == inst.graph_star.m
-    g_star, d, _ = apply_edit(inst.graph, inst.edit)
-    assert g_star == inst.graph_star and d == inst.d_scale
+    g_star, plus, minus = apply_edit(inst.graph, inst.edit)
+    assert g_star == inst.graph_star
+    assert len(plus) + len(minus) == inst.d_scale
 
 
 # -- random families -----------------------------------------------------------------
@@ -202,16 +203,12 @@ def test_random_edit_hits_exact_scale(variant):
     for d in (1, 2, 5):
         for seed in (0, 1, 2):
             edit = random_edit(g, variant, d, seed, w_cap=32)
-            _, scale, diff = apply_edit(g, edit)
-            assert scale == d
-            if variant == "E+":
-                assert not diff.e_minus
-            elif variant == "E-":
-                assert not diff.e_plus
-            elif variant == "W+":
-                assert not diff.v_minus
-            elif variant == "W-":
-                assert not diff.v_plus
+            _, plus, minus = apply_edit(g, edit)
+            assert len(plus) + len(minus) == d
+            if variant.endswith("+"):
+                assert not minus
+            elif variant.endswith("-"):
+                assert not plus
 
 
 def test_random_edit_determinism_and_errors():
@@ -219,17 +216,21 @@ def test_random_edit_determinism_and_errors():
     assert random_edit(g, "E", 3, 5, w_cap=16) == \
         random_edit(g, "E", 3, 5, w_cap=16)
     with pytest.raises(ValueError):
-        random_edit(g, "E", 0, 5)
+        random_edit(g, "E", 0, 5, w_cap=16)
     with pytest.raises(ValueError):
-        random_edit(g, "nope", 1, 5)
+        random_edit(g, "nope", 1, 5, w_cap=16)
     # removing more edges than exist is impossible
     small = WeightedGraph(3, (1, 1, 1), ((0, 1),))
     with pytest.raises(ValueError):
-        random_edit(small, "E-", 2, 5)
+        random_edit(small, "E-", 2, 5, w_cap=1)
     # raising weights already at the cap is impossible
     flat = WeightedGraph(3, (4, 4, 4), ((0, 1),))
     with pytest.raises(ValueError):
         random_edit(flat, "W+", 1, 5, w_cap=4)
+    # lowering weights already at 1 is impossible
+    unit = WeightedGraph(3, (1, 1, 1), ((0, 1),))
+    with pytest.raises(ValueError, match="weights leave no room"):
+        random_edit(unit, "W-", 1, 5, w_cap=4)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

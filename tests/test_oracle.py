@@ -94,6 +94,8 @@ def test_exact_cover_size_limit():
     g = WeightedGraph(30, (1,) * 30, ())
     with pytest.raises(ValueError):
         exact_min_wvc(g)
+    with pytest.raises(ValueError, match="n=13 > 12"):
+        exhaustive_min_wvc(WeightedGraph(13, (1,) * 13, ()))
 
 
 # -- maximality validation ------------------------------------------------------
