@@ -28,8 +28,9 @@ from typing import Sequence, TextIO
 
 from . import oracle
 from .heuristics import ALGORITHMS, RunConfig, TransitionRecord, run
-from .instances import (HARD_VARIANTS, VARIANTS, DynamicInstance, derive_seed,
-                        hard_instance, random_dynamic)
+from .instances import (HARD_VARIANTS, VARIANTS, DynamicInstance,
+                        EditDoesNotFit, derive_seed, hard_instance,
+                        random_dynamic)
 from .numeric import canonicalize_alpha, ceil_log, float_value
 
 CSV_HEADER = "variant,algorithm,m,D,alpha,wmax,seed,evaluations,success,wall_ms"
@@ -198,17 +199,22 @@ def build_instance(cell: BenchCell, trial: int) -> DynamicInstance:
     if cell.kind == "hard":
         return hard_instance(cell.variant, cell.m, cell.alpha)
     # A random edit can leave the carried solution maximal on the edited
-    # graph, in which case the trial measures nothing; redraw (seeded, hence
-    # reproducible) until the edit actually invalidates it.  Degenerate
-    # parameter corners where every edit is harmless fail after the cap.
+    # graph, in which case the trial measures nothing, and a two-sided edit
+    # can split d in a way the drawn graph has no room for; redraw (seeded,
+    # hence reproducible) until an edit fits and invalidates the solution.
+    # Degenerate parameter corners where no edit does fail after the cap.
     label = f"instance:{trial}"
     for sub in [label] + [f"{label}:r{r}" for r in range(_MAX_REDRAWS)]:
-        inst = random_dynamic(cell.variant, cell.n, cell.m, cell.d,
-                              cell.w_max, derive_seed(cell.seed, sub))
+        try:
+            inst = random_dynamic(cell.variant, cell.n, cell.m, cell.d,
+                                  cell.w_max, derive_seed(cell.seed, sub))
+        except EditDoesNotFit:
+            continue
         if not oracle.validate_mfds_naive(inst.graph_star, inst.y_init):
             return inst
     raise ValueError(f"{cell} trial {trial}: none of {_MAX_REDRAWS + 1} "
-                     f"draws invalidates the carried solution")
+                     f"draws fits an edit that invalidates the carried "
+                     f"solution")
 
 
 def verify_final(instance: DynamicInstance, alpha: int,
@@ -446,7 +452,8 @@ def format_scaling_report(cells: Sequence[ScalingCell]) -> str:
 class RunLogger:
     """Streams one CSV-compatible line per evaluation: index, accepted, |I|,
     direction, sign after the step, and a decimal approximation of sum(Y)
-    tracked incrementally from the changed values."""
+    tracked incrementally from the changed values.  The decimal is
+    recomputed only after a step that changed a value."""
 
     HEADER = "eval,accepted,i_size,direction,sign,sum_y"
 
@@ -458,14 +465,16 @@ class RunLogger:
         rows = oracle.coefficient_rows(self._alpha, instance.y_init)
         self._total = [sum(row[k] for row in rows)
                        for k in range(self._alpha.basis_dim)]
+        self._sum_text = f"{float_value(self._total, self._alpha):.6g}"
         fh.write(self.HEADER + "\n")
 
     def __call__(self, rec: TransitionRecord) -> None:
-        total = self._total
-        for _e, old, new in rec.changed:
-            for k, (a, b) in enumerate(zip(old, new)):
-                total[k] += b - a
-        sum_y = float_value(total, self._alpha)
+        if rec.changed:
+            total = self._total
+            for _e, old, new in rec.changed:
+                for k, (a, b) in enumerate(zip(old, new)):
+                    total[k] += b - a
+            self._sum_text = f"{float_value(total, self._alpha):.6g}"
         self._fh.write(f"{rec.eval_index},{int(rec.accepted)},"
                        f"{len(rec.edges)},{rec.direction},{rec.sign_after},"
-                       f"{sum_y:.6g}\n")
+                       f"{self._sum_text}\n")

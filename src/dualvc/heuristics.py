@@ -30,9 +30,11 @@ ran, and the tests compare those streams with ``==``.
 The integer engine is kept beside the vector engine because it pays for
 itself: on one trial of each of the 36 ``harness.scaling_plan`` cells
 (base seed 1, 267,228 evaluations, identical rows either way) it took
-3.4-4.3 us per evaluation, against 4.5-6.0 us with the same runs forced
-onto the vector engine, and was faster in each of six alternating pairs
-(CPython 3.11.7, 2 vCPUs, two sets of three alternating runs).
+2.1-3.5 us per evaluation, against 2.8-4.7 us with the same runs forced
+onto the vector engine, and was faster in each of nine alternating pairs
+(CPython 3.11.7, 2 vCPUs, three sets of three alternating runs; the
+machine's speed drifted by about a third between sets, so compare within
+a pair).
 
 Reproducibility contract: randomness comes from ``random.Random(seed)``
 (Mersenne Twister).  The stream also depends on CPython's
@@ -42,7 +44,13 @@ one uniform for the binomial selection count, then one randrange when
 that count is 1 (the one draw ``sample(range(m), 1)`` makes, as a test
 pins) or one sample of that many edge ids when it is larger; rls draws
 one randrange; the fifth variants draw one direction bit *before* their
-selection draws.
+selection draws.  ``run`` makes these draws inline: the direction bit is
+``getrandbits(1)``, the count a bisection of the binomial CDF at
+``random()``, and the one-edge randrange CPython 3.11's ``_randbelow(m)``
+written out (``getrandbits(m.bit_length())`` until the value is below m).
+``run_reference`` makes them through ``draw_direction``,
+``draw_ea_selection`` and ``draw_rls_selection``, so the tests that
+compare the two streams also check the inline draws.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ _FLOAT_TOL = 2.0 ** -40
 
 
 # ---------------------------------------------------------------------------
-# shared random draws (identical streams for engines and reference path)
+# random draws of the reference replay (run() writes the same draws inline)
 # ---------------------------------------------------------------------------
 
 
@@ -400,30 +408,31 @@ def _make_engine(instance: DynamicInstance, config: RunConfig):
                       config.w_max, alpha, q_cap), q_cap
 
 
+def _increase_one(eng, selection, q):
+    """Feasible-sign increase of a one-edge selection: accepted iff neither
+    endpoint gets overloaded.  Returns the deltas, or None on rejection."""
+    e = selection[0]
+    s = eng.step_size[q[e]]
+    u, v = eng.graph.edges[e]
+    if eng.overloads(u, s, selection, q) or eng.overloads(v, s, selection, q):
+        return None
+    return [(e, eng._vadd(eng.y[e], eng.sigma_table[q[e]]))]
+
+
 def _decide_increase(eng, selection, q):
-    """Feasible-sign increase of a nonempty selection: accepted iff no
-    endpoint gets overloaded.  Returns (accept, deltas, overloaded
+    """Feasible-sign increase of a selection of two or more edges: accepted
+    iff no endpoint gets overloaded.  Returns (accept, deltas, overloaded
     endpoints), the last listing every one of them on rejection."""
     step = eng.step_size
     edges = eng.graph.edges
-    if len(selection) == 1:
-        e = selection[0]
+    add: dict = {}
+    for e in selection:
         s = step[q[e]]
         u, v = edges[e]
-        over = []
-        if eng.overloads(u, s, selection, q):
-            over.append(u)
-        if eng.overloads(v, s, selection, q):
-            over.append(v)
-    else:
-        add: dict = {}
-        for e in selection:
-            s = step[q[e]]
-            u, v = edges[e]
-            add[u] = add[u] + s if u in add else s
-            add[v] = add[v] + s if v in add else s
-        over = [w for w, extra in add.items()
-                if eng.overloads(w, extra, selection, q)]
+        add[u] = add[u] + s if u in add else s
+        add[v] = add[v] + s if v in add else s
+    over = [w for w, extra in add.items()
+            if eng.overloads(w, extra, selection, q)]
     if over:
         return False, [], over
     y = eng.y
@@ -494,76 +503,100 @@ def run(instance: DynamicInstance, config: RunConfig,
     m = eng.m
     q = [0] * m
     rng = random.Random(config.seed)
+    # the draw_* functions written out (see the module docstring)
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    sample = rng.sample
+    m_bits = m.bit_length()
+    cdf = _binomial_cdf(m) if config.algorithm.startswith("ea") else None
     fifth = config.algorithm.endswith("fifth")
-    draw = (draw_ea_selection if config.algorithm.startswith("ea")
-            else draw_rls_selection)
     budget = config.budget
     evals = 0
     accepted_n = 0
     success = eng.is_mfds()
+    y = eng.y
     zero = eng.zero
     while not success and evals < budget:
-        sign_before = eng.sign_now()
-        d = draw_direction(rng) if fifth else sign_before
-        selection = draw(rng, m)
+        sign_before = 1 if eng.nviol == 0 else -1
+        if fifth:
+            d = 1 if getrandbits(1) else -1
+        else:
+            d = sign_before
+        k = bisect_right(cdf, uniform()) if cdf else 1
+        if k == 1:
+            e = getrandbits(m_bits)
+            while e >= m:
+                e = getrandbits(m_bits)
+            selection = [e]
+        else:
+            selection = sample(range(m), k) if k else []
         over = ()
-        if not selection:
+        if not k:
             accept, deltas = True, []  # a no-op: every branch accepts it
         elif sign_before > 0:
-            if d > 0:
-                accept, deltas, over = _decide_increase(eng, selection, q)
-            else:
-                y = eng.y
-                accept = all(y[e] == zero for e in selection)
+            if d < 0:
+                accept = (y[e] == zero if k == 1
+                          else all(y[e] == zero for e in selection))
                 deltas = []
-        else:
-            if d > 0:
-                accept, deltas = False, []
+            elif k == 1:
+                deltas = _increase_one(eng, selection, q)
+                accept = deltas is not None
             else:
-                accept, deltas = _decide_decrease_infeasible(
-                    eng, selection, q)
+                accept, deltas, over = _decide_increase(eng, selection, q)
+        elif d > 0:
+            accept, deltas = False, []
+        else:
+            accept, deltas = _decide_decrease_infeasible(eng, selection, q)
         evals += 1
-        demoted: tuple[int, ...] = ()
+        demoted = ()
         changed = ()
         changed_viol = ()
         if hook is not None and accept and deltas:
             row = eng.row
-            changed = tuple((e, row(eng.y[e]), row(new)) for e, new in deltas
-                            if new != eng.y[e])
+            changed = tuple((e, row(y[e]), row(new)) for e, new in deltas
+                            if new != y[e])
             changed_viol = tuple(eng.edge_violating(e)
                                  for e, _o, _n in changed)
         if accept:
             accepted_n += 1
             if deltas:
                 eng.commit(deltas)
-            for e in selection:
+            if k == 1:
                 qe = q[e] + 4
                 q[e] = qe if qe < q_cap else q_cap
-        else:
-            if fifth:
+            else:
+                for e in selection:
+                    qe = q[e] + 4
+                    q[e] = qe if qe < q_cap else q_cap
+        elif fifth:
+            if k == 1:
+                if q[e]:
+                    q[e] -= 1
+            else:
                 for e in selection:
                     if q[e]:
                         q[e] -= 1
-                demoted = tuple(selection)
-            elif sign_before > 0:
-                # one selected edge alone touches its overloaded endpoint
-                if len(selection) > 1:
-                    dem = _i_prime_from(eng, selection, over)
-                else:
-                    dem = selection
-                for e in dem:
+            demoted = selection
+        elif sign_before > 0:
+            # one selected edge alone touches its overloaded endpoint
+            if k == 1:
+                qe = q[e] - 4
+                q[e] = qe if qe > 0 else 0
+                demoted = selection
+            else:
+                demoted = _i_prime_from(eng, selection, over)
+                for e in demoted:
                     qe = q[e] - 4
                     q[e] = qe if qe > 0 else 0
-                demoted = tuple(dem)
         if hook is not None:
             hook(TransitionRecord(
                 evals, accept, d, sign_before, eng.sign_now(),
-                tuple(selection), changed, changed_viol, demoted))
+                tuple(selection), changed, changed_viol, tuple(demoted)))
         # an accepted step without deltas leaves the state the last check
         # found not maximal
         if accept and deltas and eng.is_mfds():
             success = True
-    return RunResult(evals, success, tuple(map(eng.row, eng.y)), accepted_n)
+    return RunResult(evals, success, tuple(map(eng.row, y)), accepted_n)
 
 
 # ---------------------------------------------------------------------------

@@ -161,11 +161,18 @@ def random_instance(n: int, m: int, w_max: int, seed: int) -> WeightedGraph:
     return WeightedGraph(n, weights, edges)
 
 
+class EditDoesNotFit(ValueError):
+    """The graph or its weights leave no room for the edit random_edit
+    drew: too few free vertex pairs or edges, or too few raisable or
+    lowerable weights."""
+
+
 def random_edit(g: WeightedGraph, variant: str, d: int, seed: int,
                 w_cap: int) -> Edit:
     """Sample an edit of exact scale d matching the variant's shape.
 
     w_cap is the ceiling for raised weights; edge variants ignore it.
+    Raises EditDoesNotFit when the drawn split of d does not fit g.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -184,8 +191,9 @@ def random_edit(g: WeightedGraph, variant: str, d: int, seed: int,
         present = set(g.edges)
         free = [e for e in combinations(range(g.n), 2) if e not in present]
         if n_up > len(free) or n_down > g.m:
-            raise ValueError(
-                f"cannot {variant}-edit with d={d}: graph too full/empty")
+            raise EditDoesNotFit(f"cannot draw an edit of variant "
+                                 f"{variant!r} with d={d}: graph too "
+                                 f"full/empty")
         added = rng.sample(free, n_up) if n_up else []
         removed = set(rng.sample(range(g.m), n_down)) if n_down else set()
         new_edges = tuple(e for i, e in enumerate(g.edges)
@@ -194,13 +202,13 @@ def random_edit(g: WeightedGraph, variant: str, d: int, seed: int,
     raisable = [v for v in range(g.n) if g.weights[v] < w_cap]
     lowerable = [v for v in range(g.n) if g.weights[v] > 1]
     if n_up > len(raisable):
-        raise ValueError(
-            f"cannot {variant}-edit with d={d}: weights leave no room")
+        raise EditDoesNotFit(f"cannot draw an edit of variant {variant!r} "
+                             f"with d={d}: weights leave no room")
     ups = rng.sample(raisable, n_up) if n_up else []
     down_pool = [v for v in lowerable if v not in set(ups)]
     if n_down > len(down_pool):
-        raise ValueError(
-            f"cannot {variant}-edit with d={d}: weights leave no room")
+        raise EditDoesNotFit(f"cannot draw an edit of variant {variant!r} "
+                             f"with d={d}: weights leave no room")
     downs = rng.sample(down_pool, n_down) if n_down else []
     weights = list(g.weights)
     for v in ups:

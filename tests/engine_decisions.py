@@ -1,11 +1,12 @@
 """Shared by the tests that hold the engine's acceptance decisions against
 ``oracle.reference_fitness``: the engine's decision on one proposal,
-dispatched exactly as ``heuristics.run`` does, against the oracle's on the
-clamped proposal the reference replay builds.
+dispatched exactly as ``heuristics.run`` does (a one-edge increase through
+``_increase_one``, a larger one through ``_decide_increase``), against the
+oracle's on the clamped proposal the reference replay builds.
 """
 
 from dualvc.heuristics import (_decide_decrease_infeasible, _decide_increase,
-                               _reference_proposal)
+                               _increase_one, _reference_proposal)
 from dualvc.oracle import coefficient_rows, reference_fitness
 
 
@@ -14,10 +15,13 @@ def engine_decision(eng, selection, q, direction):
     if not selection:
         return True, []
     if eng.sign_now() > 0:
-        if direction > 0:
-            accept, deltas, _over = _decide_increase(eng, selection, q)
-            return accept, deltas
-        return all(eng.y[e] == eng.zero for e in selection), []
+        if direction < 0:
+            return all(eng.y[e] == eng.zero for e in selection), []
+        if len(selection) == 1:
+            deltas = _increase_one(eng, selection, q)
+            return deltas is not None, deltas or []
+        accept, deltas, _over = _decide_increase(eng, selection, q)
+        return accept, deltas
     if direction > 0:
         return False, []
     return _decide_decrease_infeasible(eng, selection, q)

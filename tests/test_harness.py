@@ -169,6 +169,30 @@ def test_build_instance_random_is_deterministic_and_invalidated():
         assert not validate_mfds_naive(inst.graph_star, inst.y_init)
 
 
+@pytest.mark.parametrize("shape", [dict(variant="E", n=4, m=6, d=1),
+                                   dict(variant="W", n=4, m=3, d=4,
+                                        w_max=2)])
+def test_build_instance_redraws_two_sided_edits_that_do_not_fit(
+        shape, tmp_path):
+    """The complete graph K4 has no free pair for an added edge, and four
+    weights in {1, 2} fit a four-vertex W edit only when the raised count
+    equals the count of unit weights.  Each trial redraws past the edits
+    that do not fit, so every trial builds and the bench plan runs."""
+    c = cell(trials=8, **shape)
+    for trial in range(c.trials):
+        inst = build_instance(c, trial)
+        assert inst.requested == c.variant and inst.d_scale == c.d
+        assert not validate_mfds_naive(inst.graph_star, inst.y_init)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"cells": [
+        {k: getattr(c, k) for k in ("variant", "algorithm", "alpha",
+                                    "trials", "budget", "seed", "n", "m",
+                                    "d", "w_max")}]}))
+    out = tmp_path / "rows.csv"
+    assert cli_main(["bench", "--config", str(plan), "--out", str(out)]) == 0
+    assert len(read_records(str(out))) == c.trials
+
+
 def test_build_instance_raises_when_no_draw_invalidates_the_start(tmp_path,
                                                                    capsys):
     # every E- edit of a one-edge graph deletes that edge, and the empty
@@ -487,10 +511,12 @@ def test_scaling_plan_shape():
 
 # -- run logger ---------------------------------------------------------------------
 
-def test_run_logger_trace():
+def test_run_logger_trace(monkeypatch):
+    sums = []
+    float_value = harness.float_value
+    monkeypatch.setattr(harness, "float_value",
+                        lambda c, a: sums.append(list(c)) or float_value(c, a))
     g = WeightedGraph(2, (2, 2), ())
-    from dualvc.graph import Edit
-    from dualvc.instances import make_dynamic
     inst = make_dynamic(g, (), Edit("edges", edges=((0, 1),)), "E+")
     buf = io.StringIO()
     logger = RunLogger(buf, inst, 2)
@@ -501,6 +527,8 @@ def test_run_logger_trace():
     assert lines[1] == "1,1,1,1,1,1"     # accept 0 -> 1
     assert lines[2] == "2,0,1,1,1,1"     # reject 1 -> 3 (overload)
     assert lines[3] == "3,1,1,1,1,2"     # accept 1 -> 2, tight
+    # the start's sum, then one per step that changed a value
+    assert sums == [[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0]]
 
 
 # -- CLI ------------------------------------------------------------------------------

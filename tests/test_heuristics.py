@@ -13,7 +13,8 @@ from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
 from dualvc.harness import BenchCell, build_instance
 from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
-                               _decide_increase, _i_prime_from, _IntEngine,
+                               _decide_increase, _i_prime_from,
+                               _increase_one, _IntEngine,
                                _reference_step, _VecEngine, draw_direction,
                                draw_ea_selection, draw_rls_selection, run,
                                run_reference)
@@ -134,20 +135,32 @@ def test_direction_is_fair_coin():
 
 # -- proposals, as seen through run()'s hook stream ---------------------------------
 
-def test_fifth_proposals_draw_direction_before_selection():
-    g = WeightedGraph(6, (4,) * 6, ())
-    inst = make_dynamic(g, (), Edit("edges", edges=((0, 1), (2, 3), (4, 5))),
-                        "E+")
-    for seed in range(20):
+@pytest.mark.parametrize("m", [3, 5, 9, 17, 33])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_draws_match_draw_replay(algorithm, m):
+    """run() draws inline; each hook record's direction and edges equal
+    the draw_* replay of the same seed, the fifth variants' direction bit
+    before the selection.  Sizes just past a power of two make
+    getrandbits reject often, and ea selects two or more edges."""
+    w = 2 ** 20
+    g = WeightedGraph(2 * m, (w,) * (2 * m), ())
+    inst = make_dynamic(g, (), Edit("edges", edges=tuple(
+        (2 * i, 2 * i + 1) for i in range(m))), "E+")
+    fifth = algorithm.endswith("fifth")
+    draw = (draw_ea_selection if algorithm.startswith("ea")
+            else draw_rls_selection)
+    sizes = Counter()
+    for seed in range(4):
         records = []
-        run(inst, RunConfig("rls_fifth", 2, inst.w_max, 30, seed),
-            hook=records.append)
-        assert records
+        run(inst, RunConfig(algorithm, 2, w, 300, seed), hook=records.append)
         ref = random.Random(seed)
         for rec in records:
-            assert rec.direction == draw_direction(ref)
-            assert list(rec.edges) == draw_rls_selection(
-                ref, inst.graph_star.m)
+            direction = draw_direction(ref) if fifth else rec.sign_before
+            assert rec.direction == direction
+            assert list(rec.edges) == draw(ref, m)
+            sizes[len(rec.edges)] += 1
+    assert sizes[1] >= 100
+    assert algorithm.startswith("rls") or max(sizes) >= 2
 
 
 def test_plain_proposals_use_solution_sign_as_direction():
@@ -275,9 +288,10 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
     its weight by the smallest coefficient step or falls short by it, and
     (on the vector engine at degrees 4 and 2) misses the weight by a gap
     far below float resolution.  The vector engine's float gap at such a
-    tie is inside _FLOAT_TOL, so the exact sign decides it.  A rejected
-    one is demoted as ea demotes it: the edge alone, as _reference_step
-    and _i_prime_from demote it."""
+    tie is inside _FLOAT_TOL, so the exact sign decides it.  run() decides
+    it through _increase_one; _decide_increase, which run() sends larger
+    selections, agrees.  A rejected one is demoted as ea demotes it: the
+    edge alone, as _reference_step and _i_prime_from demote it."""
     exact_calls = []
 
     def counted(coeffs, a):
@@ -312,12 +326,14 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
                 engines.append(_IntEngine(g, values, w, a, q_cap))
             for eng in engines:
                 assert eng.sign_now() > 0
-                del exact_calls[:]
                 assert engine_agrees(eng, values, q, [0], 1, alpha=a)
-                accept, _deltas, over = _decide_increase(eng, [0], q)
+                del exact_calls[:]
+                accept = _increase_one(eng, [0], q) is not None
                 tie = not any(nudge) or nudge in nudges[3:]
                 if isinstance(eng, _VecEngine) and tie:
                     assert exact_calls, (qs, nudge)
+                general, _deltas, over = _decide_increase(eng, [0], q)
+                assert general == accept
                 outcomes[type(eng).__name__, accept] += 1
                 if accept:
                     continue

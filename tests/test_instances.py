@@ -6,7 +6,7 @@ import pytest
 
 from dualvc.graph import Edit, WeightedGraph, apply_edit
 from dualvc.instances import (HARD_VARIANTS, VARIANTS, DynamicInstance,
-                              derive_seed, greedy_mfds_values,
+                              EditDoesNotFit, derive_seed, greedy_mfds_values,
                               hard_instance, make_dynamic, make_gs,
                               make_gs_prime, random_dynamic, random_edit,
                               random_instance)
@@ -221,16 +221,32 @@ def test_random_edit_determinism_and_errors():
         random_edit(g, "nope", 1, 5, w_cap=16)
     # removing more edges than exist is impossible
     small = WeightedGraph(3, (1, 1, 1), ((0, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(EditDoesNotFit):
         random_edit(small, "E-", 2, 5, w_cap=1)
     # raising weights already at the cap is impossible
     flat = WeightedGraph(3, (4, 4, 4), ((0, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(EditDoesNotFit):
         random_edit(flat, "W+", 1, 5, w_cap=4)
     # lowering weights already at 1 is impossible
     unit = WeightedGraph(3, (1, 1, 1), ((0, 1),))
-    with pytest.raises(ValueError, match="weights leave no room"):
+    with pytest.raises(EditDoesNotFit, match="weights leave no room"):
         random_edit(unit, "W-", 1, 5, w_cap=4)
+
+
+def test_random_edit_errors_quote_the_variant():
+    """A two-sided edit that does not fit names its own variant, not the
+    one-sided variant 'E-' or 'W-' that "E-edit" or "W-edit" would read
+    as.  At seed 0 both draws split d = 1 into a step the full, unit
+    triangle has no room for."""
+    k3 = WeightedGraph(3, (1, 1, 1), ((0, 1), (0, 2), (1, 2)))
+    with pytest.raises(EditDoesNotFit) as edge:
+        random_edit(k3, "E", 1, 0, w_cap=1)
+    assert str(edge.value) == ("cannot draw an edit of variant 'E' with "
+                               "d=1: graph too full/empty")
+    with pytest.raises(EditDoesNotFit) as weight:
+        random_edit(k3, "W", 1, 0, w_cap=1)
+    assert str(weight.value) == ("cannot draw an edit of variant 'W' with "
+                                 "d=1: weights leave no room")
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
