@@ -7,9 +7,8 @@ from .numeric import (Alpha, canonicalize_alpha, float_value, interval_sign,
 from .graph import Edit, WeightedGraph, apply_edit, canonical_edge
 from .dual import DualSolution, extract_cover
 from .oracle import (CoverCertificate, ExactCoverResult, FitnessOutcome,
-                     cover_certificate, enumerate_mfds, exact_min_wvc,
-                     exhaustive_min_wvc, reference_fitness,
-                     validate_mfds_naive)
+                     cover_certificate, enumerate_mfds, exhaustive_min_wvc,
+                     reference_fitness, validate_mfds_naive)
 from .instances import (HARD_VARIANTS, VARIANTS, DynamicInstance, derive_seed,
                         hard_instance, make_dynamic, random_dynamic,
                         random_edit, random_instance)
@@ -27,8 +26,8 @@ __all__ = [
     "Edit", "WeightedGraph", "apply_edit", "canonical_edge",
     "DualSolution", "extract_cover",
     "CoverCertificate", "ExactCoverResult", "FitnessOutcome",
-    "cover_certificate", "enumerate_mfds", "exact_min_wvc",
-    "exhaustive_min_wvc", "reference_fitness", "validate_mfds_naive",
+    "cover_certificate", "enumerate_mfds", "exhaustive_min_wvc",
+    "reference_fitness", "validate_mfds_naive",
     "HARD_VARIANTS", "VARIANTS", "DynamicInstance", "derive_seed",
     "hard_instance", "make_dynamic", "random_dynamic", "random_edit",
     "random_instance",

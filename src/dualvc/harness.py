@@ -75,6 +75,8 @@ class BenchCell:
             raise ValueError("trials must be >= 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.alpha < 2:
+            raise ValueError("alpha must be >= 2")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.kind == "hard" and self.m < 2:
@@ -97,6 +99,9 @@ class BenchCell:
             if self.variant.startswith("W") and self.w_max < 2:
                 raise ValueError(
                     f"{self.variant} cells need w_max >= 2 to edit weights")
+            if 2 <= self.w_max < self.alpha:
+                raise ValueError(
+                    f"alpha={self.alpha} exceeds w_max={self.w_max}")
 
 
 @dataclass(frozen=True)
@@ -199,16 +204,20 @@ def build_instance(cell: BenchCell, trial: int) -> DynamicInstance:
     if cell.kind == "hard":
         return hard_instance(cell.variant, cell.m, cell.alpha)
     # A random edit can leave the carried solution maximal on the edited
-    # graph, in which case the trial measures nothing, and a two-sided edit
-    # can split d in a way the drawn graph has no room for; redraw (seeded,
-    # hence reproducible) until an edit fits and invalidates the solution.
-    # Degenerate parameter corners where no edit does fail after the cap.
+    # graph, in which case the trial measures nothing; a two-sided edit can
+    # split d in a way the drawn graph has no room for; and the drawn
+    # weights can top out below alpha, which the run rejects.  Redraw
+    # (seeded, hence reproducible) until an edit fits, the weights admit
+    # alpha and the edit invalidates the solution.  Degenerate parameter
+    # corners where no draw does fail after the cap.
     label = f"instance:{trial}"
     for sub in [label] + [f"{label}:r{r}" for r in range(_MAX_REDRAWS)]:
         try:
             inst = random_dynamic(cell.variant, cell.n, cell.m, cell.d,
                                   cell.w_max, derive_seed(cell.seed, sub))
         except EditDoesNotFit:
+            continue
+        if 2 <= inst.w_max < cell.alpha:
             continue
         if not oracle.validate_mfds_naive(inst.graph_star, inst.y_init):
             return inst

@@ -3,9 +3,9 @@ the reference replay the engines are tested against, and certify every
 success the harness reports.
 
 Nothing here shares caching or incremental logic with the rest of the
-package: loads are recomputed from scratch, covers are found by exhaustive
-or branch-and-bound search, and maximal solutions are enumerated over an
-integer grid.  The cover certificate (behind ``validate_mfds_naive``,
+package: loads are recomputed from scratch, minimum covers are found by
+exhaustive search, and maximal solutions are enumerated over an integer
+grid.  The cover certificate (behind ``validate_mfds_naive``,
 ``harness.verify_final``, the reference replay's signs and maximality tests,
 ``dual.extract_cover`` and ``dualvc verify``) and
 the acceptance functional ``reference_fitness`` both take edge values as
@@ -27,7 +27,7 @@ from .numeric import Alpha, Rational, sign_of_coeffs
 
 Value = Union[Rational, tuple]
 
-_MAX_EXACT_N = 24
+_MAX_EXACT_N = 12
 _MAX_ENUM_M = 6
 _MAX_ENUM_W = 8
 
@@ -38,65 +38,11 @@ class ExactCoverResult:
     weight: int
 
 
-def _greedy_dual_bound(g: WeightedGraph, taken: int) -> int:
-    """Value-sum lower bound on covering the edges missed by `taken`.
-
-    Raises each uncovered edge by the smaller residual of its endpoints;
-    any cover of those edges weighs at least the resulting sum.
-    """
-    residual = list(g.weights)
-    total = 0
-    for u, v in g.edges:
-        if (taken >> u) & 1 or (taken >> v) & 1:
-            continue
-        t = min(residual[u], residual[v])
-        residual[u] -= t
-        residual[v] -= t
-        total += t
-    return total
-
-
-def exact_min_wvc(g: WeightedGraph) -> ExactCoverResult:
-    """Exact minimum-weight vertex cover by branch and bound.
-
-    Branches on the two endpoints of an uncovered edge, pruning with the
-    greedy dual bound.  Limited to n <= 24.
-    """
+def exhaustive_min_wvc(g: WeightedGraph) -> ExactCoverResult:
+    """Exact minimum-weight vertex cover by brute force over all vertex
+    subsets; limited to n <= 12 so 2^n stays small."""
     if g.n > _MAX_EXACT_N:
         raise ValueError(f"instance too large: n={g.n} > {_MAX_EXACT_N}")
-    best_mask = (1 << g.n) - 1
-    best_weight = sum(g.weights)
-
-    def first_uncovered(taken: int) -> int:
-        for e, (u, v) in enumerate(g.edges):
-            if not ((taken >> u) & 1 or (taken >> v) & 1):
-                return e
-        return -1
-
-    def rec(taken: int, cost: int) -> None:
-        nonlocal best_mask, best_weight
-        e = first_uncovered(taken)
-        if e < 0:
-            if cost < best_weight:
-                best_weight = cost
-                best_mask = taken
-            return
-        if cost + _greedy_dual_bound(g, taken) >= best_weight:
-            return
-        u, v = g.edges[e]
-        rec(taken | (1 << u), cost + g.weights[u])
-        rec(taken | (1 << v), cost + g.weights[v])
-
-    rec(0, 0)
-    cover = frozenset(v for v in range(g.n) if (best_mask >> v) & 1)
-    return ExactCoverResult(cover, sum(g.weights[v] for v in cover))
-
-
-def exhaustive_min_wvc(g: WeightedGraph) -> ExactCoverResult:
-    """Brute force over all vertex subsets; self-check partner for the
-    branch-and-bound (n <= 12 keeps 2^n small)."""
-    if g.n > 12:
-        raise ValueError(f"instance too large: n={g.n} > 12")
     best = None
     for mask in range(1 << g.n):
         if all((mask >> u) & 1 or (mask >> v) & 1 for u, v in g.edges):

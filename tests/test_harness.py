@@ -59,6 +59,8 @@ def test_cell_validation(tmp_path, capsys):
     cell(n=4, m=6, d=6, variant="E-")      # at the edges of every bound
     cell(n=4, m=5, d=1, variant="E+")
     cell(w_max=2, variant="W")
+    cell(alpha=16, w_max=16)
+    cell(alpha=16, w_max=1)                # unit weights admit any alpha
     unbuildable = [
         (dict(n=4, m=10), "m=10 exceeds the 6 vertex pairs"),
         (dict(n=4, m=6, d=1, variant="E+"), "only 0 left"),
@@ -66,6 +68,8 @@ def test_cell_validation(tmp_path, capsys):
         (dict(w_max=1, variant="W+"), "need w_max >= 2"),
         (dict(w_max=1, variant="W-"), "need w_max >= 2"),
         (dict(w_max=1, variant="W"), "need w_max >= 2"),
+        (dict(alpha=1), "alpha must be >= 2"),
+        (dict(alpha=16, w_max=8), "alpha=16 exceeds w_max=8"),
     ]
     for kw, message in unbuildable:
         with pytest.raises(ValueError, match=message):
@@ -169,6 +173,16 @@ def test_build_instance_random_is_deterministic_and_invalidated():
         assert not validate_mfds_naive(inst.graph_star, inst.y_init)
 
 
+def write_plan(tmp_path, c):
+    """A plan file holding the random cell `c` alone."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"cells": [
+        {k: getattr(c, k) for k in ("variant", "algorithm", "alpha",
+                                    "trials", "budget", "seed", "n", "m",
+                                    "d", "w_max")}]}))
+    return plan
+
+
 @pytest.mark.parametrize("shape", [dict(variant="E", n=4, m=6, d=1),
                                    dict(variant="W", n=4, m=3, d=4,
                                         w_max=2)])
@@ -183,11 +197,21 @@ def test_build_instance_redraws_two_sided_edits_that_do_not_fit(
         inst = build_instance(c, trial)
         assert inst.requested == c.variant and inst.d_scale == c.d
         assert not validate_mfds_naive(inst.graph_star, inst.y_init)
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({"cells": [
-        {k: getattr(c, k) for k in ("variant", "algorithm", "alpha",
-                                    "trials", "budget", "seed", "n", "m",
-                                    "d", "w_max")}]}))
+    plan = write_plan(tmp_path, c)
+    out = tmp_path / "rows.csv"
+    assert cli_main(["bench", "--config", str(plan), "--out", str(out)]) == 0
+    assert len(read_records(str(out))) == c.trials
+
+
+def test_build_instance_redraws_weights_below_alpha(tmp_path):
+    """Six weights uniform on 1..16 often top out below alpha = 16, which
+    the run rejects.  Each trial redraws past such weights, so every trial
+    builds and the bench plan runs."""
+    c = cell(variant="E", alpha=16, trials=8, seed=1, n=6, m=6, d=1,
+             w_max=16)
+    for trial in range(c.trials):
+        assert build_instance(c, trial).w_max == 16
+    plan = write_plan(tmp_path, c)
     out = tmp_path / "rows.csv"
     assert cli_main(["bench", "--config", str(plan), "--out", str(out)]) == 0
     assert len(read_records(str(out))) == c.trials
@@ -200,11 +224,7 @@ def test_build_instance_raises_when_no_draw_invalidates_the_start(tmp_path,
     c = cell(variant="E-", n=2, m=1, d=1, trials=1)
     with pytest.raises(ValueError, match="trial 0: none of 65 draws"):
         build_instance(c, 0)
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({"cells": [
-        {k: getattr(c, k) for k in ("variant", "algorithm", "alpha",
-                                    "trials", "budget", "seed", "n", "m",
-                                    "d", "w_max")}]}))
+    plan = write_plan(tmp_path, c)
     out = tmp_path / "rows.csv"
     assert cli_main(["bench", "--config", str(plan), "--out", str(out)]) == 2
     assert "none of 65 draws" in capsys.readouterr().err

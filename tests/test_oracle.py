@@ -2,6 +2,7 @@
 
 import ast
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +11,9 @@ import pytest
 import dualvc
 from dualvc.graph import WeightedGraph
 from dualvc.heuristics import _VecEngine
-from dualvc.instances import make_gs
+from dualvc.instances import greedy_mfds_values, make_gs
 from dualvc.numeric import canonicalize_alpha, q_max_for
-from dualvc.oracle import (enumerate_mfds, exact_min_wvc, exhaustive_min_wvc,
+from dualvc.oracle import (enumerate_mfds, exhaustive_min_wvc,
                            reference_fitness, trap_edge, validate_mfds_naive)
 
 from engine_decisions import engine_agrees
@@ -41,16 +42,16 @@ def cover_is_valid(g, cover):
 
 def test_exact_cover_tiny_cases():
     empty = WeightedGraph(3, (5, 5, 5), ())
-    assert exact_min_wvc(empty).weight == 0
-    assert exact_min_wvc(empty).cover == frozenset()
+    assert exhaustive_min_wvc(empty).weight == 0
+    assert exhaustive_min_wvc(empty).cover == frozenset()
     single = WeightedGraph(2, (4, 9), ((0, 1),))
-    res = exact_min_wvc(single)
+    res = exhaustive_min_wvc(single)
     assert res.weight == 4 and res.cover == frozenset({0})
 
 
 def test_exact_cover_triangle():
     g = WeightedGraph(3, (1, 2, 3), ((0, 1), (1, 2), (0, 2)))
-    res = exact_min_wvc(g)
+    res = exhaustive_min_wvc(g)
     # any cover of a triangle needs two vertices: {0,1} at weight 3
     assert res.weight == 3
     assert res.cover == frozenset({0, 1})
@@ -61,7 +62,7 @@ def test_exact_cover_disjoint_edges_heavy_first():
     # m disjoint edges, first edge heavy on both ends: min cover picks the
     # cheaper endpoint of each edge -> w + (m-1)
     g = make_gs(4, 16)
-    res = exact_min_wvc(g)
+    res = exhaustive_min_wvc(g)
     assert res.weight == 16 + 3
     assert cover_is_valid(g, res.cover)
 
@@ -69,31 +70,39 @@ def test_exact_cover_disjoint_edges_heavy_first():
 def test_exact_cover_star_weights():
     # center weight 3 vs leaves weighing 2 each: cheaper to take the leaves
     g = WeightedGraph(4, (3, 2, 2, 2), ((0, 1), (0, 2), (0, 3)))
-    assert exact_min_wvc(g).weight == 3
+    assert exhaustive_min_wvc(g).weight == 3
     # tie: both {0} and {1,2,3} weigh 3 — only the weight is pinned
     g2 = WeightedGraph(4, (3, 1, 1, 1), ((0, 1), (0, 2), (0, 3)))
-    res2 = exact_min_wvc(g2)
+    res2 = exhaustive_min_wvc(g2)
     assert res2.weight == 3 and cover_is_valid(g2, res2.cover)
     g3 = WeightedGraph(4, (5, 1, 1, 1), ((0, 1), (0, 2), (0, 3)))
-    res3 = exact_min_wvc(g3)
+    res3 = exhaustive_min_wvc(g3)
     assert res3.weight == 3 and res3.cover == frozenset({1, 2, 3})
 
 
-def test_exact_matches_exhaustive_on_random_graphs():
+def test_exact_cover_is_bracketed_by_the_greedy_dual():
+    """On random graphs the exact cover covers every edge, its weight is
+    its vertices' weights, and it lies between two search-free bounds:
+    the greedy maximal dual's value sum (weak duality) and the weight of
+    that dual's tight-vertex cover."""
+    t0 = time.perf_counter()
     rng = random.Random(42)
     for _ in range(60):
         g = random_graph(rng, n_max=10, w_max=9)
-        bb = exact_min_wvc(g)
-        brute = exhaustive_min_wvc(g)
-        assert bb.weight == brute.weight
-        assert cover_is_valid(g, bb.cover)
-        assert sum(g.weights[v] for v in bb.cover) == bb.weight
+        res = exhaustive_min_wvc(g)
+        assert cover_is_valid(g, res.cover)
+        assert sum(g.weights[v] for v in res.cover) == res.weight
+        y = greedy_mfds_values(g)
+        load = [0] * g.n
+        for (u, v), t in zip(g.edges, y):
+            load[u] += t
+            load[v] += t
+        tight = sum(w for w, x in zip(g.weights, load) if x == w)
+        assert sum(y) <= res.weight <= tight
+    assert time.perf_counter() - t0 <= 1.0
 
 
 def test_exact_cover_size_limit():
-    g = WeightedGraph(30, (1,) * 30, ())
-    with pytest.raises(ValueError):
-        exact_min_wvc(g)
     with pytest.raises(ValueError, match="n=13 > 12"):
         exhaustive_min_wvc(WeightedGraph(13, (1,) * 13, ()))
 
