@@ -4,7 +4,10 @@
 For each m, runs rls, ea, and rls_fifth against the frozen budget
 C * contrast_bound(m) (C from tests/data/contrast_config.json, produced by
 calibrate_contrast.py), then gives ea_fifth 100x the rls median at the
-largest m.  Prints per-algorithm success rates and median evaluations.
+largest m.  Prints the seed block, per-algorithm success rates and median
+evaluations.  Trial t runs with seed ``--seed + t``; the default is the
+block acceptance criterion 7 runs (``CONTRAST_SEED`` in
+tests/test_acceptance.py).
 """
 
 import argparse
@@ -20,6 +23,7 @@ from dualvc.harness import BenchCell, contrast_bound, run_trial  # noqa: E402
 
 DEFAULT_CONFIG = (Path(__file__).resolve().parents[1]
                   / "tests" / "data" / "contrast_config.json")
+DEFAULT_SEED = 777_000
 
 
 def trial_block(algorithm, m, alpha, trials, seed, budget):
@@ -35,13 +39,14 @@ def main(argv=None):
     ap.add_argument("--config", default=str(DEFAULT_CONFIG))
     ap.add_argument("--trials", type=int, default=50)
     ap.add_argument("--sizes", type=int, nargs="+", default=[8, 10, 12])
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = ap.parse_args(argv)
 
     constant = json.loads(Path(args.config).read_text())["budget_constant"]
     alpha = 2
     rls_medians = {}
     print(f"budget constant C = {constant} (from {args.config})")
+    print(f"seeds {args.seed}..{args.seed + args.trials - 1}")
     for m in args.sizes:
         w_max = alpha ** m
         budget = math.ceil(constant * contrast_bound(m, alpha, w_max))

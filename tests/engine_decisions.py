@@ -3,6 +3,11 @@
 dispatched exactly as ``heuristics.run`` does (a one-edge increase through
 ``_increase_one``, a larger one through ``_decide_increase``), against the
 oracle's on the clamped proposal the reference replay builds.
+
+The dispatch is a copy because ``run`` makes it inline: moving it into one
+function that ``run`` calls per nonempty selection cut the ``quarter``
+benchmark's ``trials_per_s`` by about 20% and raised its ``trial_ms_p50``
+by about 70% (see the ``heuristics`` module docstring).
 """
 
 from dualvc.heuristics import (_decide_decrease_infeasible, _decide_increase,

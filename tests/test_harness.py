@@ -37,50 +37,52 @@ def cell(**kw):
 def test_cell_validation(tmp_path, capsys):
     cell()
     cell(kind="hard", variant="E+", m=3)
-    with pytest.raises(ValueError):
-        cell(variant="X")
-    with pytest.raises(ValueError):
-        cell(algorithm="annealing")
-    with pytest.raises(ValueError):
-        cell(kind="soft")
-    with pytest.raises(ValueError):
-        cell(kind="hard", variant="E")     # mixed family has no hard form
-    with pytest.raises(ValueError):
-        cell(trials=0)
-    with pytest.raises(ValueError):
-        cell(budget=0)
-    with pytest.raises(ValueError):
-        cell(m=0)
-    with pytest.raises(ValueError):
-        cell(n=1)
-    with pytest.raises(ValueError):
-        cell(d=0)
-    # random cells under which no draw can build an instance
-    cell(n=4, m=6, d=6, variant="E-")      # at the edges of every bound
-    cell(n=4, m=5, d=1, variant="E+")
-    cell(w_max=2, variant="W")
-    cell(alpha=16, w_max=16)
-    cell(alpha=16, w_max=1)                # unit weights admit any alpha
-    unbuildable = [
-        (dict(n=4, m=10), "m=10 exceeds the 6 vertex pairs"),
-        (dict(n=4, m=6, d=1, variant="E+"), "only 0 left"),
-        (dict(m=2, d=3, variant="E-"), "exceeds the m=2 edges"),
-        (dict(w_max=1, variant="W+"), "need w_max >= 2"),
-        (dict(w_max=1, variant="W-"), "need w_max >= 2"),
-        (dict(w_max=1, variant="W"), "need w_max >= 2"),
-        (dict(alpha=1), "alpha must be >= 2"),
-        (dict(alpha=16, w_max=8), "alpha=16 exceeds w_max=8"),
-    ]
-    for kw, message in unbuildable:
-        with pytest.raises(ValueError, match=message):
+    # a cell checks its own fields only
+    for kw in (dict(kind="soft"), dict(trials=0), dict(m=0), dict(n=1),
+               dict(d=0)):
+        with pytest.raises(ValueError):
             cell(**kw)
-    # the plan fails to load, before any trial runs or any CSV is opened,
-    # even when a good cell comes first
+    # the rest is checked at plan load, by building each cell's trial 0
     good = dict(variant="E", algorithm="rls", alpha=2, trials=1, budget=10,
                 seed=1, n=8, m=10, d=2, w_max=8)
-    hard = dict(good, variant="E+", kind="hard", m=1)
-    for bad, message in [(hard, "hard cells need m >= 2")] + [
-            (dict(good, **kw), message) for kw, message in unbuildable]:
+    # loadable at the edges of every bound; unit weights admit any alpha
+    for kw in (dict(n=4, m=6, d=5, variant="E-"),
+               dict(n=4, m=5, d=1, variant="E+"),
+               dict(w_max=2, variant="W"),
+               dict(alpha=16, w_max=16),
+               dict(alpha=16, w_max=1),
+               dict(kind="hard", variant="E+", m=2)):
+        plan_from_json({"cells": [dict(good, **kw)]})
+    hard = dict(good, kind="hard", variant="E+", m=3)
+    unbuildable = [
+        (dict(good, variant="X"), "unknown variant 'X'"),
+        (dict(good, algorithm="annealing"), "algorithm must be one of"),
+        (dict(hard, variant="E"),                 # mixed family: no hard form
+         "variant must be one of ('E+', 'E-', 'W+', 'W-')"),
+        (dict(good, budget=0), "budget must be >= 1"),
+        (dict(good, alpha=1), "alpha must be >= 2"),
+        (dict(hard, alpha=1), "alpha must be an integer >= 2, got 1"),
+        (dict(hard, m=1), "need m >= 2, got 1"),
+        (dict(good, n=4, m=10), "m=10 exceeds the 6 vertex pairs"),
+        (dict(good, n=4, m=6, d=1, variant="E+"),
+         "the last: cannot draw an edit of variant 'E+' with d=1"),
+        (dict(good, m=2, d=3, variant="E-"),
+         "the last: cannot draw an edit of variant 'E-' with d=3"),
+        (dict(good, w_max=1, variant="W+"),
+         "the last: cannot draw an edit of variant 'W+' with d=2"),
+        (dict(good, w_max=1, variant="W-"),
+         "the last: cannot draw an edit of variant 'W-' with d=2"),
+        (dict(good, w_max=1, variant="W"),
+         "the last: cannot draw an edit of variant 'W' with d=2"),
+        (dict(good, alpha=16, w_max=8),
+         "the last: the weights top out at w_max=8, below alpha=16"),
+        # deleting every edge leaves the empty solution maximal
+        (dict(good, n=3, m=3, d=3, variant="E-"),
+         "the last: the edit leaves the carried solution maximal"),
+    ]
+    # the plan fails to load, before any trial runs or any CSV is opened,
+    # even when a good cell comes first
+    for bad, message in unbuildable:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"cells": [good, bad]}))
         out = tmp_path / "rows.csv"
@@ -222,13 +224,15 @@ def test_build_instance_raises_when_no_draw_invalidates_the_start(tmp_path,
     # every E- edit of a one-edge graph deletes that edge, and the empty
     # solution of the edgeless graph is maximal, so no redraw helps
     c = cell(variant="E-", n=2, m=1, d=1, trials=1)
-    with pytest.raises(ValueError, match="trial 0: none of 65 draws"):
+    message = ("trial 0: none of 65 draws builds an instance; the last: "
+               "the edit leaves the carried solution maximal")
+    with pytest.raises(ValueError, match=message):
         build_instance(c, 0)
     plan = write_plan(tmp_path, c)
     out = tmp_path / "rows.csv"
     assert cli_main(["bench", "--config", str(plan), "--out", str(out)]) == 2
-    assert "none of 65 draws" in capsys.readouterr().err
-    assert out.read_text() == CSV_HEADER + "\n"     # no row was written
+    assert message in capsys.readouterr().err
+    assert not out.exists()                 # the plan fails to load
 
 
 def test_run_trial_records_requested_parameters():

@@ -2,7 +2,6 @@
 
 import random
 import statistics
-from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -76,28 +75,18 @@ def test_ea_selection_single_edge_always_selected():
 
 
 def test_ea_one_edge_draw_matches_random_sample():
-    """draw_ea_selection draws a one-edge selection with one randrange(m),
-    standing in for rng.sample(range(m), 1): both must make the same single
-    _randbelow(m) draw, in sample's pool branch (m <= 21) and its set
-    branch (m > 21) alike, and leave the stream at the same position."""
-    def old_form(rng, m):
-        k = bisect_right(_binomial_cdf(m), rng.random())
-        return rng.sample(range(m), k) if k else []
-
+    """run() draws a one-edge ea selection as one randrange(m), written out,
+    where draw_ea_selection calls rng.sample(range(m), 1): both must make
+    the same single _randbelow(m) draw, in sample's pool branch (m <= 21)
+    and its set branch (m > 21) alike, and leave the stream at the same
+    position."""
     for m in list(range(1, 31)) + [64, 128, 256]:
-        ones = 0
         for seed in range(60):
             a, b = random.Random(seed), random.Random(seed)
             assert a.sample(range(m), 1) == [b.randrange(m)], \
                 f"sample(range({m}), 1) no longer draws one randrange({m})"
             assert a.random() == b.random(), \
                 f"sample(range({m}), 1) moves the stream unlike randrange"
-            for _ in range(8):
-                sel = draw_ea_selection(a, m)
-                assert sel == old_form(b, m)
-                ones += len(sel) == 1
-            assert a.random() == b.random()
-        assert ones >= 60  # about 37% of 480 draws select one edge
 
 
 def test_ea_selection_matches_binomial_pmf():
@@ -220,6 +209,45 @@ def test_i_prime_mixed():
     # star plus a detached edge: only the detached edge demotes
     g = WeightedGraph(5, (1, 1, 1, 1, 1), ((0, 1), (0, 2), (3, 4)))
     assert_i_prime(g, (0, 0, 1), [0, 2], {2})          # raised to 1 and 2
+
+
+# -- the engines' incremental counters ----------------------------------------------
+
+def test_engine_counters_match_the_certificate_after_random_commits():
+    """Both engines' slack signs, violated count, untight-edge count and
+    maximality equal a from-scratch cover certificate after every commit of
+    1-3 random values, on small random graphs where commits often flip both
+    endpoints of an edge between tight and not tight at once."""
+    rng = random.Random(18)
+    q_cap = q_max_for(A2, 4)
+    both_flipped = 0
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = WeightedGraph(n, tuple(rng.randint(1, 4) for _ in range(n)),
+                          tuple(sorted(rng.sample(pairs, rng.randint(
+                              3, len(pairs))))))
+        start = [rng.randint(0, 2) for _ in range(g.m)]
+        for eng in (_IntEngine(g, start, 4, A2, q_cap),
+                    _VecEngine(g, start, 4, A2, q_cap)):
+            vec = isinstance(eng, _VecEngine)
+            for _ in range(20):
+                tight_before = [s == 0 for s in eng.slack]
+                deltas = [(e, (rng.randint(0, 2), rng.choice((0, 0, 1)), 0, 0)
+                           if vec else rng.randint(0, 2))
+                          for e in rng.sample(range(g.m), rng.randint(1, 3))]
+                eng.commit(deltas)
+                cert = cover_certificate(g, A2, eng.y)
+                assert eng.slack == list(cert.slack)
+                assert eng.nviol == cert.slack.count(1)
+                assert eng.untight == sum(1 for u, v in g.edges
+                                          if cert.slack[u] and cert.slack[v])
+                assert eng.is_mfds() == cert.maximal
+                both_flipped += sum(
+                    1 for u, v in g.edges
+                    if tight_before[u] != (cert.slack[u] == 0)
+                    and tight_before[v] != (cert.slack[v] == 0))
+    assert both_flipped >= 1000
 
 
 # -- the vector engine's float filter -----------------------------------------------

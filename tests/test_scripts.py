@@ -26,6 +26,7 @@ def test_run_contrast_smoke(capsys):
     script = load_script("run_contrast")
     assert script.main(["--trials", "2", "--sizes", "4", "5", "6"]) == 0
     out = capsys.readouterr().out
+    assert "seeds 777000..777001" in out   # criterion 7's block by default
     assert "m=6 w_max=2^6" in out
     assert "ea_fifth at m=6" in out
 
