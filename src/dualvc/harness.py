@@ -187,6 +187,10 @@ _MAX_REDRAWS = 64
 def build_instance(cell: BenchCell, trial: int) -> DynamicInstance:
     if cell.kind == "hard":
         return hard_instance(cell.variant, cell.m, cell.alpha)
+    # the run's rule on the cap the cell asks for, so that no trial of such
+    # a cell falls back to a draw of unit weights
+    if 2 <= cell.w_max < cell.alpha:
+        raise ValueError(f"alpha={cell.alpha} exceeds w_max={cell.w_max}")
     # A random edit can leave the carried solution maximal on the edited
     # graph, in which case the trial measures nothing; a two-sided edit can
     # split d in a way the drawn graph has no room for; and the drawn

@@ -74,8 +74,10 @@ def test_cell_validation(tmp_path, capsys):
          "the last: cannot draw an edit of variant 'W-' with d=2"),
         (dict(good, w_max=1, variant="W"),
          "the last: cannot draw an edit of variant 'W' with d=2"),
-        (dict(good, alpha=16, w_max=8),
-         "the last: the weights top out at w_max=8, below alpha=16"),
+        (dict(good, alpha=16, w_max=8), "alpha=16 exceeds w_max=8"),
+        # an all-unit draw (1 in 8 here) would admit alpha=4
+        (dict(good, n=3, m=3, d=1, variant="E-", w_max=2, alpha=4),
+         "alpha=4 exceeds w_max=2"),
         # deleting every edge leaves the empty solution maximal
         (dict(good, n=3, m=3, d=3, variant="E-"),
          "the last: the edit leaves the carried solution maximal"),

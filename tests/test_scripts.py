@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dualvc.harness import read_records
+from test_acceptance import CONTRAST_SEED
 
 ROOT = Path(__file__).resolve().parents[1]
 FROZEN = ROOT / "tests" / "data" / "contrast_config.json"
@@ -26,7 +27,9 @@ def test_run_contrast_smoke(capsys):
     script = load_script("run_contrast")
     assert script.main(["--trials", "2", "--sizes", "4", "5", "6"]) == 0
     out = capsys.readouterr().out
-    assert "seeds 777000..777001" in out   # criterion 7's block by default
+    # criterion 7's block by default
+    assert script.DEFAULT_SEED == CONTRAST_SEED
+    assert f"seeds {CONTRAST_SEED}..{CONTRAST_SEED + 1}" in out
     assert "m=6 w_max=2^6" in out
     assert "ea_fifth at m=6" in out
 
