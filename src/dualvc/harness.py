@@ -9,7 +9,7 @@ random cells draw their per-trial instance from the sub-stream
 deterministic instance.
 
 A plan loaded from JSON is checked by building it: ``plan_from_json``
-builds trial 0 of every cell and configures its run, so each rule lives
+builds every trial of every cell and configures its run, so each rule lives
 once, in the code that applies it, and ``dualvc bench`` rejects a bad cell
 before it opens the CSV.
 
@@ -56,7 +56,7 @@ class BenchCell:
     """One benchmark configuration; ``trials`` seeded runs of it.
 
     Construction checks the cell's own fields only; ``plan_from_json``
-    checks the rest by building trial 0."""
+    checks the rest by building every trial."""
 
     variant: str
     algorithm: str
@@ -100,8 +100,8 @@ _STR_CELL_KEYS = {"variant", "algorithm", "kind"}
 
 
 def plan_from_json(data: dict) -> BenchPlan:
-    """Plan from parsed JSON; a malformed plan, or one with a cell whose
-    trial 0 does not build or configure, raises ValueError."""
+    """Plan from parsed JSON; a malformed plan, or one with a cell any of
+    whose trials does not build or configure, raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("a plan must be a JSON object")
     raw_cells = data.get("cells", [])
@@ -124,9 +124,10 @@ def plan_from_json(data: dict) -> BenchPlan:
                                  f"got {value!r}")
         cells.append(BenchCell(**raw))
     for cell in cells:
-        instance = build_instance(cell, 0)
-        RunConfig(cell.algorithm, cell.alpha, instance.w_max, cell.budget,
-                  cell.seed)
+        for trial in range(cell.trials):
+            instance = build_instance(cell, trial)
+            RunConfig(cell.algorithm, cell.alpha, instance.w_max,
+                      cell.budget, cell.seed + trial)
     return BenchPlan(tuple(cells), out)
 
 

@@ -30,10 +30,10 @@ ran, and the tests compare those streams with ``==``.
 The integer engine is kept beside the vector engine because it pays for
 itself: on one trial of each of the 36 ``harness.scaling_plan`` cells
 (base seed 1, 267,228 evaluations, identical rows either way) it took
-2.1-3.5 us per evaluation, against 2.8-4.7 us with the same runs forced
+1.7-2.8 us per evaluation, against 2.5-3.9 us with the same runs forced
 onto the vector engine, and was faster in each of nine alternating pairs
 (CPython 3.11.7, 2 vCPUs, three sets of three alternating runs; the
-machine's speed drifted by about a third between sets, so compare within
+machine's speed drifted by up to a half between runs, so compare within
 a pair).
 
 ``run`` decides each proposal inline, not through one ``_decide`` call
@@ -51,13 +51,17 @@ one uniform for the binomial selection count, then one randrange when
 that count is 1 (the one draw ``sample(range(m), 1)`` makes, as a test
 pins) or one sample of that many edge ids when it is larger; rls draws
 one randrange; the fifth variants draw one direction bit *before* their
-selection draws.  ``run`` makes these draws inline: the direction bit is
-``getrandbits(1)``, the count a bisection of the binomial CDF at
-``random()``, and the one-edge randrange CPython 3.11's ``_randbelow(m)``
-written out (``getrandbits(m.bit_length())`` until the value is below m).
-``run_reference`` makes them through ``draw_direction``,
-``draw_ea_selection`` and ``draw_rls_selection``, so the tests that
-compare the two streams also check the inline draws.
+selection draws.  ``run`` makes these draws through ``getrandbits`` and
+``random`` alone: the direction bit is ``getrandbits(1)``, the count a
+bisection of the binomial CDF at ``random()``, the one-edge randrange
+CPython 3.11's ``_randbelow(m)`` written out (``getrandbits(m.bit_length())``
+until the value is below m), and a selection of two or more edges
+CPython 3.11's ``sample(range(m), k)`` written out as ``_sample_range``,
+with its pool and set branches; a test pins it against ``random.sample``
+across both branches' boundaries.  ``run_reference`` makes the draws
+through ``draw_direction``, ``draw_ea_selection`` (which still calls
+``rng.sample``) and ``draw_rls_selection``, so the tests that compare the
+two streams also check the written-out draws against the library.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf, nan
+from math import ceil, comb, inf, log, nan
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle
@@ -487,6 +491,35 @@ def _i_prime_from(eng, selection, over):
     return out
 
 
+def _sample_range(getrandbits, m: int, k: int) -> list[int]:
+    """CPython 3.11's ``Random.sample(range(m), k)`` for k >= 2 written out
+    over ``getrandbits``: the same list from the same draws.  Each index is
+    ``_randbelow``'s draw (``getrandbits(n.bit_length())`` until below n),
+    from a shrinking pool while m is at most ``setsize``, else redrawn
+    while already taken."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    out = []
+    if m <= setsize:
+        pool = list(range(m))
+        for n in range(m, m - k, -1):
+            bits = n.bit_length()
+            j = getrandbits(bits)
+            while j >= n:
+                j = getrandbits(bits)
+            out.append(pool[j])
+            pool[j] = pool[n - 1]
+        return out
+    bits = m.bit_length()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= m or j in out:
+            j = getrandbits(bits)
+        out.append(j)
+    return out
+
+
 def run(instance: DynamicInstance, config: RunConfig,
         hook: Optional[Callable[[TransitionRecord], None]] = None
         ) -> RunResult:
@@ -506,7 +539,6 @@ def run(instance: DynamicInstance, config: RunConfig,
     # the draw_* functions written out (see the module docstring)
     getrandbits = rng.getrandbits
     uniform = rng.random
-    sample = rng.sample
     m_bits = m.bit_length()
     cdf = _binomial_cdf(m) if config.algorithm.startswith("ea") else None
     fifth = config.algorithm.endswith("fifth")
@@ -529,7 +561,7 @@ def run(instance: DynamicInstance, config: RunConfig,
                 e = getrandbits(m_bits)
             selection = [e]
         else:
-            selection = sample(range(m), k) if k else []
+            selection = _sample_range(getrandbits, m, k) if k else []
         over = ()
         if not k:
             accept, deltas = True, []  # a no-op: every branch accepts it

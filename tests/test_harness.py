@@ -42,7 +42,7 @@ def test_cell_validation(tmp_path, capsys):
                dict(d=0)):
         with pytest.raises(ValueError):
             cell(**kw)
-    # the rest is checked at plan load, by building each cell's trial 0
+    # the rest is checked at plan load, by building every trial of each cell
     good = dict(variant="E", algorithm="rls", alpha=2, trials=1, budget=10,
                 seed=1, n=8, m=10, d=2, w_max=8)
     # loadable at the edges of every bound; unit weights admit any alpha
@@ -81,6 +81,10 @@ def test_cell_validation(tmp_path, capsys):
         # deleting every edge leaves the empty solution maximal
         (dict(good, n=3, m=3, d=3, variant="E-"),
          "the last: the edit leaves the carried solution maximal"),
+        # trial 0 builds; trial 11 exhausts its draws
+        (dict(good, n=4, m=3, d=4, variant="W-", w_max=2, trials=12),
+         "trial 11: none of 65 draws builds an instance; the last: cannot "
+         "draw an edit of variant 'W-' with d=4: weights leave no room"),
     ]
     # the plan fails to load, before any trial runs or any CSV is opened,
     # even when a good cell comes first

@@ -14,9 +14,9 @@ from dualvc.harness import BenchCell, build_instance
 from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
                                _decide_increase, _i_prime_from,
                                _increase_one, _IntEngine,
-                               _reference_step, _VecEngine, draw_direction,
-                               draw_ea_selection, draw_rls_selection, run,
-                               run_reference)
+                               _reference_step, _sample_range, _VecEngine,
+                               draw_direction, draw_ea_selection,
+                               draw_rls_selection, run, run_reference)
 from dualvc.instances import (hard_instance, make_dynamic, random_dynamic)
 from dualvc.numeric import (canonicalize_alpha, q_max_for, sign_of_coeffs,
                             step_coeffs)
@@ -87,6 +87,23 @@ def test_ea_one_edge_draw_matches_random_sample():
                 f"sample(range({m}), 1) no longer draws one randrange({m})"
             assert a.random() == b.random(), \
                 f"sample(range({m}), 1) moves the stream unlike randrange"
+
+
+def test_ea_sample_written_out_matches_random_sample():
+    """run() draws an ea selection of two or more edges through
+    _sample_range, where draw_ea_selection calls rng.sample(range(m), k):
+    both must return the same list and leave the stream at the same
+    position.  The sizes straddle sample's set-size boundaries: 21/22 for
+    k <= 5, 85/86 for k = 6 and 277/278 for k = 22."""
+    sizes = list(range(2, 31)) + [63, 64, 65, 84, 85, 86, 128, 256, 277, 278]
+    for m in sizes:
+        ks = list(range(2, min(m, 12) + 1)) + ([22] if m >= 256 else [])
+        for k in ks:
+            for seed in range(30):
+                a, b = random.Random(seed), random.Random(seed)
+                assert (_sample_range(b.getrandbits, m, k)
+                        == a.sample(range(m), k)), (m, k, seed)
+                assert a.random() == b.random(), (m, k, seed)
 
 
 def test_ea_selection_matches_binomial_pmf():
