@@ -41,7 +41,15 @@ per nonempty selection: that call cut the ``quarter`` benchmark's
 ``trials_per_s`` by about 20% (59.2-61.1 to 47.1-48.1) and raised its
 ``trial_ms_p50`` by about 70% (10.9-11.2 to 18.7-19.1 ms), in four
 alternating pairs of 10 s runs at seeds 2-5 (CPython 3.11.7, 2 vCPUs).
-``tests/engine_decisions.py`` mirrors the inline dispatch.
+``tests/engine_decisions.py`` mirrors the inline dispatch.  Each decision
+helper returns its deltas, or None on rejection.  Three simpler shapes ran
+slower in 12 s ``perfbench/run.py`` runs on prototypes (CPython 3.11.7, 2
+vCPUs): deciding one-edge increases in ``_decide_increase`` (``scaling``
+75-79 ``trials_per_s`` against 99-109, ``quarter`` 53 against 76-79);
+loops over the selection for ``run``'s ``k == 1`` promote, demote and
+all-zero branches (``quarter`` 62-64 against 78-81, ``trial_ms_p50`` 16.3
+against about 10.5 ms); and ea's demotion filter written with generators
+and ``any``/``all`` (``scaling`` 79-84 against 98-104).
 
 Reproducibility contract: randomness comes from ``random.Random(seed)``
 (Mersenne Twister).  The stream also depends on CPython's
@@ -425,28 +433,37 @@ def _increase_one(eng, selection, q):
 
 def _decide_increase(eng, selection, q):
     """Feasible-sign increase of a selection of two or more edges: accepted
-    iff no endpoint gets overloaded.  Returns (accept, deltas, overloaded
-    endpoints), the last listing every one of them on rejection."""
+    iff no endpoint gets overloaded.  Returns the deltas, or None on
+    rejection, and a map of each overloaded endpoint to whether two or more
+    selected edges touch it."""
     step = eng.step_size
     edges = eng.graph.edges
     add: dict = {}
+    shared = []
     for e in selection:
         s = step[q[e]]
         u, v = edges[e]
-        add[u] = add[u] + s if u in add else s
-        add[v] = add[v] + s if v in add else s
-    over = [w for w, extra in add.items()
-            if eng.overloads(w, extra, selection, q)]
+        if u in add:
+            add[u] += s
+            shared.append(u)
+        else:
+            add[u] = s
+        if v in add:
+            add[v] += s
+            shared.append(v)
+        else:
+            add[v] = s
+    over = {w: w in shared for w, extra in add.items()
+            if eng.overloads(w, extra, selection, q)}
     if over:
-        return False, [], over
-    y = eng.y
-    return True, [(e, eng._vadd(y[e], eng.sigma_table[q[e]]))
-                  for e in selection], over
+        return None, over
+    return [(e, eng._vadd(eng.y[e], eng.sigma_table[q[e]]))
+            for e in selection], over
 
 
 def _decide_decrease_infeasible(eng, selection, q):
     """Infeasible-sign decrease: gains on edges at violated vertices fight
-    the m*w_max penalty on all other touched edges."""
+    the m*w_max penalty on all other touched edges; deltas or None."""
     gain = pen = eng.zero
     deltas = []
     for e in selection:
@@ -464,31 +481,7 @@ def _decide_decrease_infeasible(eng, selection, q):
             pen = eng._vadd(pen, dec)
         deltas.append((e, new))
     f = eng._vsub(gain, eng.scale_int(pen, eng.penalty))
-    if eng.vsign(f) >= 0:
-        return True, deltas
-    return False, []
-
-
-def _i_prime_from(eng, selection, over):
-    """Demotion set of a rejected ea increase: selected edges with an
-    endpoint in `over` (the endpoints the proposal overloads), none of
-    whose overloaded endpoints is shared with another selected edge."""
-    touches = dict.fromkeys(over, 0)
-    edges = eng.graph.edges
-    for e in selection:
-        u, v = edges[e]
-        if u in touches:
-            touches[u] += 1
-        if v in touches:
-            touches[v] += 1
-    out = []
-    for e in selection:
-        u, v = edges[e]
-        tu = touches.get(u)
-        tv = touches.get(v)
-        if (tu or tv) and tu in (None, 1) and tv in (None, 1):
-            out.append(e)
-    return out
+    return deltas if eng.vsign(f) >= 0 else None
 
 
 def _sample_range(getrandbits, m: int, k: int) -> list[int]:
@@ -548,6 +541,7 @@ def run(instance: DynamicInstance, config: RunConfig,
     success = eng.is_mfds()
     y = eng.y
     zero = eng.zero
+    edges = eng.graph.edges
     while not success and evals < budget:
         sign_before = 1 if eng.nviol == 0 else -1
         if fifth:
@@ -562,28 +556,28 @@ def run(instance: DynamicInstance, config: RunConfig,
             selection = [e]
         else:
             selection = _sample_range(getrandbits, m, k) if k else []
-        over = ()
         if not k:
-            accept, deltas = True, []  # a no-op: every branch accepts it
+            deltas = []  # a no-op: every branch accepts it
         elif sign_before > 0:
             if d < 0:
-                accept = (y[e] == zero if k == 1
-                          else all(y[e] == zero for e in selection))
-                deltas = []
+                # accepted only where every selected value is zero
+                unchanged = (y[e] == zero if k == 1
+                             else all(y[e] == zero for e in selection))
+                deltas = [] if unchanged else None
             elif k == 1:
                 deltas = _increase_one(eng, selection, q)
-                accept = deltas is not None
             else:
-                accept, deltas, over = _decide_increase(eng, selection, q)
+                deltas, over = _decide_increase(eng, selection, q)
         elif d > 0:
-            accept, deltas = False, []
+            deltas = None
         else:
-            accept, deltas = _decide_decrease_infeasible(eng, selection, q)
+            deltas = _decide_decrease_infeasible(eng, selection, q)
+        accept = deltas is not None
         evals += 1
         demoted = ()
         changed = ()
         changed_viol = ()
-        if hook is not None and accept and deltas:
+        if hook is not None and deltas:
             row = eng.row
             changed = tuple((e, row(y[e]), row(new)) for e, new in deltas)
             changed_viol = tuple(eng.edge_violating(e)
@@ -609,23 +603,28 @@ def run(instance: DynamicInstance, config: RunConfig,
                         q[e] -= 1
             demoted = selection
         elif sign_before > 0:
-            # one selected edge alone touches its overloaded endpoint
+            # demote each selected edge that has an overloaded endpoint and
+            # shares none of them with another selected edge
             if k == 1:
                 qe = q[e] - 4
                 q[e] = qe if qe > 0 else 0
                 demoted = selection
             else:
-                demoted = _i_prime_from(eng, selection, over)
-                for e in demoted:
-                    qe = q[e] - 4
-                    q[e] = qe if qe > 0 else 0
+                demoted = []
+                for e in selection:
+                    u, v = edges[e]
+                    if ((u in over or v in over)
+                            and not (over.get(u) or over.get(v))):
+                        demoted.append(e)
+                        qe = q[e] - 4
+                        q[e] = qe if qe > 0 else 0
         if hook is not None:
             hook(TransitionRecord(
                 evals, accept, d, sign_before, eng.sign_now(),
                 tuple(selection), changed, changed_viol, tuple(demoted)))
         # an accepted step without deltas leaves the state the last check
         # found not maximal
-        if accept and deltas and eng.is_mfds():
+        if deltas and eng.is_mfds():
             success = True
     return RunResult(evals, success, tuple(map(eng.row, y)), accepted_n)
 

@@ -1,8 +1,10 @@
 """Shared by the tests that hold the engine's acceptance decisions against
 ``oracle.reference_fitness``: the engine's decision on one proposal,
 dispatched exactly as ``heuristics.run`` does (a one-edge increase through
-``_increase_one``, a larger one through ``_decide_increase``), against the
-oracle's on the clamped proposal the reference replay builds.
+``_increase_one``, a larger one through ``_decide_increase``, an
+infeasible decrease through ``_decide_decrease_infeasible``, each
+returning its deltas or None on rejection), against the oracle's on the
+clamped proposal the reference replay builds.
 
 The dispatch is a copy because ``run`` makes it inline: moving it into one
 function that ``run`` calls per nonempty selection cut the ``quarter``
@@ -16,19 +18,18 @@ from dualvc.oracle import coefficient_rows, reference_fitness
 
 
 def engine_decision(eng, selection, q, direction):
-    """(accept, deltas) for one proposal, as run() decides it."""
+    """The deltas of one proposal, or None on rejection, as run() decides
+    it."""
     if not selection:
-        return True, []
+        return []
     if eng.sign_now() > 0:
         if direction < 0:
-            return all(eng.y[e] == eng.zero for e in selection), []
+            return [] if all(eng.y[e] == eng.zero for e in selection) else None
         if len(selection) == 1:
-            deltas = _increase_one(eng, selection, q)
-            return deltas is not None, deltas or []
-        accept, deltas, _over = _decide_increase(eng, selection, q)
-        return accept, deltas
+            return _increase_one(eng, selection, q)
+        return _decide_increase(eng, selection, q)[0]
     if direction > 0:
-        return False, []
+        return None
     return _decide_decrease_infeasible(eng, selection, q)
 
 
@@ -40,10 +41,10 @@ def engine_agrees(eng, values, q, selection, direction, alpha=None):
     rows = coefficient_rows(alpha, values)
     proposed = _reference_proposal(alpha, rows, q, selection, direction)
     ref = reference_fitness(eng.graph, alpha, rows, proposed, eng.w_max)
-    accept, deltas = engine_decision(eng, selection, q, direction)
-    if accept != ref.accept:
+    deltas = engine_decision(eng, selection, q, direction)
+    if (deltas is not None) != ref.accept:
         return False
-    if not accept:
+    if deltas is None:
         return True
     after = list(eng.y)
     for e, new in deltas:

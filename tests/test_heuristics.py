@@ -4,6 +4,7 @@ import random
 import statistics
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,8 +13,7 @@ from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
 from dualvc.harness import BenchCell, build_instance
 from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
-                               _decide_increase, _i_prime_from,
-                               _increase_one, _IntEngine,
+                               _decide_increase, _increase_one, _IntEngine,
                                _reference_step, _sample_range, _VecEngine,
                                draw_direction, draw_ea_selection,
                                draw_rls_selection, run, run_reference)
@@ -196,36 +196,54 @@ def test_proposal_clamps_decreases_at_zero():
 
 # -- the rejected-increase demotion set ----------------------------------------------
 
-def assert_i_prime(g, values, selection, expected):
+def assert_i_prime(g, values, selection, expected, monkeypatch):
     """Both the reference step and the engine demote exactly `expected`
-    when the ea increase of `selection` at q = 0 is rejected."""
+    when the ea increase of `selection` at q = 0 is rejected.  The engine's
+    demotion is read from run(), its draws patched to propose `selection`
+    and its start taken as not maximal."""
     q_cap = q_max_for(2, g.max_weight())
-    q = [0] * g.m
+    config = RunConfig("ea", 2, g.max_weight(), 1, 0)
     _y, accepted, demoted = _reference_step(
-        g, RunConfig("ea", 2, g.max_weight(), 1, 0), rows(values), 1, q,
-        selection, 1)
+        g, config, rows(values), 1, [0] * g.m, selection, 1)
     assert not accepted
     assert set(demoted) == expected
     eng = _IntEngine(g, values, g.max_weight(), A2, q_cap)
-    accept, _deltas, over = _decide_increase(eng, selection, [0] * g.m)
-    assert not accept
-    assert set(_i_prime_from(eng, selection, over)) == expected
+    deltas, over = _decide_increase(eng, selection, [0] * g.m)
+    assert deltas is None and over
+    k = len(selection)
+    monkeypatch.setattr(heuristics, "_binomial_cdf",
+                        lambda m: (0.0,) * k + (1.0,) * (m + 1 - k))
+    monkeypatch.setattr(heuristics, "_sample_range",
+                        lambda getrandbits, m, k: list(selection))
+    monkeypatch.setattr(_IntEngine, "is_mfds", lambda self: False)
+    records = []
+    run(SimpleNamespace(graph_star=g, y_init=tuple(values)), config,
+        records.append)
+    (record,) = records
+    assert record.edges == tuple(selection) and not record.accepted
+    assert set(record.demoted) == expected
 
 
-def test_i_prime_disjoint_edges_both_demotable():
+def test_i_prime_disjoint_edges_both_demotable(monkeypatch):
     g = WeightedGraph(4, (1, 1, 1, 1), ((0, 1), (2, 3)))
-    assert_i_prime(g, (1, 1), [0, 1], {0, 1})          # both raised to 2
+    assert_i_prime(g, (1, 1), [0, 1], {0, 1}, monkeypatch)  # both raised to 2
 
 
-def test_i_prime_shared_violated_vertex_excluded():
+def test_i_prime_shared_violated_vertex_excluded(monkeypatch):
     g = WeightedGraph(3, (2, 1, 1), ((0, 1), (0, 2)))
-    assert_i_prime(g, (1, 1), [0, 1], set())           # both raised to 2
+    assert_i_prime(g, (1, 1), [0, 1], set(), monkeypatch)   # both raised to 2
 
 
-def test_i_prime_mixed():
+def test_i_prime_shared_unviolated_vertex_demotable(monkeypatch):
+    # the shared endpoint 0 stays below its weight: it blocks nothing
+    g = WeightedGraph(3, (10, 1, 1), ((0, 1), (0, 2)))
+    assert_i_prime(g, (1, 1), [0, 1], {0, 1}, monkeypatch)  # both raised to 2
+
+
+def test_i_prime_mixed(monkeypatch):
     # star plus a detached edge: only the detached edge demotes
     g = WeightedGraph(5, (1, 1, 1, 1, 1), ((0, 1), (0, 2), (3, 4)))
-    assert_i_prime(g, (0, 0, 1), [0, 2], {2})          # raised to 1 and 2
+    assert_i_prime(g, (0, 0, 1), [0, 2], {2}, monkeypatch)  # raised to 1 and 2
 
 
 # -- the engines' incremental counters ----------------------------------------------
@@ -335,8 +353,9 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
     far below float resolution.  The vector engine's float gap at such a
     tie is inside _FLOAT_TOL, so the exact sign decides it.  run() decides
     it through _increase_one; _decide_increase, which run() sends larger
-    selections, agrees.  A rejected one is demoted as ea demotes it: the
-    edge alone, as _reference_step and _i_prime_from demote it."""
+    selections, agrees.  A rejected one overloads endpoint 1, which no
+    other selected edge touches, so ea demotes the edge, as _reference_step
+    does."""
     exact_calls = []
 
     def counted(coeffs, a):
@@ -377,13 +396,12 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
                 tie = not any(nudge) or nudge in nudges[3:]
                 if isinstance(eng, _VecEngine) and tie:
                     assert exact_calls, (qs, nudge)
-                general, _deltas, over = _decide_increase(eng, [0], q)
-                assert general == accept
+                deltas, over = _decide_increase(eng, [0], q)
+                assert (deltas is not None) == accept
                 outcomes[type(eng).__name__, accept] += 1
                 if accept:
                     continue
-                assert over == [1]
-                assert _i_prime_from(eng, [0], over) == [0]
+                assert over == {1: False}
                 _y, accepted, demoted = _reference_step(
                     g, RunConfig("ea", alpha, w, 1, 0),
                     coefficient_rows(a, values), 1, list(q), [0], 1)
