@@ -42,14 +42,14 @@ per nonempty selection: that call cut the ``quarter`` benchmark's
 ``trial_ms_p50`` by about 70% (10.9-11.2 to 18.7-19.1 ms), in four
 alternating pairs of 10 s runs at seeds 2-5 (CPython 3.11.7, 2 vCPUs).
 ``tests/engine_decisions.py`` mirrors the inline dispatch.  Each decision
-helper returns its deltas, or None on rejection.  Three simpler shapes ran
-slower in 12 s ``perfbench/run.py`` runs on prototypes (CPython 3.11.7, 2
-vCPUs): deciding one-edge increases in ``_decide_increase`` (``scaling``
-75-79 ``trials_per_s`` against 99-109, ``quarter`` 53 against 76-79);
-loops over the selection for ``run``'s ``k == 1`` promote, demote and
-all-zero branches (``quarter`` 62-64 against 78-81, ``trial_ms_p50`` 16.3
-against about 10.5 ms); and ea's demotion filter written with generators
-and ``any``/``all`` (``scaling`` 79-84 against 98-104).
+helper returns its deltas, or None on rejection.  Simpler shapes were slower
+than this code in three alternating pairs of 12 s ``perfbench/run.py`` runs
+at seeds 2-4 (CPython 3.11.7, 2 vCPUs): one-edge increases decided by
+``_decide_increase`` (``trials_per_s`` 78-80 against 116-118 on ``scaling``,
+51-54 against 76-80 on ``quarter``); loops over the selection in ``run``'s
+``k == 1`` promote, demote and all-zero branches (``quarter`` 61-65 against
+74-81, ``trial_ms_p50`` 16.1-16.8 against 10.5-10.7 ms); ea's demotion filter
+in generators with ``any``/``all`` (``scaling`` 83-87 against 111-120).
 
 Reproducibility contract: randomness comes from ``random.Random(seed)``
 (Mersenne Twister).  The stream also depends on CPython's

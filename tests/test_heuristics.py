@@ -201,15 +201,11 @@ def assert_i_prime(g, values, selection, expected, monkeypatch):
     when the ea increase of `selection` at q = 0 is rejected.  The engine's
     demotion is read from run(), its draws patched to propose `selection`
     and its start taken as not maximal."""
-    q_cap = q_max_for(2, g.max_weight())
     config = RunConfig("ea", 2, g.max_weight(), 1, 0)
     _y, accepted, demoted = _reference_step(
         g, config, rows(values), 1, [0] * g.m, selection, 1)
     assert not accepted
     assert set(demoted) == expected
-    eng = _IntEngine(g, values, g.max_weight(), A2, q_cap)
-    deltas, over = _decide_increase(eng, selection, [0] * g.m)
-    assert deltas is None and over
     k = len(selection)
     monkeypatch.setattr(heuristics, "_binomial_cdf",
                         lambda m: (0.0,) * k + (1.0,) * (m + 1 - k))
