@@ -42,9 +42,14 @@ per nonempty selection: that call cut the ``quarter`` benchmark's
 ``trial_ms_p50`` by about 70% (10.9-11.2 to 18.7-19.1 ms), in four
 alternating pairs of 10 s runs at seeds 2-5 (CPython 3.11.7, 2 vCPUs).
 ``tests/engine_decisions.py`` mirrors the inline dispatch.  Each decision
-helper returns its deltas, or None on rejection.  Simpler shapes were slower
-than this code in three alternating pairs of 12 s ``perfbench/run.py`` runs
-at seeds 2-4 (CPython 3.11.7, 2 vCPUs): one-edge increases decided by
+helper returns its deltas, or None on rejection.  A one-edge increase is two
+comparisons of the edge's q with the engine's ``fit`` at its endpoints,
+which only ``commit`` recomputes; it replaced ``_increase_one``, whose two
+``overloads`` tests ran on every proposal, though loads change on at most 1%
+of evaluations.  ``BENCH_21.json`` records the gain on ``quarter`` (ten
+paired 35 s ``perfbench/run.py`` runs, CPython 3.11.7, 2 vCPUs).  Before ``fit``, simpler shapes were slower than
+the code they were measured against, in three alternating pairs of 12 s
+runs at seeds 2-4 on the same machine: one-edge increases decided by
 ``_decide_increase`` (``trials_per_s`` 78-80 against 116-118 on ``scaling``,
 51-54 against 76-80 on ``quarter``); loops over the selection in ``run``'s
 ``k == 1`` promote, demote and all-zero branches (``quarter`` 61-65 against
@@ -185,12 +190,20 @@ class _BaseEngine:
     count and the count of edges with no tight endpoint, so feasibility and
     maximality are O(1) queries.
 
+    It also keeps ``fit[v]``, the largest q <= q_cap with load(v) + beta^q
+    <= W(v), or -1 when no such q exists, computed for every vertex here
+    and again by ``commit`` for each touched vertex.  beta^q rises strictly
+    in q, so a step of exponent q fits at v exactly when q <= fit[v]: one
+    edge's increase is decided by two comparisons, and a vertex's load is
+    tested once per commit, not once per proposal.
+
     Each engine sets ``zero`` (which also seeds the loads),
     ``sigma_table[q]`` (the exact step beta^q) and ``step_size[q]`` (the
     step ``overloads`` adds) before calling this constructor.  It supplies
     the value operations ``_vadd``, ``_vsub``, ``vsign``, ``scale_int`` and
-    ``row`` (a value as a coefficient row), and two load tests:
-    ``_load_sign(v)``, the sign of load(v) - W(v), and
+    ``row`` (a value as a coefficient row), and three load tests:
+    ``_load_sign(v)``, the sign of load(v) - W(v); ``_fit(v)``, the
+    ``fit`` entry of v, called after ``_load_sign(v)``; and
     ``overloads(v, extra, selection, q)``, whether
     raising every selected edge e by beta^q[e] puts v's load above W(v),
     `extra` being the sum of ``step_size[q[e]]`` over the selected edges at
@@ -198,7 +211,7 @@ class _BaseEngine:
     """
 
     __slots__ = ("graph", "m", "weights", "nbrs", "w_max", "penalty",
-                 "y", "load", "slack", "nviol", "untight",
+                 "y", "load", "slack", "nviol", "untight", "fit",
                  "zero", "sigma_table", "step_size")
 
     def __init__(self, graph, y_init, w_max: int) -> None:
@@ -216,6 +229,7 @@ class _BaseEngine:
             self.load[u] = self._vadd(self.load[u], self.y[e])
             self.load[v] = self._vadd(self.load[v], self.y[e])
         self.slack = [self._load_sign(v) for v in range(graph.n)]
+        self.fit = [self._fit(v) for v in range(graph.n)]
         self.nviol = sum(1 for s in self.slack if s > 0)
         self.untight = sum(1 for u, v in graph.edges
                            if self.slack[u] and self.slack[v])
@@ -260,6 +274,7 @@ class _BaseEngine:
             touched.add(v)
         for v in touched:
             self._refresh_vertex(v)
+            self.fit[v] = self._fit(v)
 
 
 class _IntEngine(_BaseEngine):
@@ -267,9 +282,11 @@ class _IntEngine(_BaseEngine):
     stays a plain int: ea/rls (q = 0 mod 4, integer powers of alpha) at any
     alpha, and every algorithm at field degree 1.  ``sigma_table[q]`` is
     beta^q, or None where that step is irrational; ``step_size`` is the
-    same list.  ``pad`` fills an int out to a coefficient row."""
+    same list.  ``pad`` fills an int out to a coefficient row.  ``fit``
+    ranges over the q of the integer steps, the only ones a run here holds:
+    ``int_steps`` lists those steps in rising order, ``int_qs`` their q."""
 
-    __slots__ = ("pad",)
+    __slots__ = ("pad", "int_steps", "int_qs")
 
     def __init__(self, graph, y_init, w_max, alpha: Alpha, q_cap) -> None:
         rows = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
@@ -277,6 +294,9 @@ class _IntEngine(_BaseEngine):
         self.zero = 0
         self.sigma_table = self.step_size = [
             None if any(row[1:]) else row[0] for row in rows]
+        self.int_qs = [q for q, s in enumerate(self.step_size)
+                       if s is not None]
+        self.int_steps = [self.step_size[q] for q in self.int_qs]
         super().__init__(graph, [int(v) for v in y_init], w_max)
 
     def _vadd(self, a, b):
@@ -289,6 +309,10 @@ class _IntEngine(_BaseEngine):
         load = self.load[v]
         w = self.weights[v]
         return (load > w) - (load < w)
+
+    def _fit(self, v: int) -> int:
+        i = bisect_right(self.int_steps, self.weights[v] - self.load[v])
+        return self.int_qs[i - 1] if i else -1
 
     def overloads(self, v: int, extra, selection, q) -> bool:
         return self.load[v] + extra > self.weights[v]
@@ -315,7 +339,8 @@ class _VecEngine(_BaseEngine):
     that sum (times the selection size, for the steps added in
     ``overloads``) has the sign of the exact gap.  Closer gaps, tight ones
     among them, and loads beyond the float range (NaN or inf, which fail
-    both comparisons) are decided by ``sign_of_coeffs``."""
+    both comparisons) are decided by ``sign_of_coeffs``.  ``_fit`` is a
+    binary search over q, each probe one step through the same filter."""
 
     __slots__ = ("alpha", "dim", "beta_f", "fslack", "fmag")
 
@@ -378,13 +403,38 @@ class _VecEngine(_BaseEngine):
             return 1
         return self._slack_sign(load, w)
 
-    def overloads(self, v: int, extra, selection, q) -> bool:
+    def _float_over(self, v: int, extra, n: int):
+        """Whether adding `extra`, a float sum of n steps, puts v's load
+        above W(v), where the float gap settles it; None where it does
+        not."""
         gap = extra - self.fslack[v]
-        tol = (self.fmag[v] + extra) * _FLOAT_TOL * len(selection)
+        tol = (self.fmag[v] + extra) * _FLOAT_TOL * n
         if gap > tol:
             return True
         if gap < -tol:
             return False
+        return None
+
+    def _fit(self, v: int) -> int:
+        load = self.load[v]
+        w = self.weights[v]
+        lo, hi = -1, len(self.sigma_table) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            over = self._float_over(v, self.step_size[mid], 1)
+            if over is None:
+                over = self._slack_sign(
+                    self._vadd(load, self.sigma_table[mid]), w) > 0
+            if over:
+                hi = mid - 1
+            else:
+                lo = mid
+        return lo
+
+    def overloads(self, v: int, extra, selection, q) -> bool:
+        over = self._float_over(v, extra, len(selection))
+        if over is not None:
+            return over
         load = self.load[v]
         for e in selection:
             if v in self.graph.edges[e]:
@@ -420,41 +470,30 @@ def _make_engine(instance: DynamicInstance, config: RunConfig):
                       config.w_max, alpha, q_cap), q_cap
 
 
-def _increase_one(eng, selection, q):
-    """Feasible-sign increase of a one-edge selection: accepted iff neither
-    endpoint gets overloaded.  Returns the deltas, or None on rejection."""
-    e = selection[0]
-    s = eng.step_size[q[e]]
-    u, v = eng.graph.edges[e]
-    if eng.overloads(u, s, selection, q) or eng.overloads(v, s, selection, q):
-        return None
-    return [(e, eng._vadd(eng.y[e], eng.sigma_table[q[e]]))]
-
-
 def _decide_increase(eng, selection, q):
     """Feasible-sign increase of a selection of two or more edges: accepted
-    iff no endpoint gets overloaded.  Returns the deltas, or None on
-    rejection, and a map of each overloaded endpoint to whether two or more
-    selected edges touch it."""
-    step = eng.step_size
+    iff no endpoint gets overloaded.  An endpoint one selected edge touches
+    is decided by ``fit``; one that two or more touch sums their steps
+    through ``overloads``.  Returns the deltas, or None on rejection, and a
+    map of each overloaded endpoint to whether two or more selected edges
+    touch it."""
     edges = eng.graph.edges
-    add: dict = {}
-    shared = []
+    fit = eng.fit
+    top = {}  # endpoint -> q of the one selected edge there, None if shared
     for e in selection:
-        s = step[q[e]]
+        qe = q[e]
         u, v = edges[e]
-        if u in add:
-            add[u] += s
-            shared.append(u)
-        else:
-            add[u] = s
-        if v in add:
-            add[v] += s
-            shared.append(v)
-        else:
-            add[v] = s
-    over = {w: w in shared for w, extra in add.items()
-            if eng.overloads(w, extra, selection, q)}
+        top[u] = None if u in top else qe
+        top[v] = None if v in top else qe
+    over = {}
+    for w, qw in top.items():
+        if qw is None:
+            extra = sum(eng.step_size[q[e]] for e in selection
+                        if w in edges[e])
+            if eng.overloads(w, extra, selection, q):
+                over[w] = True
+        elif qw > fit[w]:
+            over[w] = False
     if over:
         return None, over
     return [(e, eng._vadd(eng.y[e], eng.sigma_table[q[e]]))
@@ -542,6 +581,9 @@ def run(instance: DynamicInstance, config: RunConfig,
     y = eng.y
     zero = eng.zero
     edges = eng.graph.edges
+    fit = eng.fit
+    sigma = eng.sigma_table
+    vadd = eng._vadd
     while not success and evals < budget:
         sign_before = 1 if eng.nviol == 0 else -1
         if fifth:
@@ -565,7 +607,10 @@ def run(instance: DynamicInstance, config: RunConfig,
                              else all(y[e] == zero for e in selection))
                 deltas = [] if unchanged else None
             elif k == 1:
-                deltas = _increase_one(eng, selection, q)
+                qe = q[e]
+                u, v = edges[e]
+                deltas = ([(e, vadd(y[e], sigma[qe]))]
+                          if qe <= fit[u] and qe <= fit[v] else None)
             else:
                 deltas, over = _decide_increase(eng, selection, q)
         elif d > 0:

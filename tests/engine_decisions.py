@@ -1,10 +1,11 @@
 """Shared by the tests that hold the engine's acceptance decisions against
 ``oracle.reference_fitness``: the engine's decision on one proposal,
-dispatched exactly as ``heuristics.run`` does (a one-edge increase through
-``_increase_one``, a larger one through ``_decide_increase``, an
-infeasible decrease through ``_decide_decrease_infeasible``, each
-returning its deltas or None on rejection), against the oracle's on the
-clamped proposal the reference replay builds.
+dispatched exactly as ``heuristics.run`` does (a one-edge increase by
+comparing the edge's q with the engine's ``fit`` at both endpoints, a
+larger one through ``_decide_increase``, an infeasible decrease through
+``_decide_decrease_infeasible``, the last two returning their deltas or
+None on rejection), against the oracle's on the clamped proposal the
+reference replay builds.
 
 The dispatch is a copy because ``run`` makes it inline: moving it into one
 function that ``run`` calls per nonempty selection cut the ``quarter``
@@ -13,7 +14,7 @@ by about 70% (see the ``heuristics`` module docstring).
 """
 
 from dualvc.heuristics import (_decide_decrease_infeasible, _decide_increase,
-                               _increase_one, _reference_proposal)
+                               _reference_proposal)
 from dualvc.oracle import coefficient_rows, reference_fitness
 
 
@@ -26,7 +27,11 @@ def engine_decision(eng, selection, q, direction):
         if direction < 0:
             return [] if all(eng.y[e] == eng.zero for e in selection) else None
         if len(selection) == 1:
-            return _increase_one(eng, selection, q)
+            (e,) = selection
+            u, v = eng.graph.edges[e]
+            if q[e] <= eng.fit[u] and q[e] <= eng.fit[v]:
+                return [(e, eng._vadd(eng.y[e], eng.sigma_table[q[e]]))]
+            return None
         return _decide_increase(eng, selection, q)[0]
     if direction > 0:
         return None

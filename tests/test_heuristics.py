@@ -13,7 +13,7 @@ from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
 from dualvc.harness import BenchCell, build_instance
 from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
-                               _decide_increase, _increase_one, _IntEngine,
+                               _decide_increase, _IntEngine,
                                _reference_step, _sample_range, _VecEngine,
                                draw_direction, draw_ea_selection,
                                draw_rls_selection, run, run_reference)
@@ -22,7 +22,7 @@ from dualvc.numeric import (canonicalize_alpha, q_max_for, sign_of_coeffs,
                             step_coeffs)
 from dualvc.oracle import (coefficient_rows, cover_certificate, trap_edge,
                            validate_mfds_naive)
-from engine_decisions import engine_agrees
+from engine_decisions import engine_agrees, engine_decision
 from near_ties import PELL, near_zero
 
 A2 = canonicalize_alpha(2)
@@ -281,13 +281,91 @@ def test_engine_counters_match_the_certificate_after_random_commits():
     assert both_flipped >= 1000
 
 
+def vertex_loads(g, a, values):
+    """Each vertex's load as a coefficient row, summed from scratch."""
+    loads = [[0] * a.basis_dim for _ in range(g.n)]
+    for edge, row in zip(g.edges, coefficient_rows(a, values)):
+        for x in edge:
+            loads[x] = [c + r for c, r in zip(loads[x], row)]
+    return loads
+
+
+def assert_fit_exact(eng, a, held):
+    """q <= eng.fit[v] exactly when load(v) + beta^q <= W(v), for every
+    vertex v and every q in `held`, loads summed from scratch.  Returns the
+    count of each sign of load(v) + beta^q - W(v)."""
+    signs = Counter()
+    for x, load in enumerate(vertex_loads(eng.graph, a, eng.y)):
+        for qq in held:
+            gap = [c + s for c, s in zip(load, step_coeffs(qq, a))]
+            gap[0] -= eng.weights[x]
+            sign = sign_of_coeffs(gap, a)
+            assert (qq <= eng.fit[x]) == (sign <= 0), \
+                (a.alpha, type(eng).__name__, x, qq)
+            signs[sign] += 1
+    return signs
+
+
+def test_fit_is_the_largest_fitting_step_after_random_commits():
+    """Both engines' ``fit`` meets its definition, q <= fit[v] exactly when
+    load(v) + beta^q <= W(v) for every q the engine can hold, at alpha 2, 9
+    and 16: on the start and after every commit, on small random graphs,
+    from an integer start and (on the vector engine) a Fraction one, where
+    each commit puts one vertex's load a step away from its weight exactly,
+    up to the smallest coefficient step or (at degrees 4 and 2) up to a gap
+    far below float resolution."""
+    rng = random.Random(21)
+    w_max = 64
+    signs = Counter()
+    for alpha in (2, 9, 16):
+        a = canonicalize_alpha(alpha)
+        dim = a.basis_dim
+        q_cap = q_max_for(a, w_max)
+        steps = [step_coeffs(qq, a) for qq in range(q_cap + 1)]
+        unit = (1,) + (0,) * (dim - 1)
+        ties = [(0,) * dim, unit, tuple(-c for c in unit)]
+        if alpha in PELL:
+            for n in (6, 12):
+                tiny = tuple(near_zero(alpha, dim, n))
+                ties += [tiny, tuple(-c for c in tiny)]
+        for _ in range(4):
+            n = rng.randint(3, 5)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = WeightedGraph(n, tuple(rng.randint(1, w_max)
+                                       for _ in range(n)),
+                              tuple(sorted(rng.sample(pairs, 3))))
+            start = [rng.randint(0, 3) for _ in range(g.m)]
+            halves = [Fraction(2 * v + 1, 2) for v in start]
+            for eng in (_IntEngine(g, start, w_max, a, q_cap),
+                        _VecEngine(g, start, w_max, a, q_cap),
+                        _VecEngine(g, halves, w_max, a, q_cap)):
+                vec = isinstance(eng, _VecEngine)
+                held = range(0, q_cap + 1, 1 if vec or dim == 1 else 4)
+                signs += assert_fit_exact(eng, a, held)
+                for _ in range(6):
+                    # edge e's new value leaves x a step, plus a tie, short
+                    e = rng.randrange(g.m)
+                    x = rng.choice(g.edges[e])
+                    rest = [c - y for c, y in zip(
+                        vertex_loads(g, a, eng.y)[x],
+                        coefficient_rows(a, [eng.y[e]])[0])]
+                    tie = rng.choice(ties if vec else ties[:3])
+                    new = [g.weights[x] * (k == 0) - s - r + t
+                           for k, (s, r, t) in enumerate(zip(
+                               steps[rng.choice(held)], rest, tie))]
+                    eng.commit([(e, tuple(new) if vec else new[0])])
+                    signs += assert_fit_exact(eng, a, held)
+    assert min(signs.values()) >= 50
+
+
 # -- the vector engine's float filter -----------------------------------------------
 
 @pytest.mark.parametrize("alpha", [2, 9])
 def test_vector_engine_float_filter_is_exact(alpha):
     """The vector engine's load signs and overload tests, filtered through
     floats, equal the exact sign: on gaps from 0.2 down to far below float
-    resolution, on tight loads, and on loads beyond the float range."""
+    resolution, on tight loads, and on loads beyond the float range.  So
+    does ``fit`` on weights and on loads beyond the float range."""
     a = canonicalize_alpha(alpha)
     dim = a.basis_dim
     q_cap = q_max_for(a, 2 ** 10)
@@ -309,6 +387,8 @@ def test_vector_engine_float_filter_is_exact(alpha):
                     exact = sign_of_coeffs([row[0] - w] + row[1:], a)
                     assert eng.slack == [exact, exact]
                     if step is None:
+                        if graph is big:  # W(v) beyond the float range
+                            assert_fit_exact(eng, a, range(q_cap + 1))
                         continue
                     q = [step]
                     over = eng.overloads(0, eng.step_size[step], [0], q)
@@ -321,6 +401,7 @@ def test_vector_engine_float_filter_is_exact(alpha):
         eng = _VecEngine(g, [tuple(row)], 2 ** 10, a, q_cap)
         exact = sign_of_coeffs([row[0] - g.weights[0]] + row[1:], a)
         assert eng.slack == [exact, exact]
+        assert_fit_exact(eng, a, range(q_cap + 1))  # loads beyond floats
         raised = [x + c for x, c in zip(row, step_coeffs(1, a))]
         raised[0] -= g.weights[0]
         assert eng.overloads(0, eng.step_size[1], [0], [1]) == \
@@ -347,8 +428,9 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
     its weight by the smallest coefficient step or falls short by it, and
     (on the vector engine at degrees 4 and 2) misses the weight by a gap
     far below float resolution.  The vector engine's float gap at such a
-    tie is inside _FLOAT_TOL, so the exact sign decides it.  run() decides
-    it through _increase_one; _decide_increase, which run() sends larger
+    tie is inside _FLOAT_TOL, so the exact sign decides it when the engine
+    computes ``fit``; the decision, q against ``fit`` as run() makes it,
+    takes no exact sign.  _decide_increase, which run() sends larger
     selections, agrees.  A rejected one overloads endpoint 1, which no
     other selected edge touches, so ea demotes the edge, as _reference_step
     does."""
@@ -379,22 +461,24 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
             # vertex 1 carries 3 + y1 = w - beta^qs + nudge before the step
             y1 = tuple((w - 3) * (k == 0) - s[k] + nudge[k]
                        for k in range(dim))
-            values = [3, y1]
-            engines = [_VecEngine(g, values, w, a, q_cap)]
+            engines = [(_VecEngine, [3, y1])]
             if not any(y1[1:]) and not any(s[1:]):
-                values = [3, y1[0]]
-                engines.append(_IntEngine(g, values, w, a, q_cap))
-            for eng in engines:
+                engines.append((_IntEngine, [3, y1[0]]))
+            for cls, values in engines:
+                eng = cls(g, values, w, a, q_cap)
                 assert eng.sign_now() > 0
-                assert engine_agrees(eng, values, q, [0], 1, alpha=a)
-                del exact_calls[:]
-                accept = _increase_one(eng, [0], q) is not None
                 tie = not any(nudge) or nudge in nudges[3:]
-                if isinstance(eng, _VecEngine) and tie:
+                del exact_calls[:]
+                assert eng._fit(1) == eng.fit[1]
+                if cls is _VecEngine and tie:
                     assert exact_calls, (qs, nudge)
+                del exact_calls[:]
+                accept = engine_decision(eng, [0], q, 1) is not None
+                assert not exact_calls, (qs, nudge)
+                assert engine_agrees(eng, values, q, [0], 1, alpha=a)
                 deltas, over = _decide_increase(eng, [0], q)
                 assert (deltas is not None) == accept
-                outcomes[type(eng).__name__, accept] += 1
+                outcomes[cls.__name__, accept] += 1
                 if accept:
                     continue
                 assert over == {1: False}
@@ -510,6 +594,56 @@ def test_rls_fifth_single_unit_edge_mean_hitting_time():
         times.append(result.evaluations)
     mean = statistics.fmean(times)
     assert 30.0 < mean < 34.0
+
+
+def rls_fifth_unit_edge_exact_mean(alpha, w):
+    """Exact expected evaluations of rls_fifth on edge_growth_unit((1, w))
+    from q = 0.  The states are the zero edge's q in 0..q_cap; each
+    evaluation's two coins are read from _reference_step, and a step that
+    leaves a maximal solution ends the run.  Solves E = 1 + P E in
+    Fractions."""
+    a = canonicalize_alpha(alpha)
+    g = edge_growth_unit((1, w)).graph_star
+    config = RunConfig("rls_fifth", alpha, w, 1, 0)
+    zero = coefficient_rows(a, [0])
+    size = q_max_for(a, w) + 1
+    system = []
+    for qs in range(size):
+        row = [Fraction(int(k == qs)) for k in range(size)] + [Fraction(1)]
+        for d in (1, -1):
+            q = [qs]
+            y, _accepted, _demoted = _reference_step(g, config, zero, 1, q,
+                                                     [0], d)
+            if not cover_certificate(g, a, y).maximal:
+                assert y == zero
+                row[q[0]] -= Fraction(1, 2)
+        system.append(row)
+    for i in range(size):  # Gauss-Jordan; I - P is an M-matrix: no pivoting
+        system[i] = [c / system[i][i] for c in system[i]]
+        for j in range(size):
+            if j != i and system[j][i]:
+                f = system[j][i]
+                system[j] = [c - f * p for c, p in zip(system[j], system[i])]
+    return system[0][-1]
+
+
+def test_rls_fifth_unit_edge_walk_is_pseudo_polynomial():
+    """An accept that changes no value still promotes q, so on one zero
+    edge with weights (1, W), where only q = 0 fits, rls_fifth walks in q
+    until an up-coin meets q = 0.  The exact mean grows about 14-fold per
+    +4 of q_cap (q_cap = 4, 8, 12 at alpha 16 and W = 1, 16, 256), and
+    run's mean over seeds 0-1999 at q_cap 8 lies within 4 standard errors
+    of the exact 448."""
+    assert [rls_fifth_unit_edge_exact_mean(16, w) for w in (1, 16, 256)] \
+        == [32, 448, 6192]
+    inst = edge_growth_unit((1, 16))
+    times = []
+    for seed in range(2000):
+        result = run(inst, RunConfig("rls_fifth", 16, 16, 10 ** 7, seed))
+        assert result.success
+        times.append(result.evaluations)
+    se = statistics.stdev(times) / len(times) ** 0.5
+    assert abs(statistics.fmean(times) - 448) <= 4 * se
 
 
 def test_budget_exhaustion_reports_failure():
