@@ -44,10 +44,13 @@ alternating pairs of 10 s runs at seeds 2-5 (CPython 3.11.7, 2 vCPUs).
 ``tests/engine_decisions.py`` mirrors the inline dispatch.  Each decision
 helper returns its deltas, or None on rejection.  A one-edge increase is two
 comparisons of the edge's q with the engine's ``fit`` at its endpoints,
-which only ``commit`` recomputes; it replaced ``_increase_one``, whose two
-``overloads`` tests ran on every proposal, though loads change on at most 1%
-of evaluations.  ``BENCH_21.json`` records the gain on ``quarter`` (ten
-paired 35 s ``perfbench/run.py`` runs, CPython 3.11.7, 2 vCPUs).  Before ``fit``, simpler shapes were slower than
+which only ``commit`` recomputes.  It replaced ``_increase_one``, whose two
+``overloads`` tests ran on every proposal, though loads change on under 1%
+of the benchmark's evaluations.  In ``BENCH_21.json`` (ten paired 35 s ``perfbench/run.py``
+runs at seeds 2-11, CPython 3.11.7, 2 vCPUs) that moved the median
+``trials_per_s`` from 74.4 to 86.7 on ``quarter`` (parent IQR 1.4), from
+115.3 to 136.2 on ``scaling`` and from 57.6 to 59.5 on ``logged``, each
+better in 10 of 10 pairs.  Before ``fit``, simpler shapes were slower than
 the code they were measured against, in three alternating pairs of 12 s
 runs at seeds 2-4 on the same machine: one-edge increases decided by
 ``_decide_increase`` (``trials_per_s`` 78-80 against 116-118 on ``scaling``,

@@ -343,7 +343,7 @@ def test_fit_is_the_largest_fitting_step_after_random_commits():
                 held = range(0, q_cap + 1, 1 if vec or dim == 1 else 4)
                 signs += assert_fit_exact(eng, a, held)
                 for _ in range(6):
-                    # edge e's new value leaves x a step, plus a tie, short
+                    # e's new value puts x's load a step, plus a tie, below W
                     e = rng.randrange(g.m)
                     x = rng.choice(g.edges[e])
                     rest = [c - y for c, y in zip(
