@@ -19,8 +19,8 @@ that select nothing still cost one.  Acceptance is decided exactly: the
 integer engine covers integer-valued starts of ea/rls at any alpha and of
 all four algorithms where alpha is a perfect fourth power (field degree 1,
 so every step beta^q is an integer); the vector engine covers
-quarter-exponent values as integer coefficient vectors, and takes a float
-approximation's sign only where a rounding bound proves it.  Tests hold
+quarter-exponent values as integer coefficient vectors.  Every sign either
+engine takes is exact; no float decides one.  Tests hold
 both against ``run_reference``, a slow replay of the same draws over
 coefficient rows in which :mod:`dualvc.oracle` decides every evaluation
 from scratch: the two emit the same per-evaluation ``TransitionRecord``
@@ -50,9 +50,14 @@ of the benchmark's evaluations.  In ``BENCH_21.json`` (ten paired 35 s ``perfben
 runs at seeds 2-11, CPython 3.11.7, 2 vCPUs) that moved the median
 ``trials_per_s`` from 74.4 to 86.7 on ``quarter`` (parent IQR 1.4), from
 115.3 to 136.2 on ``scaling`` and from 57.6 to 59.5 on ``logged``, each
-better in 10 of 10 pairs.  Before ``fit``, simpler shapes were slower than
-the code they were measured against, in three alternating pairs of 12 s
-runs at seeds 2-4 on the same machine: one-edge increases decided by
+better in 10 of 10 pairs.  ``_decide_increase`` lets ``fit`` settle an
+endpoint that selected edges share too, where one step alone does not fit:
+summing the exact steps there as well cut ``quarter``'s ``trials_per_s``
+from 89-92 to 79-83 and raised its ``trial_ms_tail`` from 23 to 27-28 ms,
+in two alternating pairs of 12 s runs at seeds 2-3 on the same machine.
+Before ``fit``, simpler shapes were slower than the code they were
+measured against, in three alternating pairs of 12 s runs at seeds 2-4 on
+the same machine: one-edge increases decided by
 ``_decide_increase`` (``trials_per_s`` 78-80 against 116-118 on ``scaling``,
 51-54 against 76-80 on ``quarter``); loops over the selection in ``run``'s
 ``k == 1`` promote, demote and all-zero branches (``quarter`` 61-65 against
@@ -88,7 +93,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, inf, log, nan
+from math import ceil, comb, floor, log
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle
@@ -97,9 +102,6 @@ from .numeric import (Alpha, canonicalize_alpha, q_max_for, sign_of_coeffs,
                       step_coeffs)
 
 ALGORITHMS = ("ea", "rls", "ea_fifth", "rls_fifth")
-
-#: Relative margin of the vector engine's float filter (see _VecEngine).
-_FLOAT_TOL = 2.0 ** -40
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +202,18 @@ class _BaseEngine:
     edge's increase is decided by two comparisons, and a vertex's load is
     tested once per commit, not once per proposal.
 
-    Each engine sets ``zero`` (which also seeds the loads),
-    ``sigma_table[q]`` (the exact step beta^q) and ``step_size[q]`` (the
-    step ``overloads`` adds) before calling this constructor.  It supplies
-    the value operations ``_vadd``, ``_vsub``, ``vsign``, ``scale_int`` and
-    ``row`` (a value as a coefficient row), and three load tests:
-    ``_load_sign(v)``, the sign of load(v) - W(v); ``_fit(v)``, the
-    ``fit`` entry of v, called after ``_load_sign(v)``; and
-    ``overloads(v, extra, selection, q)``, whether
-    raising every selected edge e by beta^q[e] puts v's load above W(v),
-    `extra` being the sum of ``step_size[q[e]]`` over the selected edges at
-    v.
+    Each engine sets ``zero`` (which also seeds the loads) and
+    ``sigma_table[q]`` (the exact step beta^q) before calling this
+    constructor.  It supplies the value operations ``_vadd``, ``_vsub``,
+    ``vsign``, ``scale_int`` and ``row`` (a value as a coefficient row),
+    ``_gap_sign(load, w)``, the exact sign of load - w, and ``_fit(v)``,
+    the ``fit`` entry of v.  Every load test is an exact sign: no float
+    decides one.
     """
 
     __slots__ = ("graph", "m", "weights", "nbrs", "w_max", "penalty",
                  "y", "load", "slack", "nviol", "untight", "fit",
-                 "zero", "sigma_table", "step_size")
+                 "zero", "sigma_table")
 
     def __init__(self, graph, y_init, w_max: int) -> None:
         self.graph = graph
@@ -248,6 +246,16 @@ class _BaseEngine:
     def edge_violating(self, e: int) -> bool:
         u, v = self.graph.edges[e]
         return self.slack[u] > 0 or self.slack[v] > 0
+
+    def _load_sign(self, v: int) -> int:
+        return self._gap_sign(self.load[v], self.weights[v])
+
+    def overloads(self, v: int, steps) -> bool:
+        """Whether adding every step in `steps` puts v's load above W(v)."""
+        load = self.load[v]
+        for s in steps:
+            load = self._vadd(load, s)
+        return self._gap_sign(load, self.weights[v]) > 0
 
     def _refresh_vertex(self, v: int) -> None:
         s_new = self._load_sign(v)
@@ -284,10 +292,10 @@ class _IntEngine(_BaseEngine):
     """Integer starting values whose steps stay integers, so every value
     stays a plain int: ea/rls (q = 0 mod 4, integer powers of alpha) at any
     alpha, and every algorithm at field degree 1.  ``sigma_table[q]`` is
-    beta^q, or None where that step is irrational; ``step_size`` is the
-    same list.  ``pad`` fills an int out to a coefficient row.  ``fit``
-    ranges over the q of the integer steps, the only ones a run here holds:
-    ``int_steps`` lists those steps in rising order, ``int_qs`` their q."""
+    beta^q, or None where that step is irrational.  ``pad`` fills an int
+    out to a coefficient row.  ``fit`` ranges over the q of the integer
+    steps, the only ones a run here holds: ``int_steps`` lists those steps
+    in rising order, ``int_qs`` their q."""
 
     __slots__ = ("pad", "int_steps", "int_qs")
 
@@ -295,11 +303,10 @@ class _IntEngine(_BaseEngine):
         rows = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
         self.pad = (0,) * (alpha.basis_dim - 1)
         self.zero = 0
-        self.sigma_table = self.step_size = [
-            None if any(row[1:]) else row[0] for row in rows]
-        self.int_qs = [q for q, s in enumerate(self.step_size)
+        self.sigma_table = [None if any(row[1:]) else row[0] for row in rows]
+        self.int_qs = [q for q, s in enumerate(self.sigma_table)
                        if s is not None]
-        self.int_steps = [self.step_size[q] for q in self.int_qs]
+        self.int_steps = [self.sigma_table[q] for q in self.int_qs]
         super().__init__(graph, [int(v) for v in y_init], w_max)
 
     def _vadd(self, a, b):
@@ -308,17 +315,12 @@ class _IntEngine(_BaseEngine):
     def _vsub(self, a, b):
         return a - b
 
-    def _load_sign(self, v: int) -> int:
-        load = self.load[v]
-        w = self.weights[v]
+    def _gap_sign(self, load, w) -> int:
         return (load > w) - (load < w)
 
     def _fit(self, v: int) -> int:
         i = bisect_right(self.int_steps, self.weights[v] - self.load[v])
         return self.int_qs[i - 1] if i else -1
-
-    def overloads(self, v: int, extra, selection, q) -> bool:
-        return self.load[v] + extra > self.weights[v]
 
     def vsign(self, a) -> int:
         return (a > 0) - (a < 0)
@@ -334,29 +336,22 @@ class _VecEngine(_BaseEngine):
     """Any algorithm on quarter-exponent values: a value is a tuple of
     basis_dim integer (or rational) coefficients over {1, beta, ...}.
 
-    Load signs are filtered through floats before the exact sign is taken.
-    Per vertex it keeps ``fslack`` = W(v) - load(v) and ``fmag`` = W(v) +
-    sum |c_k| beta^k, both in floats; ``step_size[q]`` is beta^q in floats.
-    A float sum of n rounded terms is off by less than n * 2^-52 times the
-    sum of their magnitudes, so a float gap beyond ``_FLOAT_TOL`` times
-    that sum (times the selection size, for the steps added in
-    ``overloads``) has the sign of the exact gap.  Closer gaps, tight ones
-    among them, and loads beyond the float range (NaN or inf, which fail
-    both comparisons) are decided by ``sign_of_coeffs``.  ``_fit`` is a
-    binary search over q, each probe one step through the same filter."""
+    Every load test is one exact ``sign_of_coeffs``.  ``_fit`` starts from
+    a float estimate of the slack, floor(4 log_alpha(W(v) - load(v))),
+    and walks from there in exact signs: down while the step does not fit,
+    then up while the next one does.  The float only picks where the walk
+    starts; where it is far off, or beyond the float range, the walk is
+    longer, not wrong."""
 
-    __slots__ = ("alpha", "dim", "beta_f", "fslack", "fmag")
+    __slots__ = ("alpha", "dim", "beta_f", "log_beta")
 
     def __init__(self, graph, y_init, w_max, alpha: Alpha, q_cap) -> None:
         self.alpha = alpha
         self.dim = alpha.basis_dim
         self.beta_f = [alpha.alpha ** (k / 4) for k in range(self.dim)]
-        self.fslack = [nan] * graph.n
-        self.fmag = [inf] * graph.n
+        self.log_beta = log(alpha.alpha) / 4
         self.zero = (0,) * self.dim
         self.sigma_table = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
-        self.step_size = [self._float_of(row)[0]
-                          for row in self.sigma_table]
         super().__init__(graph, [self._lift(v) for v in y_init], w_max)
 
     def _lift(self, v):
@@ -372,77 +367,27 @@ class _VecEngine(_BaseEngine):
     def _vsub(self, a, b):
         return tuple(x - y for x, y in zip(a, b))
 
-    def _slack_sign(self, load, w) -> int:
+    def _gap_sign(self, load, w) -> int:
         return sign_of_coeffs((load[0] - w,) + load[1:], self.alpha)
-
-    def _float_of(self, coeffs) -> tuple[float, float]:
-        """(value, sum of |c_k| beta^k) in floats; (nan, inf) beyond the
-        float range."""
-        value = mag = 0.0
-        try:
-            for c, b in zip(coeffs, self.beta_f):
-                t = c * b
-                value += t
-                mag += abs(t)
-        except OverflowError:
-            return nan, inf
-        return value, mag
-
-    def _load_sign(self, v: int) -> int:
-        load = self.load[v]
-        w = self.weights[v]
-        value, mag = self._float_of(load)
-        try:
-            wf = float(w)
-        except OverflowError:
-            wf = inf
-        gap = wf - value
-        tol = (mag + wf) * _FLOAT_TOL
-        self.fslack[v] = gap
-        self.fmag[v] = mag + wf
-        if gap > tol:
-            return -1
-        if gap < -tol:
-            return 1
-        return self._slack_sign(load, w)
-
-    def _float_over(self, v: int, extra, n: int):
-        """Whether adding `extra`, a float sum of n steps, puts v's load
-        above W(v), where the float gap settles it; None where it does
-        not."""
-        gap = extra - self.fslack[v]
-        tol = (self.fmag[v] + extra) * _FLOAT_TOL * n
-        if gap > tol:
-            return True
-        if gap < -tol:
-            return False
-        return None
 
     def _fit(self, v: int) -> int:
         load = self.load[v]
         w = self.weights[v]
-        lo, hi = -1, len(self.sigma_table) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            over = self._float_over(v, self.step_size[mid], 1)
-            if over is None:
-                over = self._slack_sign(
-                    self._vadd(load, self.sigma_table[mid]), w) > 0
-            if over:
-                hi = mid - 1
-            else:
-                lo = mid
-        return lo
-
-    def overloads(self, v: int, extra, selection, q) -> bool:
-        over = self._float_over(v, extra, len(selection))
-        if over is not None:
-            return over
-        load = self.load[v]
-        for e in selection:
-            if v in self.graph.edges[e]:
-                load = self._vadd(load, self.sigma_table[q[e]])
-        return self._slack_sign(load, self.weights[v]) > 0
+        sigma = self.sigma_table
+        q_cap = len(sigma) - 1
+        try:
+            slack = w - sum(c * b for c, b in zip(load, self.beta_f))
+            q = floor(log(slack) / self.log_beta) if slack > 0 else -1
+        except OverflowError:
+            q = q_cap
+        q = min(max(q, -1), q_cap)
+        gap_sign = self._gap_sign
+        vadd = self._vadd
+        while q >= 0 and gap_sign(vadd(load, sigma[q]), w) > 0:
+            q -= 1
+        while q < q_cap and gap_sign(vadd(load, sigma[q + 1]), w) <= 0:
+            q += 1
+        return q
 
     def vsign(self, a) -> int:
         if all(c == 0 for c in a):
@@ -475,31 +420,42 @@ def _make_engine(instance: DynamicInstance, config: RunConfig):
 
 def _decide_increase(eng, selection, q):
     """Feasible-sign increase of a selection of two or more edges: accepted
-    iff no endpoint gets overloaded.  An endpoint one selected edge touches
-    is decided by ``fit``; one that two or more touch sums their steps
-    through ``overloads``.  Returns the deltas, or None on rejection, and a
-    map of each overloaded endpoint to whether two or more selected edges
-    touch it."""
+    iff no endpoint gets overloaded.  Every step is positive, so an
+    endpoint where the largest selected q exceeds ``fit`` is overloaded;
+    only an endpoint that two or more selected edges touch, each step
+    fitting on its own, sums their steps through ``overloads``.  Returns
+    the deltas, or None on rejection, and a map of each overloaded
+    endpoint to whether two or more selected edges touch it."""
     edges = eng.graph.edges
     fit = eng.fit
-    top = {}  # endpoint -> q of the one selected edge there, None if shared
+    sigma = eng.sigma_table
+    top = {}  # endpoint -> largest q of the selected edges there
+    shared = []
     for e in selection:
         qe = q[e]
         u, v = edges[e]
-        top[u] = None if u in top else qe
-        top[v] = None if v in top else qe
+        if u in top:
+            shared.append(u)
+            if qe > top[u]:
+                top[u] = qe
+        else:
+            top[u] = qe
+        if v in top:
+            shared.append(v)
+            if qe > top[v]:
+                top[v] = qe
+        else:
+            top[v] = qe
     over = {}
     for w, qw in top.items():
-        if qw is None:
-            extra = sum(eng.step_size[q[e]] for e in selection
-                        if w in edges[e])
-            if eng.overloads(w, extra, selection, q):
-                over[w] = True
-        elif qw > fit[w]:
-            over[w] = False
+        if qw > fit[w]:
+            over[w] = w in shared
+        elif w in shared and eng.overloads(
+                w, [sigma[q[e]] for e in selection if w in edges[e]]):
+            over[w] = True
     if over:
         return None, over
-    return [(e, eng._vadd(eng.y[e], eng.sigma_table[q[e]]))
+    return [(e, eng._vadd(eng.y[e], sigma[q[e]]))
             for e in selection], over
 
 

@@ -20,9 +20,9 @@ artifacts.
 Step sizes are never materialized eagerly: they are carried as the integer
 quarter-exponent q with sigma = alpha^(q/4), clamped to [0, q_max].
 
-Floats decide only in the vector engine's filter (``heuristics._VecEngine``),
-which takes a float sign where a rounding bound proves it and this module's
-exact sign otherwise.  The one approximation here is a fixed-point bracket
+No float decides a sign: the search engines (``heuristics``) take this
+module's exact sign for every load test, and use a float only to pick where
+an exact walk starts.  The one approximation here is a fixed-point bracket
 of a value between integers, from floor(beta * 2^bits); it backs the
 interval sign the tests check the exact signs against, and the float that
 ``solve --log`` and ``dualvc verify`` print for sum(Y).

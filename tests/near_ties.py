@@ -1,5 +1,6 @@
 """Values of Q(alpha^(1/4)) just above zero, from Pell units: shared by the
-tests that hold a float filter to the exact sign where floats cannot tell."""
+tests that hold the engines' load tests to the exact sign on gaps far below
+float resolution."""
 
 #: Per alpha: R with sqrt(R) a basis element, its coordinate, and the
 #: fundamental solution of p^2 - R*q^2 = 1.

@@ -20,7 +20,6 @@ from math import ceil
 
 import pytest
 
-from dualvc import heuristics
 from dualvc.dual import DualSolution, extract_cover
 from dualvc.graph import WeightedGraph
 from dualvc.harness import (BenchCell, BenchPlan, contrast_bound,
@@ -308,21 +307,14 @@ def test_criterion_4_fitness_and_maximality_match_the_oracle(capsys):
 # criterion 5: numeric kernel
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_float_filter_and_step_identities(capsys, monkeypatch):
-    """The vector engine's float filter (_VecEngine._load_sign and
-    overloads) gives the exact sign on 1e5 load tests at alpha in
-    {2, 3, 9, 16}: random loads, and at alpha 2 and 9 loads whose gap to
-    the weight, before or after the step, is zero or a Pell unit far below
-    float resolution.  Its sign_of_coeffs calls are the exact fallbacks;
-    the floats settle every other sign.  One full step up multiplies the
-    step value by alpha exactly, across the whole exponent range."""
-    fallbacks = 0
-
-    def counted(coeffs, a):
-        nonlocal fallbacks
-        fallbacks += 1
-        return sign_of_coeffs(coeffs, a)
-
+def test_criterion_5_exact_load_signs_and_step_identities(capsys):
+    """The vector engine's load tests give the exact sign at alpha in
+    {2, 3, 9, 16}: 1e5 comparisons of _VecEngine._load_sign and overloads,
+    and on the same loads 5e4 of the q <= fit threshold, on random loads
+    and, at alpha 2 and 9, on loads whose gap to the weight, before or
+    after the step, is zero or a Pell unit far below float resolution.  No
+    float decides any of them.  One full step up multiplies the step value
+    by alpha exactly, across the whole exponent range."""
     rng = random.Random(5050)
     w = 2 ** 20
     g = WeightedGraph(2, (w, w), ((0, 1),))
@@ -333,8 +325,7 @@ def test_criterion_5_float_filter_and_step_identities(capsys, monkeypatch):
         ties = [near_zero(alpha, a.basis_dim, n) for n in range(24)
                 ] if alpha in PELL else []
         cases.append((a, _VecEngine(g, [0], w, a, q_cap), q_cap, ties))
-    monkeypatch.setattr(heuristics, "sign_of_coeffs", counted)
-    compared = mismatches = 0
+    compared = fit_compared = mismatches = 0
     while compared < 100_000:
         a, eng, q_cap, ties = cases[compared // 2 % len(cases)]
         step = rng.randint(0, q_cap)
@@ -349,13 +340,15 @@ def test_criterion_5_float_filter_and_step_identities(capsys, monkeypatch):
                             rng.randint(1, 1000)) for _ in sigma]
         eng.load[0] = (gap[0] + w,) + tuple(gap[1:])
         raised = [x + c for x, c in zip(gap, sigma)]
+        fits = sign_of_coeffs(raised, a) <= 0
         if eng._load_sign(0) != sign_of_coeffs(gap, a):
             mismatches += 1
-        if eng.overloads(0, eng.step_size[step], [0], [step]) != \
-                (sign_of_coeffs(raised, a) > 0):
+        if eng.overloads(0, [sigma]) == fits:
+            mismatches += 1
+        if (step <= eng._fit(0)) != fits:
             mismatches += 1
         compared += 2
-    float_settled = compared - fallbacks
+        fit_compared += 1
     identity_failures = 0
     for alpha in (2, 3, 9, 16):
         a = canonicalize_alpha(alpha)
@@ -364,15 +357,13 @@ def test_criterion_5_float_filter_and_step_identities(capsys, monkeypatch):
             if step_coeffs(q + 4, a) != tuple(alpha * c
                                               for c in step_coeffs(q, a)):
                 identity_failures += 1
-    ok = (mismatches == 0 and float_settled > 0 and fallbacks > 0
-          and identity_failures == 0)
+    ok = mismatches == 0 and identity_failures == 0
     verdict(capsys, 5, ok,
-            f"sign_comparisons={compared} mismatches={mismatches}"
-            f" float_settled={float_settled} exact_fallbacks={fallbacks}"
+            f"sign_comparisons={compared} fit_comparisons={fit_compared}"
+            f" mismatches={mismatches}"
             f" step_identity_failures={identity_failures}")
-    assert compared == 100_000
+    assert compared == 100_000 and fit_compared == 50_000
     assert mismatches == 0
-    assert float_settled > 0 and fallbacks > 0
     assert identity_failures == 0
 
 

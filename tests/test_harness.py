@@ -1,5 +1,6 @@
 """Benchmark plans, CSV I/O, the scaling report, and the CLI commands."""
 
+import dataclasses
 import io
 import json
 import math
@@ -444,6 +445,28 @@ def test_worker_pool_is_capped(monkeypatch):
     assert len(records) == 3
     workers = min(3, os.cpu_count() or 1)
     assert requested == ([workers] if workers > 1 else [])
+
+
+def test_loaded_plan_builds_each_trial_once(monkeypatch):
+    """A plan loaded from JSON builds each trial at load and runs those
+    instances, sequentially or on workers, with the rows of a plan whose
+    trials build their own."""
+    plan = plan_small()
+    built = []
+    build = harness.build_instance
+    monkeypatch.setattr(harness, "build_instance",
+                        lambda c, t: built.append((c, t)) or build(c, t))
+    loaded = plan_from_json(
+        {"cells": [dataclasses.asdict(c) for c in plan.cells]})
+    assert len(built) == len(loaded.instances) == 6
+    monkeypatch.delenv("DUALVC_THREADS", raising=False)
+    rows = [r.row_prefix() for r in execute_plan(loaded, io.StringIO())]
+    assert len(built) == 6
+    monkeypatch.setenv("DUALVC_THREADS", "2")
+    par = [r.row_prefix() for r in execute_plan(loaded, io.StringIO())]
+    monkeypatch.setattr(harness, "build_instance", build)
+    fresh = [r.row_prefix() for r in execute_plan(plan, io.StringIO())]
+    assert rows == par == fresh
 
 
 def test_read_records_errors(tmp_path):

@@ -4,6 +4,7 @@ import random
 import statistics
 from collections import Counter
 from fractions import Fraction
+from math import log
 from types import SimpleNamespace
 
 import pytest
@@ -12,8 +13,8 @@ from dualvc import heuristics, oracle
 from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
 from dualvc.harness import BenchCell, build_instance
-from dualvc.heuristics import (ALGORITHMS, RunConfig, _binomial_cdf,
-                               _decide_increase, _IntEngine,
+from dualvc.heuristics import (ALGORITHMS, RunConfig, _BaseEngine,
+                               _binomial_cdf, _decide_increase, _IntEngine,
                                _reference_step, _sample_range, _VecEngine,
                                draw_direction, draw_ea_selection,
                                draw_rls_selection, run, run_reference)
@@ -358,14 +359,28 @@ def test_fit_is_the_largest_fitting_step_after_random_commits():
     assert min(signs.values()) >= 50
 
 
-# -- the vector engine's float filter -----------------------------------------------
+# -- the vector engine's exact load tests ---------------------------------------------
+
+def assert_walk_is_exact(eng):
+    """``_VecEngine._fit`` gives the same answer from starts where its
+    float estimate of the slack is far off: too high, too low, negative."""
+    fit = list(eng.fit)
+    beta_f, log_beta = eng.beta_f, eng.log_beta
+    for fake_beta, fake_log in ((beta_f, log_beta * 1000),
+                                (beta_f, log_beta / 1000),
+                                ([b * 1e30 for b in beta_f], log_beta),
+                                ([-b for b in beta_f], log_beta)):
+        eng.beta_f, eng.log_beta = fake_beta, fake_log
+        assert [eng._fit(v) for v in range(len(fit))] == fit
+    eng.beta_f, eng.log_beta = beta_f, log_beta
+
 
 @pytest.mark.parametrize("alpha", [2, 9])
-def test_vector_engine_float_filter_is_exact(alpha):
-    """The vector engine's load signs and overload tests, filtered through
-    floats, equal the exact sign: on gaps from 0.2 down to far below float
-    resolution, on tight loads, and on loads beyond the float range.  So
-    does ``fit`` on weights and on loads beyond the float range."""
+def test_vector_engine_load_tests_are_exact(alpha):
+    """The vector engine's load signs, overload tests and ``fit`` equal
+    the exact sign: on gaps from 0.2 down to far below float resolution,
+    on tight loads, and on weights and loads beyond the float range; and
+    ``fit`` does so from starts where the float estimate is far off."""
     a = canonicalize_alpha(alpha)
     dim = a.basis_dim
     q_cap = q_max_for(a, 2 ** 10)
@@ -386,12 +401,11 @@ def test_vector_engine_float_filter_is_exact(alpha):
                     eng = _VecEngine(graph, [tuple(row)], 2 ** 10, a, q_cap)
                     exact = sign_of_coeffs([row[0] - w] + row[1:], a)
                     assert eng.slack == [exact, exact]
+                    assert_fit_exact(eng, a, range(q_cap + 1))
+                    assert_walk_is_exact(eng)
                     if step is None:
-                        if graph is big:  # W(v) beyond the float range
-                            assert_fit_exact(eng, a, range(q_cap + 1))
                         continue
-                    q = [step]
-                    over = eng.overloads(0, eng.step_size[step], [0], q)
+                    over = eng.overloads(0, [step_coeffs(step, a)])
                     assert over == (s > 0)
                     checked += 1
     assert checked == 2 * 8 * 3 * 2
@@ -402,9 +416,10 @@ def test_vector_engine_float_filter_is_exact(alpha):
         exact = sign_of_coeffs([row[0] - g.weights[0]] + row[1:], a)
         assert eng.slack == [exact, exact]
         assert_fit_exact(eng, a, range(q_cap + 1))  # loads beyond floats
+        assert_walk_is_exact(eng)
         raised = [x + c for x, c in zip(row, step_coeffs(1, a))]
         raised[0] -= g.weights[0]
-        assert eng.overloads(0, eng.step_size[1], [0], [1]) == \
+        assert eng.overloads(0, [step_coeffs(1, a)]) == \
             (sign_of_coeffs(raised, a) > 0)
     rng = random.Random(alpha)
     for _ in range(300):
@@ -415,7 +430,7 @@ def test_vector_engine_float_filter_is_exact(alpha):
         assert eng.slack[0] == sign_of_coeffs((row[0] - w,) + row[1:], a)
         raised = [x + c for x, c in zip(row, step_coeffs(step, a))]
         raised[0] -= w
-        assert eng.overloads(0, eng.step_size[step], [0], [step]) == \
+        assert eng.overloads(0, [step_coeffs(step, a)]) == \
             (sign_of_coeffs(raised, a) > 0)
 
 
@@ -427,13 +442,12 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
     it, on both engines, where the step fills an endpoint exactly, exceeds
     its weight by the smallest coefficient step or falls short by it, and
     (on the vector engine at degrees 4 and 2) misses the weight by a gap
-    far below float resolution.  The vector engine's float gap at such a
-    tie is inside _FLOAT_TOL, so the exact sign decides it when the engine
-    computes ``fit``; the decision, q against ``fit`` as run() makes it,
-    takes no exact sign.  _decide_increase, which run() sends larger
-    selections, agrees.  A rejected one overloads endpoint 1, which no
-    other selected edge touches, so ea demotes the edge, as _reference_step
-    does."""
+    far below float resolution.  The vector engine's exact sign decides
+    such a tie when the engine computes ``fit``; the decision, q against
+    ``fit`` as run() makes it, takes no exact sign.  _decide_increase,
+    which run() sends larger selections, agrees.  A rejected one overloads
+    endpoint 1, which no other selected edge touches, so ea demotes the
+    edge, as _reference_step does."""
     exact_calls = []
 
     def counted(coeffs, a):
@@ -488,6 +502,96 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
                 assert not accepted and demoted == (0,)
     assert min(outcomes.values()) >= 3
     assert len(outcomes) == 4
+
+
+# -- shared endpoints of an ea increase ---------------------------------------------
+
+@pytest.mark.parametrize("alpha", [2, 9, 16])
+def test_shared_endpoint_decided_by_fit_then_exact_sum(alpha, monkeypatch):
+    """An ea increase of 2 or 3 edges that share the centre of a star is
+    decided as _reference_step decides it, demoted set included, on both
+    engines.  Where one step alone exceeds the centre's ``fit`` (by 1 or by
+    a Pell gap far below float resolution), the selection is rejected and
+    ``overloads`` is never called.  Where each step fits on its own, the
+    centre's summed steps miss its weight by 0, +-1 or +-a Pell gap, and
+    ``overloads`` decides them once, at the centre.  Some selections add a
+    detached edge that may overload its own endpoint, which ea demotes."""
+    calls = []
+    overloads = _BaseEngine.overloads
+
+    def counted(self, v, steps):
+        calls.append(v)
+        return overloads(self, v, steps)
+
+    monkeypatch.setattr(_BaseEngine, "overloads", counted)
+    a = canonicalize_alpha(alpha)
+    dim = a.basis_dim
+    w = 2 ** 12
+    # centre 0 with leaves 1-3; edge 3 to leaf 4 carries the centre's rest;
+    # edge 4 is detached, at weights 8
+    g = WeightedGraph(7, (w,) * 5 + (8, 8),
+                      ((0, 1), (0, 2), (0, 3), (0, 4), (5, 6)))
+    q_cap = q_max_for(a, w)
+    config = RunConfig("ea", alpha, w, 1, 0)
+    unit = (1,) + (0,) * (dim - 1)
+    nudges = [(0,) * dim, unit, tuple(-c for c in unit)]
+    if alpha in PELL:
+        tiny = tuple(near_zero(alpha, dim, 12))
+        nudges += [tiny, tuple(-c for c in tiny)]
+    q_top = int(4 * log(64, alpha))  # steps up to 64 keep edge 3 positive
+    rng = random.Random(alpha)
+    outcomes = Counter()
+    for i in range(12):
+        star = rng.sample(range(3), 3 if i % 3 == 2 else 2)
+        # the detached edge joins some pairs; its step overloads it or not
+        selection = star + ([4] if i % 6 in (0, 4) else [])
+        # odd rounds hold integer steps only, as _IntEngine does
+        q = [rng.randrange(0, q_top + 1, 1 + 3 * (i % 2)) for _ in range(3)]
+        q += [0, q_top if i % 6 == 0 else 0]
+        steps = [step_coeffs(q[e], a) for e in star]
+        q_big = max(q[e] for e in star)
+        for case in (1, 2):
+            for nudge in nudges:
+                if case == 1 and sign_of_coeffs(nudge, a) <= 0:
+                    continue
+                # the centre's load before the step, less W, as a row
+                if case == 1:  # the largest step alone overshoots by nudge
+                    gap = [n - s for n, s in zip(nudge, step_coeffs(q_big, a))]
+                else:  # the steps together overshoot by nudge
+                    gap = [n - sum(col) for n, col in zip(nudge, zip(*steps))]
+                values = [1 if e in star else 0 for e in range(3)]
+                rest = [w * (k == 0) + gap[k] - sum(values) * (k == 0)
+                        for k in range(dim)]
+                values += [tuple(rest), 1]
+                start = coefficient_rows(a, values)
+                engines = [_VecEngine(g, start, w, a, q_cap)]
+                if not any(c for row in start for c in row[1:]) and (
+                        dim == 1 or all(qq % 4 == 0 for qq in q)):
+                    engines.append(_IntEngine(g, [row[0] for row in start],
+                                              w, a, q_cap))
+                _y, accepted, ref_demoted = _reference_step(
+                    g, config, start, 1, list(q), selection, 1)
+                for eng in engines:
+                    assert eng.sign_now() > 0
+                    assert (q_big > eng.fit[0]) == (case == 1)
+                    del calls[:]
+                    deltas, over = _decide_increase(eng, selection, q)
+                    assert (deltas is not None) == accepted
+                    assert calls == ([] if case == 1 else [0])
+                    demoted = tuple(
+                        e for e in selection
+                        if (set(g.edges[e]) & set(over))
+                        and not any(over.get(x) for x in g.edges[e]))
+                    assert demoted == ref_demoted
+                    assert engine_agrees(eng, values, q, selection, 1,
+                                         alpha=a)
+                    outcomes[case, type(eng).__name__, accepted,
+                             bool(demoted)] += 1
+    assert outcomes.keys() >= {
+        (1, "_VecEngine", False, False), (1, "_VecEngine", False, True),
+        (2, "_VecEngine", True, False), (2, "_VecEngine", False, False),
+        (2, "_VecEngine", False, True), (2, "_IntEngine", True, False),
+        (2, "_IntEngine", False, False)}
 
 
 # -- one evaluation of _reference_step ------------------------------------------------
