@@ -8,11 +8,11 @@ random cells draw their per-trial instance from the sub-stream
 ``derive_seed(cell.seed, f"instance:{t}")``, while hard cells share one
 deterministic instance.
 
-A plan loaded from JSON is checked by building it: ``plan_from_json``
-builds every trial of every cell and configures its run, so each rule lives
-once, in the code that applies it, and ``dualvc bench`` rejects a bad cell
-before it opens the CSV.  The plan keeps the instances it built, and
-``execute_plan`` runs them, so no trial is built twice.
+A plan builds every trial's instance once, on first use, and keeps them;
+``execute_plan`` runs those.  A plan loaded from JSON is checked by
+building it: ``plan_from_json`` builds every trial of every cell and
+configures its run, so each rule lives once, in the code that applies it,
+and ``dualvc bench`` rejects a bad cell before it opens the CSV.
 
 Every row whose run reports success is re-verified from scratch through the
 oracle module before it is written; a verification failure aborts the plan
@@ -28,7 +28,8 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from math import ceil, e, log
 from typing import Sequence, TextIO
 
@@ -88,14 +89,19 @@ class BenchCell:
 class BenchPlan:
     cells: tuple[BenchCell, ...]
     out: str = "results.csv"
-    #: every trial's instance in trial order, where the plan was built at
-    #: load; empty otherwise, and then each trial builds its own
-    instances: tuple[DynamicInstance, ...] = field(
-        default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("plan has no cells")
+
+    def trials(self) -> list[tuple[BenchCell, int]]:
+        """Every (cell, trial index) pair, in trial order."""
+        return [(cell, t) for cell in self.cells for t in range(cell.trials)]
+
+    @cached_property
+    def instances(self) -> tuple[DynamicInstance, ...]:
+        """Every trial's instance in trial order, built on first use."""
+        return tuple(build_instance(cell, t) for cell, t in self.trials())
 
 
 _CELL_KEYS = {f.name for f in fields(BenchCell)}
@@ -128,14 +134,11 @@ def plan_from_json(data: dict) -> BenchPlan:
                 raise ValueError(f"cell key {key!r} must be an integer, "
                                  f"got {value!r}")
         cells.append(BenchCell(**raw))
-    instances = []
-    for cell in cells:
-        for trial in range(cell.trials):
-            instance = build_instance(cell, trial)
-            RunConfig(cell.algorithm, cell.alpha, instance.w_max,
-                      cell.budget, cell.seed + trial)
-            instances.append(instance)
-    return BenchPlan(tuple(cells), out, tuple(instances))
+    plan = BenchPlan(tuple(cells), out)
+    for (cell, trial), instance in zip(plan.trials(), plan.instances):
+        RunConfig(cell.algorithm, cell.alpha, instance.w_max,
+                  cell.budget, cell.seed + trial)
+    return plan
 
 
 def load_plan(path: str) -> BenchPlan:
@@ -277,18 +280,20 @@ def execute_plan(plan: BenchPlan, out: TextIO) -> list[BenchRecord]:
     """Run all trials, streaming CSV rows in trial order, then the summary;
     ``DUALVC_THREADS`` workers run them, at most one per trial and CPU.
 
-    A plan built at load sends each trial's instance to the worker that
-    runs it, which beat rebuilding it there: on the default
-    ``scaling_plan`` (432 trials) at ``DUALVC_THREADS=2`` this call took a
-    median 2.37 s against 3.15 s, faster in 7 of 8 alternating pairs
-    (CPython 3.11.7, 2 vCPUs)."""
-    cells = [cell for cell in plan.cells for _ in range(cell.trials)]
-    indices = [t for cell in plan.cells for t in range(cell.trials)]
+    Each trial's instance comes from ``plan.instances``, built once in this
+    process, and is sent to the worker that runs it.  On the default
+    ``scaling_plan`` (432 trials) at ``DUALVC_THREADS=2`` (CPython 3.11.7,
+    2 vCPUs), that made ``dualvc bench``, load included, take a median
+    4.61 s against 4.95 s for rebuilding each trial in its worker, faster
+    in 5 of 6 alternating pairs.  A plan built in Python, not checked at
+    load, pays its build here instead, in this one process:
+    ``scripts/run_scaling.py`` took 4.56 s against 3.73 s, slower in 8 of
+    8 pairs."""
+    cells, indices = zip(*plan.trials())
     out.write(CSV_HEADER + "\n")
     records: list[BenchRecord] = []
     workers = min(thread_count(), len(cells), os.cpu_count() or 1)
-    args = ((run_instance, cells, indices, plan.instances) if plan.instances
-            else (run_trial, cells, indices))
+    args = (run_instance, cells, indices, plan.instances)
     with ExitStack() as stack:
         trials = map(*args)
         if workers > 1:

@@ -430,18 +430,18 @@ def _decide_increase(eng, selection, q):
     fit = eng.fit
     sigma = eng.sigma_table
     top = {}  # endpoint -> largest q of the selected edges there
-    shared = []
+    shared = set()  # endpoints two or more selected edges touch
     for e in selection:
         qe = q[e]
         u, v = edges[e]
         if u in top:
-            shared.append(u)
+            shared.add(u)
             if qe > top[u]:
                 top[u] = qe
         else:
             top[u] = qe
         if v in top:
-            shared.append(v)
+            shared.add(v)
             if qe > top[v]:
                 top[v] = qe
         else:

@@ -448,9 +448,9 @@ def test_worker_pool_is_capped(monkeypatch):
 
 
 def test_loaded_plan_builds_each_trial_once(monkeypatch):
-    """A plan loaded from JSON builds each trial at load and runs those
-    instances, sequentially or on workers, with the rows of a plan whose
-    trials build their own."""
+    """A plan loaded from JSON builds each trial at load, a plan built in
+    Python on its first run; either runs those instances, sequentially or
+    on workers, with the same rows."""
     plan = plan_small()
     built = []
     build = harness.build_instance
@@ -458,15 +458,16 @@ def test_loaded_plan_builds_each_trial_once(monkeypatch):
                         lambda c, t: built.append((c, t)) or build(c, t))
     loaded = plan_from_json(
         {"cells": [dataclasses.asdict(c) for c in plan.cells]})
-    assert len(built) == len(loaded.instances) == 6
+    assert built == plan.trials() and len(loaded.instances) == 6
     monkeypatch.delenv("DUALVC_THREADS", raising=False)
     rows = [r.row_prefix() for r in execute_plan(loaded, io.StringIO())]
-    assert len(built) == 6
+    fresh = [r.row_prefix() for r in execute_plan(plan, io.StringIO())]
+    assert built == plan.trials() * 2
     monkeypatch.setenv("DUALVC_THREADS", "2")
     par = [r.row_prefix() for r in execute_plan(loaded, io.StringIO())]
-    monkeypatch.setattr(harness, "build_instance", build)
-    fresh = [r.row_prefix() for r in execute_plan(plan, io.StringIO())]
-    assert rows == par == fresh
+    again = [r.row_prefix() for r in execute_plan(plan, io.StringIO())]
+    assert built == plan.trials() * 2
+    assert rows == fresh == par == again
 
 
 def test_read_records_errors(tmp_path):
