@@ -50,11 +50,14 @@ of the benchmark's evaluations.  In ``BENCH_21.json`` (ten paired 35 s ``perfben
 runs at seeds 2-11, CPython 3.11.7, 2 vCPUs) that moved the median
 ``trials_per_s`` from 74.4 to 86.7 on ``quarter`` (parent IQR 1.4), from
 115.3 to 136.2 on ``scaling`` and from 57.6 to 59.5 on ``logged``, each
-better in 10 of 10 pairs.  ``_decide_increase`` lets ``fit`` settle an
-endpoint that selected edges share too, where one step alone does not fit:
-summing the exact steps there as well cut ``quarter``'s ``trials_per_s``
-from 89-92 to 79-83 and raised its ``trial_ms_tail`` from 23 to 27-28 ms,
-in two alternating pairs of 12 s runs at seeds 2-3 on the same machine.
+better in 10 of 10 pairs.  ``_decide_increase`` returns None at the first
+selected edge whose q exceeds ``fit`` at an endpoint, and sums steps through
+``overloads`` only where every step fits on its own; plain ea's demotions
+come from ``_ea_demotions``, which the fifth variants never call, and
+``run`` counts an empty ea selection in one step.  In ``BENCH_23.json``
+that moved the median ``trials_per_s`` from 89.2 to 107.9 on ``quarter``
+(parent IQR 3.6, better in 10 of 10 pairs), from 133.3 to 142.1 on
+``scaling`` (10 of 10) and from 59.7 to 61.8 on ``logged`` (9 of 10).
 Before ``fit``, simpler shapes were slower than the code they were
 measured against, in three alternating pairs of 12 s runs at seeds 2-4 on
 the same machine: one-edge increases decided by
@@ -420,43 +423,46 @@ def _make_engine(instance: DynamicInstance, config: RunConfig):
 
 def _decide_increase(eng, selection, q):
     """Feasible-sign increase of a selection of two or more edges: accepted
-    iff no endpoint gets overloaded.  Every step is positive, so an
-    endpoint where the largest selected q exceeds ``fit`` is overloaded;
-    only an endpoint that two or more selected edges touch, each step
-    fitting on its own, sums their steps through ``overloads``.  Returns
-    the deltas, or None on rejection, and a map of each overloaded
-    endpoint to whether two or more selected edges touch it."""
+    iff no endpoint gets overloaded.  Every step is positive, so the first
+    edge whose q exceeds ``fit`` at an endpoint settles the rejection; only
+    when every step fits on its own does an endpoint that two or more
+    selected edges touch sum their steps through ``overloads``.  Returns
+    the deltas, or None on rejection."""
+    edges = eng.graph.edges
+    fit = eng.fit
+    for e in selection:
+        u, v = edges[e]
+        if q[e] > fit[u] or q[e] > fit[v]:
+            return None
+    sigma = eng.sigma_table
+    ends = [w for e in selection for w in edges[e]]
+    for w in {w for w in ends if ends.count(w) > 1}:
+        if eng.overloads(w, [sigma[q[e]] for e in selection if w in edges[e]]):
+            return None
+    return [(e, eng._vadd(eng.y[e], sigma[q[e]])) for e in selection]
+
+
+def _ea_demotions(eng, selection, q):
+    """Plain ea's rejected increase of two or more edges: the selected
+    edges that have an overloaded endpoint and share none of their
+    overloaded endpoints with another selected edge.  A q above ``fit``
+    overloads that endpoint; at an endpoint two or more selected edges
+    touch, ``overloads`` sums their steps, which covers that case too."""
     edges = eng.graph.edges
     fit = eng.fit
     sigma = eng.sigma_table
-    top = {}  # endpoint -> largest q of the selected edges there
-    shared = set()  # endpoints two or more selected edges touch
+    ends = [w for e in selection for w in edges[e]]
+    over = ()  # overloaded shared endpoints
+    if len(set(ends)) < len(ends):
+        over = {w for w in set(ends) if ends.count(w) > 1 and eng.overloads(
+            w, [sigma[q[e]] for e in selection if w in edges[e]])}
+    demoted = []
     for e in selection:
-        qe = q[e]
         u, v = edges[e]
-        if u in top:
-            shared.add(u)
-            if qe > top[u]:
-                top[u] = qe
-        else:
-            top[u] = qe
-        if v in top:
-            shared.add(v)
-            if qe > top[v]:
-                top[v] = qe
-        else:
-            top[v] = qe
-    over = {}
-    for w, qw in top.items():
-        if qw > fit[w]:
-            over[w] = w in shared
-        elif w in shared and eng.overloads(
-                w, [sigma[q[e]] for e in selection if w in edges[e]]):
-            over[w] = True
-    if over:
-        return None, over
-    return [(e, eng._vadd(eng.y[e], sigma[q[e]]))
-            for e in selection], over
+        if ((q[e] > fit[u] or q[e] > fit[v])
+                and u not in over and v not in over):
+            demoted.append(e)
+    return demoted
 
 
 def _decide_decrease_infeasible(eng, selection, q):
@@ -550,16 +556,22 @@ def run(instance: DynamicInstance, config: RunConfig,
         else:
             d = sign_before
         k = bisect_right(cdf, uniform()) if cdf else 1
+        if not k:
+            # an empty selection changes nothing and is accepted
+            evals += 1
+            accepted_n += 1
+            if hook is not None:
+                hook(TransitionRecord(evals, True, d, sign_before,
+                                      sign_before, (), (), (), ()))
+            continue
         if k == 1:
             e = getrandbits(m_bits)
             while e >= m:
                 e = getrandbits(m_bits)
             selection = [e]
         else:
-            selection = _sample_range(getrandbits, m, k) if k else []
-        if not k:
-            deltas = []  # a no-op: every branch accepts it
-        elif sign_before > 0:
+            selection = _sample_range(getrandbits, m, k)
+        if sign_before > 0:
             if d < 0:
                 # accepted only where every selected value is zero
                 unchanged = (y[e] == zero if k == 1
@@ -571,7 +583,7 @@ def run(instance: DynamicInstance, config: RunConfig,
                 deltas = ([(e, vadd(y[e], sigma[qe]))]
                           if qe <= fit[u] and qe <= fit[v] else None)
             else:
-                deltas, over = _decide_increase(eng, selection, q)
+                deltas = _decide_increase(eng, selection, q)
         elif d > 0:
             deltas = None
         else:
@@ -614,14 +626,10 @@ def run(instance: DynamicInstance, config: RunConfig,
                 q[e] = qe if qe > 0 else 0
                 demoted = selection
             else:
-                demoted = []
-                for e in selection:
-                    u, v = edges[e]
-                    if ((u in over or v in over)
-                            and not (over.get(u) or over.get(v))):
-                        demoted.append(e)
-                        qe = q[e] - 4
-                        q[e] = qe if qe > 0 else 0
+                demoted = _ea_demotions(eng, selection, q)
+                for e in demoted:
+                    qe = q[e] - 4
+                    q[e] = qe if qe > 0 else 0
         if hook is not None:
             hook(TransitionRecord(
                 evals, accept, d, sign_before, eng.sign_now(),

@@ -88,21 +88,18 @@ def canonicalize_alpha(alpha: Union[int, Alpha]) -> Alpha:
 # ---------------------------------------------------------------------------
 
 
-def _sign_rat(x: Rational) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _sign_quadratic(a: Rational, b: Rational, r: int) -> int:
     """Sign of a + b*sqrt(r), where r > 0 is not a perfect square."""
-    sa = _sign_rat(a)
-    sb = _sign_rat(b)
-    if sb == 0:
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
         return sa
-    if sa == 0 or sa == sb:
-        return sb if sa == 0 else sa
+    if sa == 0:
+        return sb
     # opposite signs: |a| vs |b|*sqrt(r) decided by squaring (exact since
     # sqrt(r) is irrational, so the difference cannot be zero)
-    return sa * _sign_rat(a * a - b * b * r)
+    d = a * a - b * b * r
+    return sa * ((d > 0) - (d < 0))
 
 
 def _sign_quartic(c0: Rational, c1: Rational, c2: Rational, c3: Rational,
@@ -112,10 +109,10 @@ def _sign_quartic(c0: Rational, c1: Rational, c2: Rational, c3: Rational,
     # value = A + beta*B,  A = c0 + c2*sqrt(alpha),  B = c1 + c3*sqrt(alpha)
     s_a = _sign_quadratic(c0, c2, alpha)
     s_b = _sign_quadratic(c1, c3, alpha)
-    if s_b == 0:
+    if s_b == 0 or s_a == s_b:
         return s_a
-    if s_a == 0 or s_a == s_b:
-        return s_b if s_a == 0 else s_a
+    if s_a == 0:
+        return s_b
     # opposite signs: compare A^2 against beta^2 * B^2 inside Q(sqrt(alpha)).
     #   A^2            = (c0^2 + c2^2*alpha) + (2*c0*c2) * sqrt(alpha)
     #   beta^2 * B^2   = (2*c1*c3*alpha) + (c1^2 + c3^2*alpha) * sqrt(alpha)
@@ -124,16 +121,31 @@ def _sign_quartic(c0: Rational, c1: Rational, c2: Rational, c3: Rational,
     return s_a * _sign_quadratic(d0, d1, alpha)
 
 
+def _integral(coeffs: Sequence[Rational]) -> list[int]:
+    """The coefficients times the lcm of their denominators: a positive
+    factor, so the sign is kept and the arithmetic stays on ints."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 def sign_of_coeffs(coeffs: Sequence[Rational], alpha: Alpha) -> int:
     """Exact sign of sum(coeffs[k] * beta^k).  Coefficients may be int or
-    Fraction; only ring operations on them are performed."""
+    Fraction; only ring operations on them are performed.  At degrees 2
+    and 4 a row holding any Fraction is first scaled to ints once, which
+    is several times faster than ``fractions`` arithmetic."""
     dim = alpha.basis_dim
+    c0 = coeffs[0]
     if dim == 1:
-        return _sign_rat(coeffs[0])
+        return (c0 > 0) - (c0 < 0)
+    c1 = coeffs[1]
     if dim == 2:
-        return _sign_quadratic(coeffs[0], coeffs[1], alpha.radicand)
-    return _sign_quartic(coeffs[0], coeffs[1], coeffs[2], coeffs[3],
-                         alpha.alpha)
+        if type(c0) is not int or type(c1) is not int:
+            c0, c1 = _integral((c0, c1))
+        return _sign_quadratic(c0, c1, alpha.radicand)
+    c2, c3 = coeffs[2], coeffs[3]
+    if not (type(c0) is type(c1) is type(c2) is type(c3) is int):
+        c0, c1, c2, c3 = _integral((c0, c1, c2, c3))
+    return _sign_quartic(c0, c1, c2, c3, alpha.alpha)
 
 
 # ---------------------------------------------------------------------------

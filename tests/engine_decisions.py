@@ -3,9 +3,9 @@
 dispatched exactly as ``heuristics.run`` does (a one-edge increase by
 comparing the edge's q with the engine's ``fit`` at both endpoints, a
 larger one through ``_decide_increase``, an infeasible decrease through
-``_decide_decrease_infeasible``, the last two returning their deltas or
-None on rejection), against the oracle's on the clamped proposal the
-reference replay builds.
+``_decide_decrease_infeasible``, each returning its deltas or None on
+rejection), against the oracle's on the clamped proposal the reference
+replay builds.
 
 The dispatch is a copy because ``run`` makes it inline: moving it into one
 function that ``run`` calls per nonempty selection cut the ``quarter``
@@ -32,7 +32,7 @@ def engine_decision(eng, selection, q, direction):
             if q[e] <= eng.fit[u] and q[e] <= eng.fit[v]:
                 return [(e, eng._vadd(eng.y[e], eng.sigma_table[q[e]]))]
             return None
-        return _decide_increase(eng, selection, q)[0]
+        return _decide_increase(eng, selection, q)
     if direction > 0:
         return None
     return _decide_decrease_infeasible(eng, selection, q)

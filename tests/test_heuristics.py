@@ -14,15 +14,17 @@ from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
 from dualvc.harness import BenchCell, build_instance
 from dualvc.heuristics import (ALGORITHMS, RunConfig, _BaseEngine,
-                               _binomial_cdf, _decide_increase, _IntEngine,
-                               _reference_step, _sample_range, _VecEngine,
+                               _binomial_cdf, _decide_increase,
+                               _ea_demotions, _IntEngine, _make_engine,
+                               _reference_proposal, _reference_step,
+                               _sample_range, _VecEngine,
                                draw_direction, draw_ea_selection,
                                draw_rls_selection, run, run_reference)
 from dualvc.instances import (hard_instance, make_dynamic, random_dynamic)
 from dualvc.numeric import (canonicalize_alpha, q_max_for, sign_of_coeffs,
                             step_coeffs)
-from dualvc.oracle import (coefficient_rows, cover_certificate, trap_edge,
-                           validate_mfds_naive)
+from dualvc.oracle import (coefficient_rows, cover_certificate,
+                           reference_fitness, trap_edge, validate_mfds_naive)
 from engine_decisions import engine_agrees, engine_decision
 from near_ties import PELL, near_zero
 
@@ -446,8 +448,8 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
     such a tie when the engine computes ``fit``; the decision, q against
     ``fit`` as run() makes it, takes no exact sign.  _decide_increase,
     which run() sends larger selections, agrees.  A rejected one overloads
-    endpoint 1, which no other selected edge touches, so ea demotes the
-    edge, as _reference_step does."""
+    endpoint 1, which no other selected edge touches, so _ea_demotions
+    demotes the edge, as _reference_step does."""
     exact_calls = []
 
     def counted(coeffs, a):
@@ -490,12 +492,12 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
                 accept = engine_decision(eng, [0], q, 1) is not None
                 assert not exact_calls, (qs, nudge)
                 assert engine_agrees(eng, values, q, [0], 1, alpha=a)
-                deltas, over = _decide_increase(eng, [0], q)
+                deltas = _decide_increase(eng, [0], q)
                 assert (deltas is not None) == accept
                 outcomes[cls.__name__, accept] += 1
                 if accept:
                     continue
-                assert over == {1: False}
+                assert _ea_demotions(eng, [0], q) == [0]
                 _y, accepted, demoted = _reference_step(
                     g, RunConfig("ea", alpha, w, 1, 0),
                     coefficient_rows(a, values), 1, list(q), [0], 1)
@@ -510,12 +512,14 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
 def test_shared_endpoint_decided_by_fit_then_exact_sum(alpha, monkeypatch):
     """An ea increase of 2 or 3 edges that share the centre of a star is
     decided as _reference_step decides it, demoted set included, on both
-    engines.  Where one step alone exceeds the centre's ``fit`` (by 1 or by
-    a Pell gap far below float resolution), the selection is rejected and
-    ``overloads`` is never called.  Where each step fits on its own, the
-    centre's summed steps miss its weight by 0, +-1 or +-a Pell gap, and
-    ``overloads`` decides them once, at the centre.  Some selections add a
-    detached edge that may overload its own endpoint, which ea demotes."""
+    engines.  Where one step alone exceeds ``fit`` at an endpoint (the
+    centre's, by 1 or by a Pell gap far below float resolution, or the
+    detached edge's own), the selection is rejected and ``overloads`` is
+    never called.  Where each step fits on its own, the centre's summed
+    steps miss its weight by 0, +-1 or +-a Pell gap, and ``overloads``
+    decides them once, at the centre.  Some selections add a detached edge
+    that may overload its own endpoint, which ea demotes: _ea_demotions
+    gives the demoted set of a rejected selection."""
     calls = []
     overloads = _BaseEngine.overloads
 
@@ -574,14 +578,16 @@ def test_shared_endpoint_decided_by_fit_then_exact_sum(alpha, monkeypatch):
                 for eng in engines:
                     assert eng.sign_now() > 0
                     assert (q_big > eng.fit[0]) == (case == 1)
+                    # some selected edge's step alone exceeds fit
+                    alone = any(q[e] > eng.fit[x]
+                                for e in selection for x in g.edges[e])
                     del calls[:]
-                    deltas, over = _decide_increase(eng, selection, q)
+                    deltas = _decide_increase(eng, selection, q)
                     assert (deltas is not None) == accepted
-                    assert calls == ([] if case == 1 else [0])
-                    demoted = tuple(
-                        e for e in selection
-                        if (set(g.edges[e]) & set(over))
-                        and not any(over.get(x) for x in g.edges[e]))
+                    assert calls == ([] if alone else [0])
+                    assert case == 2 or not calls  # case 1 never sums
+                    demoted = (() if accepted else
+                               tuple(_ea_demotions(eng, selection, q)))
                     assert demoted == ref_demoted
                     assert engine_agrees(eng, values, q, selection, 1,
                                          alpha=a)
@@ -592,6 +598,85 @@ def test_shared_endpoint_decided_by_fit_then_exact_sum(alpha, monkeypatch):
         (2, "_VecEngine", True, False), (2, "_VecEngine", False, False),
         (2, "_VecEngine", False, True), (2, "_IntEngine", True, False),
         (2, "_IntEngine", False, False)}
+
+
+# -- random multi-edge increases ------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [2, 9, 16])
+def test_increase_helpers_match_reference_on_random_selections(alpha):
+    """On random feasible starts and selections of 2-5 edges, at least half
+    of them sharing an endpoint, _decide_increase rejects exactly when
+    _reference_step does and accepts with its proposal, and _ea_demotions
+    gives ea's demoted set, on each engine _make_engine picks: ea from an
+    integer start (integer engine), ea from a Fraction start (vector
+    engine) and ea_fifth from an integer start (vector engine, or integer
+    at degree 1).  Some rejections spare an edge whose overloaded endpoint
+    another selected edge shares."""
+    rng = random.Random(23 + alpha)
+    a = canonicalize_alpha(alpha)
+    w_max = 64
+    q_top = q_max_for(a, 16)  # steps from 1 to past the slacks
+    outcomes = Counter()
+    shared_n = total = 0
+    for _ in range(20):
+        n = rng.randint(5, 6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = WeightedGraph(n, tuple(rng.randint(20, w_max) for _ in range(n)),
+                          tuple(sorted(rng.sample(pairs, rng.randint(5, 8)))))
+        start = [rng.randint(0, 3) for _ in range(g.m)]
+        halves = [Fraction(2 * v + 1, 2) for v in start]
+        for algorithm, values in (("ea", start), ("ea", halves),
+                                  ("ea_fifth", start)):
+            config = RunConfig(algorithm, alpha, w_max, 1, 0)
+            eng, _cap = _make_engine(
+                SimpleNamespace(graph_star=g, y_init=tuple(values)), config)
+            assert eng.sign_now() > 0
+            y = coefficient_rows(a, values)
+            for i in range(6):
+                k = rng.randint(2, min(5, g.m))
+                if i % 2 == 0:  # two edges at one vertex, then any others
+                    x = rng.choice([v for v in range(n)
+                                    if sum(v in uv for uv in g.edges) > 1])
+                    at_x = [e for e, uv in enumerate(g.edges) if x in uv]
+                    selection = rng.sample(at_x, 2)
+                    selection += rng.sample(
+                        [e for e in range(g.m) if e not in selection], k - 2)
+                else:
+                    selection = rng.sample(range(g.m), k)
+                ends = Counter(w for e in selection for w in g.edges[e])
+                shared_n += max(ends.values()) > 1
+                total += 1
+                # ea moves q by whole steps only
+                q = [rng.randrange(0, q_top + 1, 4 if algorithm == "ea" else 1)
+                     for _ in range(g.m)]
+                y_new, accepted, ref_demoted = _reference_step(
+                    g, config, y, 1, list(q), selection, 1)
+                deltas = _decide_increase(eng, selection, q)
+                assert (deltas is not None) == accepted
+                if accepted:
+                    assert [e for e, _n in deltas] == selection
+                    assert coefficient_rows(a, [v for _e, v in deltas]) == \
+                        [y_new[e] for e in selection]
+                    outcomes["accepted"] += 1
+                    continue
+                alone = any(q[e] > eng.fit[w]
+                            for e in selection for w in g.edges[e])
+                outcomes["alone" if alone else "summed"] += 1
+                if algorithm != "ea":
+                    continue
+                demoted = tuple(_ea_demotions(eng, selection, q))
+                assert demoted == ref_demoted
+                slack = reference_fitness(
+                    g, a, y, _reference_proposal(a, y, q, selection, 1),
+                    w_max).proposed_slack
+                spared = [e for e in selection if e not in demoted
+                          and any(slack[w] > 0 for w in g.edges[e])]
+                outcomes["demoted"] += bool(demoted)
+                outcomes["spared"] += bool(spared)
+    assert 2 * shared_n >= total
+    assert min(outcomes[key] for key in
+               ("accepted", "alone", "summed", "demoted", "spared")) >= 3, \
+        outcomes
 
 
 # -- one evaluation of _reference_step ------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dualvc.numeric import (Alpha, _bracket, canonicalize_alpha, ceil_log,
                             float_value, interval_sign, q_max_for,
                             sign_of_coeffs, step_coeffs)
+from near_ties import near_zero
 
 
 # -- canonical alpha ---------------------------------------------------------
@@ -77,6 +78,35 @@ def test_sign_zero_and_rational():
     assert sign_of_coeffs((0, 0, 0, 0), a2) == 0
     assert sign_of_coeffs((Fraction(-1, 7), 0, 0, 0), a2) == -1
     assert sign_of_coeffs((3, 0, 0, 0), a2) == 1
+
+
+@pytest.mark.parametrize("alpha", [2, 9])
+def test_fraction_row_signs_as_its_integer_scaled_row(alpha):
+    """At degrees 4 and 2 a row holding Fractions has the sign of the same
+    row times the lcm of its denominators, an int row: on random rows that
+    mix ints and Fractions, and on Pell near-ties far below float
+    resolution divided by a common denominator, whose sign is known."""
+    a = canonicalize_alpha(alpha)
+    dim = a.basis_dim
+    rng = random.Random(alpha)
+    cases = []
+    for n in (3, 12, 24):
+        tie = near_zero(alpha, dim, n)
+        for sign in (1, -1):
+            d = rng.randint(2, 10 ** 6)
+            cases.append(([Fraction(sign * c, d) for c in tie], sign))
+    for _ in range(300):
+        row = [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 1000))
+               if rng.random() < 0.7 else rng.randint(-10 ** 6, 10 ** 6)
+               for _ in range(dim)]
+        cases.append((row, interval_sign(row, a)))
+    for row, expected in cases:
+        den = math.lcm(*(Fraction(c).denominator for c in row))
+        scaled = [int(c * den) for c in row]
+        assert sign_of_coeffs(row, a) == sign_of_coeffs(scaled, a)
+        if expected:  # interval_sign reads 0 where it cannot tell
+            assert sign_of_coeffs(row, a) == expected
+    assert sum(1 for _row, expected in cases if expected) >= 250
 
 
 small_fractions = st.fractions(
