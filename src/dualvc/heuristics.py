@@ -42,8 +42,8 @@ per nonempty selection: that call cut the ``quarter`` benchmark's
 ``trial_ms_p50`` by about 70% (10.9-11.2 to 18.7-19.1 ms), in four
 alternating pairs of 10 s runs at seeds 2-5 (CPython 3.11.7, 2 vCPUs).
 ``tests/engine_decisions.py`` mirrors the inline dispatch.  Each decision
-helper returns its deltas, or None on rejection.  A one-edge increase is two
-comparisons of the edge's q with the engine's ``fit`` at its endpoints,
+helper returns its deltas, or None on rejection.  A one-edge increase was
+two comparisons of the edge's q with the engine's ``fit`` at its endpoints,
 which only ``commit`` recomputes.  It replaced ``_increase_one``, whose two
 ``overloads`` tests ran on every proposal, though loads change on under 1%
 of the benchmark's evaluations.  In ``BENCH_21.json`` (ten paired 35 s ``perfbench/run.py``
@@ -58,6 +58,17 @@ come from ``_ea_demotions``, which the fifth variants never call, and
 that moved the median ``trials_per_s`` from 89.2 to 107.9 on ``quarter``
 (parent IQR 3.6, better in 10 of 10 pairs), from 133.3 to 142.1 on
 ``scaling`` (10 of 10) and from 59.7 to 61.8 on ``logged`` (9 of 10).
+Over 99% of the benchmark's evaluations change no value, so ``run``
+decides those from per-edge state alone, which ``commit`` keeps: a
+one-edge increase is one comparison of q with the edge's ``lim``, the
+smaller ``fit`` of its endpoints, and a feasible decrease reads the
+edges' ``at_zero`` flags.  ``run`` caches the sign and refreshes it only
+after a commit, takes selection counts 0 and 1 from two float comparisons
+with the binomial CDF before any bisection, and writes out the two-edge
+draw.  In ``BENCH_24.json`` that moved the median ``trials_per_s`` from
+105.3 to 129.3 on ``quarter`` (parent IQR 3.4), from 140.3 to 157.3 on
+``scaling`` and from 60.6 to 63.0 on ``logged``, each better in 10 of 10
+pairs.
 Before ``fit``, simpler shapes were slower than the code they were
 measured against, in three alternating pairs of 12 s runs at seeds 2-4 on
 the same machine: one-edge increases decided by
@@ -80,9 +91,11 @@ selection draws.  ``run`` makes these draws through ``getrandbits`` and
 bisection of the binomial CDF at ``random()``, the one-edge randrange
 CPython 3.11's ``_randbelow(m)`` written out (``getrandbits(m.bit_length())``
 until the value is below m), and a selection of two or more edges
-CPython 3.11's ``sample(range(m), k)`` written out as ``_sample_range``,
-with its pool and set branches; a test pins it against ``random.sample``
-across both branches' boundaries.  ``run_reference`` makes the draws
+CPython 3.11's ``sample(range(m), k)`` written out, with its pool and set
+branches: inline in ``run`` for two edges, as ``_sample_range`` for more.
+Tests pin ``_sample_range`` against ``random.sample`` across both
+branches' boundaries, and ``run``'s two-edge draw at m = 21 (pool) and
+m = 22 (set).  ``run_reference`` makes the draws
 through ``draw_direction``, ``draw_ea_selection`` (which still calls
 ``rng.sample``) and ``draw_rls_selection``, so the tests that compare the
 two streams also check the written-out draws against the library.
@@ -205,6 +218,14 @@ class _BaseEngine:
     edge's increase is decided by two comparisons, and a vertex's load is
     tested once per commit, not once per proposal.
 
+    Per edge it keeps ``lim[e] = min(fit[u], fit[v])``, so a step of
+    exponent q on e fits at both endpoints exactly when q <= lim[e], and
+    ``at_zero[e]``, whether y[e] is zero.  Most evaluations change no
+    value, and ``run`` decides those from these two lists alone.  ``commit``
+    refreshes the flag of each committed edge, and ``lim`` of every edge
+    at a touched vertex, committed or not: a new load at u moves fit[u],
+    and with it the limit of each edge at u.
+
     Each engine sets ``zero`` (which also seeds the loads) and
     ``sigma_table[q]`` (the exact step beta^q) before calling this
     constructor.  It supplies the value operations ``_vadd``, ``_vsub``,
@@ -215,25 +236,27 @@ class _BaseEngine:
     """
 
     __slots__ = ("graph", "m", "weights", "nbrs", "w_max", "penalty",
-                 "y", "load", "slack", "nviol", "untight", "fit",
-                 "zero", "sigma_table")
+                 "y", "load", "slack", "nviol", "untight", "fit", "lim",
+                 "at_zero", "zero", "sigma_table")
 
     def __init__(self, graph, y_init, w_max: int) -> None:
         self.graph = graph
         self.m = graph.m
         self.weights = list(graph.weights)
-        self.nbrs = [[] for _ in range(graph.n)]
+        self.nbrs = [[] for _ in range(graph.n)]  # (edge, neighbour) pairs
         self.w_max = w_max
         self.penalty = graph.m * w_max
         self.y = list(y_init)
         self.load = [self.zero] * graph.n
         for e, (u, v) in enumerate(graph.edges):
-            self.nbrs[u].append(v)
-            self.nbrs[v].append(u)
+            self.nbrs[u].append((e, v))
+            self.nbrs[v].append((e, u))
             self.load[u] = self._vadd(self.load[u], self.y[e])
             self.load[v] = self._vadd(self.load[v], self.y[e])
         self.slack = [self._load_sign(v) for v in range(graph.n)]
-        self.fit = [self._fit(v) for v in range(graph.n)]
+        fit = self.fit = [self._fit(v) for v in range(graph.n)]
+        self.lim = [min(fit[u], fit[v]) for u, v in graph.edges]
+        self.at_zero = [v == self.zero for v in self.y]
         self.nviol = sum(1 for s in self.slack if s > 0)
         self.untight = sum(1 for u, v in graph.edges
                            if self.slack[u] and self.slack[v])
@@ -271,24 +294,31 @@ class _BaseEngine:
             # v's edges to non-tight neighbours lose or gain their only
             # tight endpoint
             slack = self.slack
-            free = sum(1 for x in self.nbrs[v] if slack[x])
+            free = sum(1 for _e, x in self.nbrs[v] if slack[x])
             self.untight += -free if s_new == 0 else free
         self.slack[v] = s_new
 
     def commit(self, deltas: Sequence[tuple]) -> None:
-        """Apply (edge, new_value) pairs and refresh affected vertices."""
+        """Apply (edge, new_value) pairs and refresh affected vertices and
+        the limits of every edge at them."""
         touched = set()
         for e, new in deltas:
             old = self.y[e]
             self.y[e] = new
+            self.at_zero[e] = new == self.zero
             u, v = self.graph.edges[e]
             self.load[u] = self._vadd(self.load[u], self._vsub(new, old))
             self.load[v] = self._vadd(self.load[v], self._vsub(new, old))
             touched.add(u)
             touched.add(v)
+        fit = self.fit
         for v in touched:
             self._refresh_vertex(v)
-            self.fit[v] = self._fit(v)
+            fit[v] = self._fit(v)
+        lim = self.lim
+        for v in touched:
+            for e, x in self.nbrs[v]:
+                lim[e] = min(fit[v], fit[x])
 
 
 class _IntEngine(_BaseEngine):
@@ -424,16 +454,15 @@ def _make_engine(instance: DynamicInstance, config: RunConfig):
 def _decide_increase(eng, selection, q):
     """Feasible-sign increase of a selection of two or more edges: accepted
     iff no endpoint gets overloaded.  Every step is positive, so the first
-    edge whose q exceeds ``fit`` at an endpoint settles the rejection; only
-    when every step fits on its own does an endpoint that two or more
-    selected edges touch sum their steps through ``overloads``.  Returns
-    the deltas, or None on rejection."""
-    edges = eng.graph.edges
-    fit = eng.fit
+    edge whose q exceeds its ``lim`` settles the rejection; only when every
+    step fits on its own does an endpoint that two or more selected edges
+    touch sum their steps through ``overloads``.  Returns the deltas, or
+    None on rejection."""
+    lim = eng.lim
     for e in selection:
-        u, v = edges[e]
-        if q[e] > fit[u] or q[e] > fit[v]:
+        if q[e] > lim[e]:
             return None
+    edges = eng.graph.edges
     sigma = eng.sigma_table
     ends = [w for e in selection for w in edges[e]]
     for w in {w for w in ends if ends.count(w) > 1}:
@@ -445,22 +474,23 @@ def _decide_increase(eng, selection, q):
 def _ea_demotions(eng, selection, q):
     """Plain ea's rejected increase of two or more edges: the selected
     edges that have an overloaded endpoint and share none of their
-    overloaded endpoints with another selected edge.  A q above ``fit``
-    overloads that endpoint; at an endpoint two or more selected edges
-    touch, ``overloads`` sums their steps, which covers that case too."""
+    overloaded endpoints with another selected edge.  A q above ``lim``
+    overloads an endpoint; where no endpoint is shared, that alone decides.
+    At an endpoint two or more selected edges touch, ``overloads`` sums
+    their steps, which covers that case too."""
+    lim = eng.lim
     edges = eng.graph.edges
-    fit = eng.fit
-    sigma = eng.sigma_table
     ends = [w for e in selection for w in edges[e]]
-    over = ()  # overloaded shared endpoints
-    if len(set(ends)) < len(ends):
-        over = {w for w in set(ends) if ends.count(w) > 1 and eng.overloads(
-            w, [sigma[q[e]] for e in selection if w in edges[e]])}
+    distinct = set(ends)
+    if len(distinct) == len(ends):
+        return [e for e in selection if q[e] > lim[e]]
+    sigma = eng.sigma_table
+    over = {w for w in distinct if ends.count(w) > 1 and eng.overloads(
+        w, [sigma[q[e]] for e in selection if w in edges[e]])}
     demoted = []
     for e in selection:
         u, v = edges[e]
-        if ((q[e] > fit[u] or q[e] > fit[v])
-                and u not in over and v not in over):
+        if q[e] > lim[e] and u not in over and v not in over:
             demoted.append(e)
     return demoted
 
@@ -471,9 +501,9 @@ def _decide_decrease_infeasible(eng, selection, q):
     gain = pen = eng.zero
     deltas = []
     for e in selection:
-        ycur = eng.y[e]
-        if ycur == eng.zero:  # values are never negative: nothing to lower
+        if eng.at_zero[e]:  # values are never negative: nothing to lower
             continue
+        ycur = eng.y[e]
         s = eng.sigma_table[q[e]]
         if eng.vsign(eng._vsub(ycur, s)) <= 0:
             dec, new = ycur, eng.zero  # clamped to zero
@@ -537,51 +567,68 @@ def run(instance: DynamicInstance, config: RunConfig,
     getrandbits = rng.getrandbits
     uniform = rng.random
     m_bits = m.bit_length()
+    m1 = m - 1
+    m1_bits = m1.bit_length()
+    pool2 = m <= 21  # sample(range(m), 2) draws from a pool, else a set
     cdf = _binomial_cdf(m) if config.algorithm.startswith("ea") else None
+    if cdf:
+        cdf0, cdf1 = (cdf + (1.0,))[:2]  # with m = 0 there is no cdf[1]
     fifth = config.algorithm.endswith("fifth")
     budget = config.budget
     evals = 0
     accepted_n = 0
     success = eng.is_mfds()
+    sign_before = 1 if eng.nviol == 0 else -1  # refreshed after a commit
     y = eng.y
-    zero = eng.zero
-    edges = eng.graph.edges
-    fit = eng.fit
+    lim = eng.lim
+    at_zero = eng.at_zero
     sigma = eng.sigma_table
     vadd = eng._vadd
     while not success and evals < budget:
-        sign_before = 1 if eng.nviol == 0 else -1
         if fifth:
             d = 1 if getrandbits(1) else -1
         else:
             d = sign_before
-        k = bisect_right(cdf, uniform()) if cdf else 1
-        if not k:
-            # an empty selection changes nothing and is accepted
-            evals += 1
-            accepted_n += 1
-            if hook is not None:
-                hook(TransitionRecord(evals, True, d, sign_before,
-                                      sign_before, (), (), (), ()))
-            continue
-        if k == 1:
+        if cdf:
+            r = uniform()
+            if r < cdf0:
+                # an empty selection changes nothing and is accepted
+                evals += 1
+                accepted_n += 1
+                if hook is not None:
+                    hook(TransitionRecord(evals, True, d, sign_before,
+                                          sign_before, (), (), (), ()))
+                continue
+            k = 1 if r < cdf1 else bisect_right(cdf, r)
+        else:
+            k = 1
+        if k < 3:
             e = getrandbits(m_bits)
             while e >= m:
                 e = getrandbits(m_bits)
-            selection = [e]
+            if k == 1:
+                selection = [e]
+            elif pool2:
+                f = getrandbits(m1_bits)
+                while f >= m1:
+                    f = getrandbits(m1_bits)
+                selection = [e, m1 if f == e else f]
+            else:
+                f = getrandbits(m_bits)
+                while f >= m or f == e:
+                    f = getrandbits(m_bits)
+                selection = [e, f]
         else:
             selection = _sample_range(getrandbits, m, k)
         if sign_before > 0:
             if d < 0:
                 # accepted only where every selected value is zero
-                unchanged = (y[e] == zero if k == 1
-                             else all(y[e] == zero for e in selection))
-                deltas = [] if unchanged else None
+                unchanged = (at_zero[e] if k == 1
+                             else all(at_zero[e] for e in selection))
+                deltas = () if unchanged else None
             elif k == 1:
-                qe = q[e]
-                u, v = edges[e]
-                deltas = ([(e, vadd(y[e], sigma[qe]))]
-                          if qe <= fit[u] and qe <= fit[v] else None)
+                deltas = ([(e, vadd(y[e], sigma[q[e]]))]
+                          if q[e] <= lim[e] else None)
             else:
                 deltas = _decide_increase(eng, selection, q)
         elif d > 0:
@@ -591,13 +638,13 @@ def run(instance: DynamicInstance, config: RunConfig,
         accept = deltas is not None
         evals += 1
         demoted = ()
-        changed = ()
-        changed_viol = ()
-        if hook is not None and deltas:
-            row = eng.row
-            changed = tuple((e, row(y[e]), row(new)) for e, new in deltas)
-            changed_viol = tuple(eng.edge_violating(e)
-                                 for e, _o, _n in changed)
+        if hook is not None:
+            changed = changed_viol = ()
+            if deltas:
+                row = eng.row
+                changed = tuple((e, row(y[e]), row(new)) for e, new in deltas)
+                changed_viol = tuple(eng.edge_violating(e)
+                                     for e, _o, _n in changed)
         if accept:
             accepted_n += 1
             if deltas:
@@ -634,10 +681,11 @@ def run(instance: DynamicInstance, config: RunConfig,
             hook(TransitionRecord(
                 evals, accept, d, sign_before, eng.sign_now(),
                 tuple(selection), changed, changed_viol, tuple(demoted)))
-        # an accepted step without deltas leaves the state the last check
-        # found not maximal
-        if deltas and eng.is_mfds():
-            success = True
+        # an accepted step without deltas leaves the state, and so its
+        # sign, as they were, and the last check found it not maximal
+        if deltas:
+            success = eng.is_mfds()
+            sign_before = 1 if eng.nviol == 0 else -1
     return RunResult(evals, success, tuple(map(eng.row, y)), accepted_n)
 
 

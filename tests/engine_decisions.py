@@ -1,11 +1,14 @@
 """Shared by the tests that hold the engine's acceptance decisions against
 ``oracle.reference_fitness``: the engine's decision on one proposal,
-dispatched exactly as ``heuristics.run`` does (a one-edge increase by
-comparing the edge's q with the engine's ``fit`` at both endpoints, a
-larger one through ``_decide_increase``, an infeasible decrease through
-``_decide_decrease_infeasible``, each returning its deltas or None on
-rejection), against the oracle's on the clamped proposal the reference
-replay builds.
+dispatched exactly as ``heuristics.run`` does, against the oracle's on the
+clamped proposal the reference replay builds.  ``run`` reads the sign from
+the violated-vertex count, as it caches it between commits.  A feasible
+decrease is accepted, unchanged, only where every selected edge's
+``at_zero`` flag is set.  A one-edge increase compares the edge's q with
+its ``lim``, the smaller ``fit`` of its endpoints.  A larger increase goes
+through ``_decide_increase``, and an infeasible decrease through
+``_decide_decrease_infeasible``.  Each returns its deltas, or None on
+rejection.
 
 The dispatch is a copy because ``run`` makes it inline: moving it into one
 function that ``run`` calls per nonempty selection cut the ``quarter``
@@ -23,13 +26,13 @@ def engine_decision(eng, selection, q, direction):
     it."""
     if not selection:
         return []
-    if eng.sign_now() > 0:
+    sign = 1 if eng.nviol == 0 else -1
+    if sign > 0:
         if direction < 0:
-            return [] if all(eng.y[e] == eng.zero for e in selection) else None
+            return [] if all(eng.at_zero[e] for e in selection) else None
         if len(selection) == 1:
             (e,) = selection
-            u, v = eng.graph.edges[e]
-            if q[e] <= eng.fit[u] and q[e] <= eng.fit[v]:
+            if q[e] <= eng.lim[e]:
                 return [(e, eng._vadd(eng.y[e], eng.sigma_table[q[e]]))]
             return None
         return _decide_increase(eng, selection, q)

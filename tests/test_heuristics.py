@@ -144,13 +144,16 @@ def test_direction_is_fair_coin():
 
 # -- proposals, as seen through run()'s hook stream ---------------------------------
 
-@pytest.mark.parametrize("m", [3, 5, 9, 17, 33])
+@pytest.mark.parametrize("m", [2, 3, 5, 9, 17, 21, 22, 33])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_run_draws_match_draw_replay(algorithm, m):
     """run() draws inline; each hook record's direction and edges equal
     the draw_* replay of the same seed, the fifth variants' direction bit
     before the selection.  Sizes just past a power of two make
-    getrandbits reject often, and ea selects two or more edges."""
+    getrandbits reject often, and ea selects two or more edges.  ea's
+    two-edge draws, written out in run(), come from a pool while m <= 21
+    and from a set above that, as in ``random.sample``: m = 2, 21 and 22
+    draw two edges on both sides of that boundary."""
     w = 2 ** 20
     g = WeightedGraph(2 * m, (w,) * (2 * m), ())
     inst = make_dynamic(g, (), Edit("edges", edges=tuple(
@@ -169,7 +172,7 @@ def test_run_draws_match_draw_replay(algorithm, m):
             assert list(rec.edges) == draw(ref, m)
             sizes[len(rec.edges)] += 1
     assert sizes[1] >= 100
-    assert algorithm.startswith("rls") or max(sizes) >= 2
+    assert algorithm.startswith("rls") or sizes[2] >= 10
 
 
 def test_plain_proposals_use_solution_sign_as_direction():
@@ -202,18 +205,24 @@ def test_proposal_clamps_decreases_at_zero():
 def assert_i_prime(g, values, selection, expected, monkeypatch):
     """Both the reference step and the engine demote exactly `expected`
     when the ea increase of `selection` at q = 0 is rejected.  The engine's
-    demotion is read from run(), its draws patched to propose `selection`
-    and its start taken as not maximal."""
-    config = RunConfig("ea", 2, g.max_weight(), 1, 0)
+    demotion is read from run(), its selection count patched to
+    len(selection), its seed the first whose draws then propose
+    `selection`, and its start taken as not maximal."""
+    k = len(selection)
+
+    def first_selection(seed):
+        rng = random.Random(seed)
+        rng.random()  # the selection count's draw
+        return rng.sample(range(g.m), k)
+
+    seed = next(s for s in range(1000) if first_selection(s) == selection)
+    config = RunConfig("ea", 2, g.max_weight(), 1, seed)
     _y, accepted, demoted = _reference_step(
         g, config, rows(values), 1, [0] * g.m, selection, 1)
     assert not accepted
     assert set(demoted) == expected
-    k = len(selection)
     monkeypatch.setattr(heuristics, "_binomial_cdf",
                         lambda m: (0.0,) * k + (1.0,) * (m + 1 - k))
-    monkeypatch.setattr(heuristics, "_sample_range",
-                        lambda getrandbits, m, k: list(selection))
     monkeypatch.setattr(_IntEngine, "is_mfds", lambda self: False)
     records = []
     run(SimpleNamespace(graph_star=g, y_init=tuple(values)), config,
@@ -251,7 +260,9 @@ def test_engine_counters_match_the_certificate_after_random_commits():
     """Both engines' slack signs, violated count, untight-edge count and
     maximality equal a from-scratch cover certificate after every commit of
     1-3 random values, on small random graphs where commits often flip both
-    endpoints of an edge between tight and not tight at once."""
+    endpoints of an edge between tight and not tight at once.  Each edge's
+    ``lim`` equals the smaller ``fit`` of its endpoints, committed or not,
+    and its ``at_zero`` whether its value is zero."""
     rng = random.Random(18)
     q_cap = q_max_for(A2, 4)
     both_flipped = 0
@@ -277,6 +288,9 @@ def test_engine_counters_match_the_certificate_after_random_commits():
                 assert eng.untight == sum(1 for u, v in g.edges
                                           if cert.slack[u] and cert.slack[v])
                 assert eng.is_mfds() == cert.maximal
+                assert eng.lim == [min(eng.fit[u], eng.fit[v])
+                                   for u, v in g.edges]
+                assert eng.at_zero == [v == eng.zero for v in eng.y]
                 both_flipped += sum(
                     1 for u, v in g.edges
                     if tight_before[u] != (cert.slack[u] == 0)
@@ -857,11 +871,12 @@ def test_already_maximal_start_needs_no_evaluations():
 def test_emptied_graph_is_trivially_maximal():
     g = WeightedGraph(2, (1, 1), ((0, 1),))
     inst = make_dynamic(g, (1,), Edit("edges", edges=()), "E-")
-    cfg = RunConfig("rls", 2, 1, 100, 0)
-    result = run(inst, cfg)
-    assert result.success and result.evaluations == 0
-    assert result.final_coeffs == ()
-    assert run_reference(inst, cfg) == result
+    for algorithm in ALGORITHMS:
+        cfg = RunConfig(algorithm, 2, 1, 100, 0)
+        result = run(inst, cfg)
+        assert result.success and result.evaluations == 0
+        assert result.final_coeffs == ()
+        assert run_reference(inst, cfg) == result
 
 
 def test_run_is_deterministic():
