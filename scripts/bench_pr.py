@@ -25,7 +25,9 @@ says whether both sides produced the same rows at every paired seed, and
 ``golden`` holds each side's ``correct`` at seed 1.  ``src_lines`` holds
 each side's line count of ``src/**/*.py``, and the script prints the net
 change.  The script exits 1 if any pair's rows differ or a seed-1 run is
-not correct, after writing the file.
+not correct, after writing the file.  Stopped by SIGTERM, it kills the
+benchmark run in progress, removes the parent's copy and exits 143,
+writing nothing.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -145,6 +148,12 @@ def src_lines(checkout: Path) -> int:
                for path in (checkout / "src").rglob("*.py"))
 
 
+def stop(signum, _frame):
+    """SIGTERM handler: raise, so that ``subprocess.run`` kills the child
+    it waits on and every ``finally`` runs on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.rstrip()
@@ -155,6 +164,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision")
     ap.add_argument("--pr", required=True, type=int, help="change number")
     args = ap.parse_args(argv)
+    signal.signal(signal.SIGTERM, stop)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]

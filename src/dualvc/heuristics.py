@@ -68,7 +68,17 @@ with the binomial CDF before any bisection, and writes out the two-edge
 draw.  In ``BENCH_24.json`` that moved the median ``trials_per_s`` from
 105.3 to 129.3 on ``quarter`` (parent IQR 3.4), from 140.3 to 157.3 on
 ``scaling`` and from 60.6 to 63.0 on ``logged``, each better in 10 of 10
-pairs.
+pairs.  ``run`` also decides every one- and two-edge evaluation from
+per-edge state (see ``_BaseEngine``).  An infeasible one-edge decrease
+needs no fitness value: the penalty m * w_max is at least 1, as
+``ceil_log`` rejects a w_max below 1, and a nonzero value falls by a
+positive amount, so the step is accepted exactly when the value is zero
+(nothing changes) or the edge's ``viol`` flag is set, and only an accepted
+step takes the clamp's sign.  That cut ``logged``'s exact degree-4 signs
+per seed-1 pass from 57,792 to 32,603.  In ``BENCH_25.json`` the median
+``trials_per_s`` moved from 156.0 to 194.4 on ``scaling`` (parent IQR
+5.9), from 128.2 to 141.6 on ``quarter`` and from 62.7 to 76.0 on
+``logged``, each better in 10 of 10 pairs.
 Before ``fit``, simpler shapes were slower than the code they were
 measured against, in three alternating pairs of 12 s runs at seeds 2-4 on
 the same machine: one-edge increases decided by
@@ -219,12 +229,18 @@ class _BaseEngine:
     tested once per commit, not once per proposal.
 
     Per edge it keeps ``lim[e] = min(fit[u], fit[v])``, so a step of
-    exponent q on e fits at both endpoints exactly when q <= lim[e], and
-    ``at_zero[e]``, whether y[e] is zero.  Most evaluations change no
-    value, and ``run`` decides those from these two lists alone.  ``commit``
-    refreshes the flag of each committed edge, and ``lim`` of every edge
-    at a touched vertex, committed or not: a new load at u moves fit[u],
-    and with it the limit of each edge at u.
+    exponent q on e fits at both endpoints exactly when q <= lim[e];
+    ``at_zero[e]``, whether y[e] is zero; ``viol[e]``, whether an endpoint
+    of e is violated; and the fixed ``mask[e] = (1 << u) | (1 << v)``, so
+    two edges share an endpoint exactly when their masks share a bit.
+    Most evaluations change no value, and ``run`` decides every one- and
+    two-edge evaluation from these lists, calling a helper only for three
+    or more edges, a shared endpoint or a multi-edge infeasible sum.
+    ``commit`` refreshes the flag of each committed edge, and ``lim`` and
+    ``viol`` of every edge at a touched vertex, committed or not, once
+    every touched vertex's slack is new: a new load at u moves fit[u] and
+    the sign of u's slack, and with them the limit and the flag of each
+    edge at u.
 
     Each engine sets ``zero`` (which also seeds the loads) and
     ``sigma_table[q]`` (the exact step beta^q) before calling this
@@ -237,7 +253,7 @@ class _BaseEngine:
 
     __slots__ = ("graph", "m", "weights", "nbrs", "w_max", "penalty",
                  "y", "load", "slack", "nviol", "untight", "fit", "lim",
-                 "at_zero", "zero", "sigma_table")
+                 "at_zero", "viol", "mask", "zero", "sigma_table")
 
     def __init__(self, graph, y_init, w_max: int) -> None:
         self.graph = graph
@@ -257,9 +273,11 @@ class _BaseEngine:
         fit = self.fit = [self._fit(v) for v in range(graph.n)]
         self.lim = [min(fit[u], fit[v]) for u, v in graph.edges]
         self.at_zero = [v == self.zero for v in self.y]
-        self.nviol = sum(1 for s in self.slack if s > 0)
-        self.untight = sum(1 for u, v in graph.edges
-                           if self.slack[u] and self.slack[v])
+        slack = self.slack
+        self.viol = [slack[u] > 0 or slack[v] > 0 for u, v in graph.edges]
+        self.mask = [(1 << u) | (1 << v) for u, v in graph.edges]
+        self.nviol = sum(1 for s in slack if s > 0)
+        self.untight = sum(1 for u, v in graph.edges if slack[u] and slack[v])
 
     # shared bookkeeping ---------------------------------------------------
 
@@ -268,10 +286,6 @@ class _BaseEngine:
 
     def is_mfds(self) -> bool:
         return self.nviol == 0 and self.untight == 0
-
-    def edge_violating(self, e: int) -> bool:
-        u, v = self.graph.edges[e]
-        return self.slack[u] > 0 or self.slack[v] > 0
 
     def _load_sign(self, v: int) -> int:
         return self._gap_sign(self.load[v], self.weights[v])
@@ -299,8 +313,8 @@ class _BaseEngine:
         self.slack[v] = s_new
 
     def commit(self, deltas: Sequence[tuple]) -> None:
-        """Apply (edge, new_value) pairs and refresh affected vertices and
-        the limits of every edge at them."""
+        """Apply (edge, new_value) pairs and refresh affected vertices, then
+        the limit and violation flag of every edge at them."""
         touched = set()
         for e, new in deltas:
             old = self.y[e]
@@ -316,9 +330,12 @@ class _BaseEngine:
             self._refresh_vertex(v)
             fit[v] = self._fit(v)
         lim = self.lim
+        viol = self.viol
+        slack = self.slack
         for v in touched:
             for e, x in self.nbrs[v]:
                 lim[e] = min(fit[v], fit[x])
+                viol[e] = slack[v] > 0 or slack[x] > 0
 
 
 class _IntEngine(_BaseEngine):
@@ -496,8 +513,9 @@ def _ea_demotions(eng, selection, q):
 
 
 def _decide_decrease_infeasible(eng, selection, q):
-    """Infeasible-sign decrease: gains on edges at violated vertices fight
-    the m*w_max penalty on all other touched edges; deltas or None."""
+    """Infeasible-sign decrease of two or more edges: gains on edges at
+    violated vertices fight the m*w_max penalty on all other touched edges;
+    deltas or None.  ``run`` decides one edge from its flags alone."""
     gain = pen = eng.zero
     deltas = []
     for e in selection:
@@ -509,7 +527,7 @@ def _decide_decrease_infeasible(eng, selection, q):
             dec, new = ycur, eng.zero  # clamped to zero
         else:
             dec, new = s, eng._vsub(ycur, s)
-        if eng.edge_violating(e):
+        if eng.viol[e]:
             gain = eng._vadd(gain, dec)
         else:
             pen = eng._vadd(pen, dec)
@@ -547,6 +565,14 @@ def _sample_range(getrandbits, m: int, k: int) -> list[int]:
     return out
 
 
+def _changes(eng, deltas):
+    """The hook's (edge, old row, new row) triples of an accepted step and
+    whether each edge had a violated endpoint, read before the commit."""
+    row, y, viol = eng.row, eng.y, eng.viol
+    changed = tuple((e, row(y[e]), row(new)) for e, new in deltas)
+    return changed, tuple(viol[e] for e, _o, _n in changed)
+
+
 def run(instance: DynamicInstance, config: RunConfig,
         hook: Optional[Callable[[TransitionRecord], None]] = None
         ) -> RunResult:
@@ -582,8 +608,15 @@ def run(instance: DynamicInstance, config: RunConfig,
     y = eng.y
     lim = eng.lim
     at_zero = eng.at_zero
+    viol = eng.viol
+    mask = eng.mask
     sigma = eng.sigma_table
+    zero = eng.zero
     vadd = eng._vadd
+    vsub = eng._vsub
+    vsign = eng.vsign
+    # no comprehension reads these locals: it would make them cells, and
+    # each read in the loop slower (rls_fifth on quarter, by about 2%)
     while not success and evals < budget:
         if fifth:
             d = 1 if getrandbits(1) else -1
@@ -612,7 +645,9 @@ def run(instance: DynamicInstance, config: RunConfig,
                 f = getrandbits(m1_bits)
                 while f >= m1:
                     f = getrandbits(m1_bits)
-                selection = [e, m1 if f == e else f]
+                if f == e:
+                    f = m1
+                selection = [e, f]
             else:
                 f = getrandbits(m_bits)
                 while f >= m or f == e:
@@ -623,16 +658,33 @@ def run(instance: DynamicInstance, config: RunConfig,
         if sign_before > 0:
             if d < 0:
                 # accepted only where every selected value is zero
-                unchanged = (at_zero[e] if k == 1
-                             else all(at_zero[e] for e in selection))
+                if k == 1:
+                    unchanged = at_zero[e]
+                elif k == 2:
+                    unchanged = at_zero[e] and at_zero[f]
+                else:
+                    unchanged = all(map(at_zero.__getitem__, selection))
                 deltas = () if unchanged else None
             elif k == 1:
                 deltas = ([(e, vadd(y[e], sigma[q[e]]))]
                           if q[e] <= lim[e] else None)
+            elif k == 2 and (q[e] > lim[e] or q[f] > lim[f]):
+                deltas = None
             else:
                 deltas = _decide_increase(eng, selection, q)
         elif d > 0:
             deltas = None
+        elif k == 1:
+            # a zero value stays; a nonzero one falls by a positive amount,
+            # a gain where e has a violated endpoint, else a penalty that
+            # m * w_max >= 1 weighs and nothing offsets
+            if at_zero[e]:
+                deltas = ()
+            elif viol[e]:
+                new = vsub(y[e], sigma[q[e]])
+                deltas = [(e, new if vsign(new) > 0 else zero)]
+            else:
+                deltas = None
         else:
             deltas = _decide_decrease_infeasible(eng, selection, q)
         accept = deltas is not None
@@ -641,10 +693,7 @@ def run(instance: DynamicInstance, config: RunConfig,
         if hook is not None:
             changed = changed_viol = ()
             if deltas:
-                row = eng.row
-                changed = tuple((e, row(y[e]), row(new)) for e, new in deltas)
-                changed_viol = tuple(eng.edge_violating(e)
-                                     for e, _o, _n in changed)
+                changed, changed_viol = _changes(eng, deltas)
         if accept:
             accepted_n += 1
             if deltas:
@@ -673,13 +722,20 @@ def run(instance: DynamicInstance, config: RunConfig,
                 q[e] = qe if qe > 0 else 0
                 demoted = selection
             else:
-                demoted = _ea_demotions(eng, selection, q)
+                if k == 2 and not mask[e] & mask[f]:
+                    demoted = []
+                    for x in selection:
+                        if q[x] > lim[x]:
+                            demoted.append(x)
+                else:
+                    demoted = _ea_demotions(eng, selection, q)
                 for e in demoted:
                     qe = q[e] - 4
                     q[e] = qe if qe > 0 else 0
         if hook is not None:
             hook(TransitionRecord(
-                evals, accept, d, sign_before, eng.sign_now(),
+                evals, accept, d, sign_before,
+                eng.sign_now() if deltas else sign_before,
                 tuple(selection), changed, changed_viol, tuple(demoted)))
         # an accepted step without deltas leaves the state, and so its
         # sign, as they were, and the last check found it not maximal

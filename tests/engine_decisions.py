@@ -5,10 +5,16 @@ clamped proposal the reference replay builds.  ``run`` reads the sign from
 the violated-vertex count, as it caches it between commits.  A feasible
 decrease is accepted, unchanged, only where every selected edge's
 ``at_zero`` flag is set.  A one-edge increase compares the edge's q with
-its ``lim``, the smaller ``fit`` of its endpoints.  A larger increase goes
-through ``_decide_increase``, and an infeasible decrease through
-``_decide_decrease_infeasible``.  Each returns its deltas, or None on
-rejection.
+its ``lim``, the smaller ``fit`` of its endpoints; a two-edge increase is
+rejected when either edge's q exceeds its ``lim``, and otherwise, like a
+larger one, goes through ``_decide_increase``.  An infeasible one-edge
+decrease is accepted unchanged at zero, accepted with the clamped step
+where the edge's ``viol`` flag is set, and rejected otherwise; a larger one
+goes through ``_decide_decrease_infeasible``.  Each returns its deltas, or
+None on rejection.  Plain ea's rejected two-edge increase demotes the
+edges whose q exceeds their ``lim`` when their endpoint masks are
+disjoint; any other rejected increase of two or more edges demotes
+``_ea_demotions``'s set.
 
 The dispatch is a copy because ``run`` makes it inline: moving it into one
 function that ``run`` calls per nonempty selection cut the ``quarter``
@@ -17,7 +23,7 @@ by about 70% (see the ``heuristics`` module docstring).
 """
 
 from dualvc.heuristics import (_decide_decrease_infeasible, _decide_increase,
-                               _reference_proposal)
+                               _ea_demotions, _reference_proposal)
 from dualvc.oracle import coefficient_rows, reference_fitness
 
 
@@ -27,18 +33,39 @@ def engine_decision(eng, selection, q, direction):
     if not selection:
         return []
     sign = 1 if eng.nviol == 0 else -1
+    lim = eng.lim
     if sign > 0:
         if direction < 0:
             return [] if all(eng.at_zero[e] for e in selection) else None
         if len(selection) == 1:
             (e,) = selection
-            if q[e] <= eng.lim[e]:
+            if q[e] <= lim[e]:
                 return [(e, eng._vadd(eng.y[e], eng.sigma_table[q[e]]))]
+            return None
+        if len(selection) == 2 and any(q[e] > lim[e] for e in selection):
             return None
         return _decide_increase(eng, selection, q)
     if direction > 0:
         return None
+    if len(selection) == 1:
+        (e,) = selection
+        if eng.at_zero[e]:
+            return []
+        if not eng.viol[e]:
+            return None
+        new = eng._vsub(eng.y[e], eng.sigma_table[q[e]])
+        return [(e, new if eng.vsign(new) > 0 else eng.zero)]
     return _decide_decrease_infeasible(eng, selection, q)
+
+
+def engine_demotions(eng, selection, q):
+    """The edges plain ea demotes after rejecting a feasible increase of two
+    or more edges, as run() picks them."""
+    if len(selection) == 2:
+        e, f = selection
+        if not eng.mask[e] & eng.mask[f]:
+            return [x for x in selection if q[x] > eng.lim[x]]
+    return _ea_demotions(eng, selection, q)
 
 
 def engine_agrees(eng, values, q, selection, direction, alpha=None):

@@ -25,7 +25,8 @@ from dualvc.numeric import (canonicalize_alpha, q_max_for, sign_of_coeffs,
                             step_coeffs)
 from dualvc.oracle import (coefficient_rows, cover_certificate,
                            reference_fitness, trap_edge, validate_mfds_naive)
-from engine_decisions import engine_agrees, engine_decision
+from engine_decisions import (engine_agrees, engine_decision,
+                              engine_demotions)
 from near_ties import PELL, near_zero
 
 A2 = canonicalize_alpha(2)
@@ -261,11 +262,14 @@ def test_engine_counters_match_the_certificate_after_random_commits():
     maximality equal a from-scratch cover certificate after every commit of
     1-3 random values, on small random graphs where commits often flip both
     endpoints of an edge between tight and not tight at once.  Each edge's
-    ``lim`` equals the smaller ``fit`` of its endpoints, committed or not,
-    and its ``at_zero`` whether its value is zero."""
+    ``lim`` equals the smaller ``fit`` of its endpoints and its ``viol``
+    whether the certificate's slack has an endpoint above its weight,
+    committed or not, and ``viol`` moves on edges no commit named; its
+    ``at_zero`` says whether its value is zero, and its ``mask`` holds the
+    bits of its endpoints."""
     rng = random.Random(18)
     q_cap = q_max_for(A2, 4)
-    both_flipped = 0
+    both_flipped = viol_moved = 0
     for _ in range(300):
         n = rng.randint(3, 7)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -278,6 +282,7 @@ def test_engine_counters_match_the_certificate_after_random_commits():
             vec = isinstance(eng, _VecEngine)
             for _ in range(20):
                 tight_before = [s == 0 for s in eng.slack]
+                viol_before = list(eng.viol)
                 deltas = [(e, (rng.randint(0, 2), rng.choice((0, 0, 1)), 0, 0)
                            if vec else rng.randint(0, 2))
                           for e in rng.sample(range(g.m), rng.randint(1, 3))]
@@ -291,11 +296,18 @@ def test_engine_counters_match_the_certificate_after_random_commits():
                 assert eng.lim == [min(eng.fit[u], eng.fit[v])
                                    for u, v in g.edges]
                 assert eng.at_zero == [v == eng.zero for v in eng.y]
+                assert eng.viol == [cert.slack[u] > 0 or cert.slack[v] > 0
+                                    for u, v in g.edges]
+                assert eng.mask == [(1 << u) | (1 << v) for u, v in g.edges]
+                committed = {e for e, _new in deltas}
+                viol_moved += sum(1 for e in range(g.m) if e not in committed
+                                  and eng.viol[e] != viol_before[e])
                 both_flipped += sum(
                     1 for u, v in g.edges
                     if tight_before[u] != (cert.slack[u] == 0)
                     and tight_before[v] != (cert.slack[v] == 0))
     assert both_flipped >= 1000
+    assert viol_moved >= 1000
 
 
 def vertex_loads(g, a, values):
@@ -667,6 +679,7 @@ def test_increase_helpers_match_reference_on_random_selections(alpha):
                     g, config, y, 1, list(q), selection, 1)
                 deltas = _decide_increase(eng, selection, q)
                 assert (deltas is not None) == accepted
+                assert engine_decision(eng, selection, q, 1) == deltas
                 if accepted:
                     assert [e for e, _n in deltas] == selection
                     assert coefficient_rows(a, [v for _e, v in deltas]) == \
@@ -680,6 +693,7 @@ def test_increase_helpers_match_reference_on_random_selections(alpha):
                     continue
                 demoted = tuple(_ea_demotions(eng, selection, q))
                 assert demoted == ref_demoted
+                assert tuple(engine_demotions(eng, selection, q)) == demoted
                 slack = reference_fitness(
                     g, a, y, _reference_proposal(a, y, q, selection, 1),
                     w_max).proposed_slack
@@ -960,6 +974,50 @@ def test_engine_matches_reference_path(algorithm):
         for seed in (1, 2):
             assert_run_matches_reference(inst, RunConfig(
                 algorithm, alpha, inst.w_max, 400, seed))
+
+
+def inline_branch(algorithm, g, rec):
+    """The branch of run() that decided one hook record without a helper,
+    or None: the kinds test_equiv_cases_reach_every_inline_branch counts."""
+    k = len(rec.edges)
+    if rec.sign_before < 0 and rec.direction < 0 and k == 1:
+        if not rec.accepted:
+            return "infeasible one-edge decrease rejected"
+        if not rec.changed:
+            return "infeasible one-edge decrease at zero"
+        (_e, _old, new), = rec.changed
+        return ("infeasible one-edge decrease clamped" if not any(new)
+                else "infeasible one-edge decrease by a step")
+    if rec.sign_before > 0 and k == 2:
+        if algorithm == "ea" and rec.direction > 0 and not rec.accepted:
+            u, v = g.edges[rec.edges[0]]
+            shared = u in g.edges[rec.edges[1]] or v in g.edges[rec.edges[1]]
+            return ("ea two-edge increase rejected, "
+                    + ("shared endpoint" if shared else "disjoint"))
+        if algorithm.endswith("fifth") and rec.direction < 0:
+            return ("fifth two-edge feasible decrease, "
+                    + ("both zero" if rec.accepted else "not both zero"))
+    return None
+
+
+def test_equiv_cases_reach_every_inline_branch():
+    """The runs test_engine_matches_reference_path holds against
+    run_reference reach each branch run() decides inline from per-edge
+    state: a rejected infeasible one-edge decrease (a nonzero edge with no
+    violated endpoint), an accepted one clamped to zero and one lowered by
+    a whole step, plain ea's rejected two-edge increase with disjoint and
+    with shared endpoints, and a fifth variant's two-edge feasible decrease
+    on two zero values and on others."""
+    kinds = Counter()
+    for algorithm in ALGORITHMS:
+        for alpha, inst in EQUIV_CASES:
+            g = inst.graph_star
+            for seed in (1, 2):
+                run(inst, RunConfig(algorithm, alpha, inst.w_max, 400, seed),
+                    lambda rec: kinds.update(
+                        [inline_branch(algorithm, g, rec)]))
+    del kinds[None]
+    assert len(kinds) == 8 and min(kinds.values()) >= 1, kinds
 
 
 def test_engine_matches_reference_alpha_three():

@@ -1,9 +1,16 @@
 """Smoke runs of the experiment scripts in scripts/ with tiny arguments, so
 an API change that breaks one of them fails here rather than silently, and
-the summary of ``bench_pr.py`` on canned results (it runs no benchmark)."""
+the summary of ``bench_pr.py`` on canned results and its cleanup on SIGTERM
+(it runs no benchmark)."""
 
 import importlib.util
 import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -148,3 +155,57 @@ def test_bench_pr_counts_src_lines(tmp_path):
     (pkg / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "setup.py").write_text("outside = 1\n")
     assert script.src_lines(tmp_path) == 5
+
+
+#: Runs bench_pr.main with every benchmark run replaced by a child that
+#: writes its pid and working directory (the parent's copy) and sleeps.
+SLEEPING_BENCH = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_pr", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+real = script.run_benchmark
+sleep = ("import os, sys, time; open(sys.argv[1], 'w').write("
+         "f'{os.getpid()} {os.getcwd()}'); time.sleep(60)")
+script.run_benchmark = lambda command, *rest: real(
+    [sys.executable, "-c", sleep, sys.argv[2]], *rest)
+sys.exit(script.main(["--parent", "HEAD", "--pr", "0"]))
+"""
+
+
+def test_bench_pr_on_sigterm_kills_its_run_and_removes_the_copy(tmp_path):
+    """SIGTERM during a benchmark run stops the run, removes the temporary
+    copy of the parent and writes no BENCH file."""
+    seen = tmp_path / "child"
+    bench = subprocess.Popen(
+        [sys.executable, "-c", SLEEPING_BENCH,
+         str(ROOT / "scripts" / "bench_pr.py"), str(seen)],
+        cwd=ROOT, stderr=subprocess.DEVNULL)
+    pid = copy = None
+    try:
+        deadline = time.monotonic() + 10
+        while not (seen.exists() and seen.read_text()):
+            assert bench.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        pid, copy = seen.read_text().split(" ", 1)
+        copy = Path(copy).parent
+        assert copy.name.startswith("bench_pr-")
+        bench.send_signal(signal.SIGTERM)
+        status = bench.wait(timeout=5)
+    finally:
+        if bench.poll() is None:
+            bench.kill()
+            bench.wait()
+        child_alive = False
+        if pid is not None:
+            try:
+                os.kill(int(pid), signal.SIGKILL)
+                child_alive = True
+            except ProcessLookupError:
+                pass
+        copy_left = copy is not None and copy.exists()
+        if copy_left:
+            shutil.rmtree(copy)
+    assert not child_alive and not copy_left
+    assert status == 128 + signal.SIGTERM
+    assert not (ROOT / "BENCH_0.json").exists()
