@@ -23,16 +23,19 @@ included, since the working tree as it stands is what was measured.
 Each run's ``rows_sha256`` is recorded too; per workload, ``rows_match``
 says whether both sides produced the same rows at every paired seed, and
 ``golden`` holds each side's ``correct`` at seed 1.  ``src_lines`` holds
-each side's line count of ``src/**/*.py``, and the script prints the net
-change.  The script exits 1 if any pair's rows differ or a seed-1 run is
-not correct, after writing the file.  Stopped by SIGTERM, it kills the
-benchmark run in progress, removes the parent's copy and exits 143,
-writing nothing.
+each side's line count of ``src/**/*.py``, and ``src_code_lines`` the
+count of those lines that hold code: not blank, not only a comment and not
+part of a docstring, so code removed reads apart from prose removed.  The
+script prints the net change of both.  It exits 1 if any pair's rows
+differ or a seed-1 run is not correct, after writing the file.  Stopped by
+SIGTERM, it kills the benchmark run in progress, removes the parent's copy
+and exits 143, writing nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -44,6 +47,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,6 +152,35 @@ def src_lines(checkout: Path) -> int:
                for path in (checkout / "src").rglob("*.py"))
 
 
+#: Tokens that hold no code: the rest of a line of only these is blank or
+#: a comment.
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines of Python source that hold code: not blank, not only a comment
+    and not part of a module, class or function docstring."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(
+                                 node, clean=False) is not None:
+            doc = node.body[0]
+            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
+
+
+def src_code_lines(checkout: Path) -> int:
+    """``code_lines`` summed over the Python files under the checkout's
+    ``src``."""
+    return sum(code_lines(path.read_text(encoding="utf-8"))
+               for path in (checkout / "src").rglob("*.py"))
+
+
 def stop(signum, _frame):
     """SIGTERM handler: raise, so that ``subprocess.run`` kills the child
     it waits on and every ``finally`` runs on the way out."""
@@ -183,6 +216,7 @@ def main(argv=None) -> int:
             tar.extractall(tmp / "parent", filter="data")
         checkouts = {"parent": tmp / "parent", "pr": ROOT}
         lines = {side: src_lines(checkouts[side]) for side in SIDES}
+        code = {side: src_code_lines(checkouts[side]) for side in SIDES}
         jobs = [(w["name"], seed) for w in benchmark["workloads"]
                 for seed in SEEDS]
         for i, (workload, seed) in enumerate(jobs):
@@ -217,6 +251,7 @@ def main(argv=None) -> int:
         "seeds": list(SEEDS),
         "seconds": seconds,
         "src_lines": lines,
+        "src_code_lines": code,
         "workloads": summarize(benchmark, runs),
     }
     for workload, entry in report["workloads"].items():
@@ -230,6 +265,8 @@ def main(argv=None) -> int:
                   f" wins {m['wins']}/{m['pairs']} bound {m['bound']}")
     print(f"src_lines parent {lines['parent']} pr {lines['pr']}"
           f" ({lines['pr'] - lines['parent']:+d})")
+    print(f"src_code_lines parent {code['parent']} pr {code['pr']}"
+          f" ({code['pr'] - code['parent']:+d})")
     print(f"wrote {out_path}")
     status = 0
     for workload, entry in report["workloads"].items():

@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=cmd_solve)
 
     bench = sub.add_parser("bench", help="execute a benchmark plan")
-    bench.add_argument("--config", help="plan JSON", required=False)
+    bench.add_argument("--config", help="plan JSON", required=True)
     bench.add_argument("--out", help="override the plan's CSV path")
     bench.set_defaults(func=cmd_bench)
 
@@ -165,8 +165,6 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     """Execute a plan from --config; write CSV (+summary) to the plan's out
     path or --out."""
-    if not args.config:
-        raise ValueError("bench needs --config <plan.json>")
     plan = load_plan(args.config)
     out_path = args.out or plan.out
     with open(out_path, "w", encoding="utf-8") as fh:

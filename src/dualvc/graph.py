@@ -13,7 +13,7 @@ changed vertices (weights).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Optional
 
 Edge = tuple[int, int]
@@ -30,8 +30,6 @@ class WeightedGraph:
     n: int
     weights: tuple[int, ...]
     edges: tuple[Edge, ...]
-    _adj: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -43,18 +41,14 @@ class WeightedGraph:
             raise ValueError("vertex weights must be >= 1")
         edges = tuple(canonical_edge(u, v) for u, v in self.edges)
         seen = set()
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(edges):
+        for u, v in edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {(u, v)} out of range")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge {(u, v)}")
             seen.add((u, v))
-            adj[u].append(i)
-            adj[v].append(i)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
 
     @property
     def m(self) -> int:
@@ -62,11 +56,6 @@ class WeightedGraph:
 
     def max_weight(self) -> int:
         return max(self.weights, default=1)
-
-    def adjacency(self, v: int) -> tuple[int, ...]:
-        if not (0 <= v < self.n):
-            raise ValueError(f"unknown vertex {v}")
-        return self._adj[v]
 
 
 @dataclass(frozen=True)

@@ -281,14 +281,10 @@ def execute_plan(plan: BenchPlan, out: TextIO) -> list[BenchRecord]:
     ``DUALVC_THREADS`` workers run them, at most one per trial and CPU.
 
     Each trial's instance comes from ``plan.instances``, built once in this
-    process, and is sent to the worker that runs it.  On the default
-    ``scaling_plan`` (432 trials) at ``DUALVC_THREADS=2`` (CPython 3.11.7,
-    2 vCPUs), that made ``dualvc bench``, load included, take a median
-    4.61 s against 4.95 s for rebuilding each trial in its worker, faster
-    in 5 of 6 alternating pairs.  A plan built in Python, not checked at
-    load, pays its build here instead, in this one process:
-    ``scripts/run_scaling.py`` took 4.56 s against 3.73 s, slower in 8 of
-    8 pairs."""
+    process, and is sent to the worker that runs it, which made ``dualvc
+    bench`` faster than rebuilding each trial in its worker (CHANGES.md
+    has the measurements).  A plan built in Python, not checked at load,
+    pays its build here instead, in this one process."""
     cells, indices = zip(*plan.trials())
     out.write(CSV_HEADER + "\n")
     records: list[BenchRecord] = []
@@ -354,18 +350,22 @@ def read_records(path: str) -> list[BenchRecord]:
 # ---------------------------------------------------------------------------
 
 
+def _log_weight(alpha: int, w_max: int) -> float:
+    """log_alpha(w_max), floored at 1 so unit weights do not zero a bound."""
+    return max(log(w_max, alpha) if w_max > 1 else 0.0, 1.0)
+
+
 def bound_shape(m: int, d: int, alpha: int, w_max: int) -> float:
     """Reference runtime shape alpha * m * log_alpha(w_max) * ln(max(alpha*m,
-    alpha*d*w_max)).  The weight factor is floored at 1 so unit weights do
-    not zero the bound."""
-    logw = max(log(w_max, alpha) if w_max > 1 else 0.0, 1.0)
-    return alpha * m * logw * log(max(alpha * m, alpha * d * w_max))
+    alpha*d*w_max)), with the weight factor of ``_log_weight``."""
+    return (alpha * m * _log_weight(alpha, w_max)
+            * log(max(alpha * m, alpha * d * w_max)))
 
 
 def contrast_bound(m: int, alpha: int, w_max: int) -> float:
     """Budget shape for the fast-vs-slow contrast experiment: with
     core = alpha * m * log_alpha(w_max), the bound is core * ln(core)."""
-    core = alpha * m * max(log(w_max, alpha) if w_max > 1 else 0.0, 1.0)
+    core = alpha * m * _log_weight(alpha, w_max)
     return core * log(max(core, e))
 
 

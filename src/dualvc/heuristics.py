@@ -27,66 +27,40 @@ from scratch: the two emit the same per-evaluation ``TransitionRecord``
 stream to a hook, every value in it a coefficient row whichever engine
 ran, and the tests compare those streams with ``==``.
 
-The integer engine is kept beside the vector engine because it pays for
-itself: on one trial of each of the 36 ``harness.scaling_plan`` cells
-(base seed 1, 267,228 evaluations, identical rows either way) it took
-1.7-2.8 us per evaluation, against 2.5-3.9 us with the same runs forced
-onto the vector engine, and was faster in each of nine alternating pairs
-(CPython 3.11.7, 2 vCPUs, three sets of three alternating runs; the
-machine's speed drifted by up to a half between runs, so compare within
-a pair).
+``run`` decides each proposal by the selection size k, the sign before
+the step and the direction d; plain ea and rls move along the sign, so
+only the fifth variants reach the second and fourth columns.  An entry
+names the per-edge state of ``_BaseEngine`` or the helper that decides
+it and, after a semicolon, the edges plain ea demotes by 4 on a rejection:
 
-``run`` decides each proposal inline, not through one ``_decide`` call
-per nonempty selection: that call cut the ``quarter`` benchmark's
-``trials_per_s`` by about 20% (59.2-61.1 to 47.1-48.1) and raised its
-``trial_ms_p50`` by about 70% (10.9-11.2 to 18.7-19.1 ms), in four
-alternating pairs of 10 s runs at seeds 2-5 (CPython 3.11.7, 2 vCPUs).
-``tests/engine_decisions.py`` mirrors the inline dispatch.  Each decision
-helper returns its deltas, or None on rejection.  A one-edge increase was
-two comparisons of the edge's q with the engine's ``fit`` at its endpoints,
-which only ``commit`` recomputes.  It replaced ``_increase_one``, whose two
-``overloads`` tests ran on every proposal, though loads change on under 1%
-of the benchmark's evaluations.  In ``BENCH_21.json`` (ten paired 35 s ``perfbench/run.py``
-runs at seeds 2-11, CPython 3.11.7, 2 vCPUs) that moved the median
-``trials_per_s`` from 74.4 to 86.7 on ``quarter`` (parent IQR 1.4), from
-115.3 to 136.2 on ``scaling`` and from 57.6 to 59.5 on ``logged``, each
-better in 10 of 10 pairs.  ``_decide_increase`` returns None at the first
-selected edge whose q exceeds ``fit`` at an endpoint, and sums steps through
-``overloads`` only where every step fits on its own; plain ea's demotions
-come from ``_ea_demotions``, which the fifth variants never call, and
-``run`` counts an empty ea selection in one step.  In ``BENCH_23.json``
-that moved the median ``trials_per_s`` from 89.2 to 107.9 on ``quarter``
-(parent IQR 3.6, better in 10 of 10 pairs), from 133.3 to 142.1 on
-``scaling`` (10 of 10) and from 59.7 to 61.8 on ``logged`` (9 of 10).
-Over 99% of the benchmark's evaluations change no value, so ``run``
-decides those from per-edge state alone, which ``commit`` keeps: a
-one-edge increase is one comparison of q with the edge's ``lim``, the
-smaller ``fit`` of its endpoints, and a feasible decrease reads the
-edges' ``at_zero`` flags.  ``run`` caches the sign and refreshes it only
-after a commit, takes selection counts 0 and 1 from two float comparisons
-with the binomial CDF before any bisection, and writes out the two-edge
-draw.  In ``BENCH_24.json`` that moved the median ``trials_per_s`` from
-105.3 to 129.3 on ``quarter`` (parent IQR 3.4), from 140.3 to 157.3 on
-``scaling`` and from 60.6 to 63.0 on ``logged``, each better in 10 of 10
-pairs.  ``run`` also decides every one- and two-edge evaluation from
-per-edge state (see ``_BaseEngine``).  An infeasible one-edge decrease
-needs no fitness value: the penalty m * w_max is at least 1, as
-``ceil_log`` rejects a w_max below 1, and a nonzero value falls by a
-positive amount, so the step is accepted exactly when the value is zero
-(nothing changes) or the edge's ``viol`` flag is set, and only an accepted
-step takes the clamp's sign.  That cut ``logged``'s exact degree-4 signs
-per seed-1 pass from 57,792 to 32,603.  In ``BENCH_25.json`` the median
-``trials_per_s`` moved from 156.0 to 194.4 on ``scaling`` (parent IQR
-5.9), from 128.2 to 141.6 on ``quarter`` and from 62.7 to 76.0 on
-``logged``, each better in 10 of 10 pairs.
-Before ``fit``, simpler shapes were slower than the code they were
-measured against, in three alternating pairs of 12 s runs at seeds 2-4 on
-the same machine: one-edge increases decided by
-``_decide_increase`` (``trials_per_s`` 78-80 against 116-118 on ``scaling``,
-51-54 against 76-80 on ``quarter``); loops over the selection in ``run``'s
-``k == 1`` promote, demote and all-zero branches (``quarter`` 61-65 against
-74-81, ``trial_ms_p50`` 16.1-16.8 against 10.5-10.7 ms); ea's demotion filter
-in generators with ``any``/``all`` (``scaling`` 83-87 against 111-120).
+==== ====================== ========== =========================== ==========
+k    feasible increase      feasible   infeasible decrease         infeasible
+                            decrease                               increase
+==== ====================== ========== =========================== ==========
+0    accepted               accepted   accepted                    accepted
+1    q <= lim; the edge     at_zero    at_zero, else viol          rejected
+2    q <= lim of both, then at_zero of _decide_decrease_infeasible rejected
+     _decide_increase; q >  both
+     lim if the masks are
+     disjoint, else
+     _ea_demotions
+>= 3 _decide_increase;      at_zero of _decide_decrease_infeasible rejected
+     _ea_demotions          all
+==== ====================== ========== =========================== ==========
+
+A feasible decrease is accepted only unchanged; an infeasible one-edge
+decrease unchanged at zero, else with the clamped step where ``viol`` is
+set.  Acceptance raises each selected q by 4 up to q_cap.  Rejection
+lowers each selected q of a fifth variant by 1; rls demotes as ea does,
+and neither plain variant demotes while infeasible.  Over 99% of the
+benchmark's evaluations change no value, hence the per-edge state, which
+``commit`` keeps.  ``run`` decides inline because one decision call per
+nonempty selection slowed the ``quarter`` workload.  The integer engine
+stays because the same runs on the vector engine were slower on every
+``harness.scaling_plan`` cell.  The one-edge branches hold no loop over
+the selection because such loops were slower.  CHANGES.md records these
+measurements, and ``BENCH_21.json``, ``BENCH_23.json``, ``BENCH_24.json``
+and ``BENCH_25.json`` the gains of ``fit`` and of the per-edge state.
 
 Reproducibility contract: randomness comes from ``random.Random(seed)``
 (Mersenne Twister).  The stream also depends on CPython's
@@ -120,6 +94,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, floor, log
+from operator import add, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle
@@ -224,23 +199,20 @@ class _BaseEngine:
     It also keeps ``fit[v]``, the largest q <= q_cap with load(v) + beta^q
     <= W(v), or -1 when no such q exists, computed for every vertex here
     and again by ``commit`` for each touched vertex.  beta^q rises strictly
-    in q, so a step of exponent q fits at v exactly when q <= fit[v]: one
-    edge's increase is decided by two comparisons, and a vertex's load is
-    tested once per commit, not once per proposal.
+    in q, so a step of exponent q fits at v exactly when q <= fit[v], and
+    a vertex's load is tested once per commit, not once per proposal.
 
     Per edge it keeps ``lim[e] = min(fit[u], fit[v])``, so a step of
     exponent q on e fits at both endpoints exactly when q <= lim[e];
     ``at_zero[e]``, whether y[e] is zero; ``viol[e]``, whether an endpoint
     of e is violated; and the fixed ``mask[e] = (1 << u) | (1 << v)``, so
-    two edges share an endpoint exactly when their masks share a bit.
-    Most evaluations change no value, and ``run`` decides every one- and
-    two-edge evaluation from these lists, calling a helper only for three
-    or more edges, a shared endpoint or a multi-edge infeasible sum.
-    ``commit`` refreshes the flag of each committed edge, and ``lim`` and
-    ``viol`` of every edge at a touched vertex, committed or not, once
-    every touched vertex's slack is new: a new load at u moves fit[u] and
-    the sign of u's slack, and with them the limit and the flag of each
-    edge at u.
+    two edges share an endpoint exactly when their masks share a bit.  The
+    module docstring's table says which of these ``run`` reads for each
+    proposal.  ``commit`` refreshes the flag of each committed edge, and
+    ``lim`` and ``viol`` of every edge at a touched vertex, committed or
+    not, once every touched vertex's slack is new: a new load at u moves
+    fit[u] and the sign of u's slack, and with them the limit and the flag
+    of each edge at u.
 
     Each engine sets ``zero`` (which also seeds the loads) and
     ``sigma_table[q]`` (the exact step beta^q) before calling this
@@ -321,8 +293,9 @@ class _BaseEngine:
             self.y[e] = new
             self.at_zero[e] = new == self.zero
             u, v = self.graph.edges[e]
-            self.load[u] = self._vadd(self.load[u], self._vsub(new, old))
-            self.load[v] = self._vadd(self.load[v], self._vsub(new, old))
+            change = self._vsub(new, old)
+            self.load[u] = self._vadd(self.load[u], change)
+            self.load[v] = self._vadd(self.load[v], change)
             touched.add(u)
             touched.add(v)
         fit = self.fit
@@ -412,10 +385,10 @@ class _VecEngine(_BaseEngine):
         return (v,) + (0,) * (self.dim - 1)
 
     def _vadd(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def _vsub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(sub, a, b))
 
     def _gap_sign(self, load, w) -> int:
         return sign_of_coeffs((load[0] - w,) + load[1:], self.alpha)
@@ -440,7 +413,7 @@ class _VecEngine(_BaseEngine):
         return q
 
     def vsign(self, a) -> int:
-        if all(c == 0 for c in a):
+        if not any(a):
             return 0
         return sign_of_coeffs(a, self.alpha)
 
@@ -463,9 +436,9 @@ def _make_engine(instance: DynamicInstance, config: RunConfig):
     if integral and (alpha.basis_dim == 1
                      or config.algorithm in ("ea", "rls")):
         return _IntEngine(instance.graph_star, instance.y_init,
-                          config.w_max, alpha, q_cap), q_cap
+                          config.w_max, alpha, q_cap)
     return _VecEngine(instance.graph_star, instance.y_init,
-                      config.w_max, alpha, q_cap), q_cap
+                      config.w_max, alpha, q_cap)
 
 
 def _decide_increase(eng, selection, q):
@@ -515,7 +488,7 @@ def _ea_demotions(eng, selection, q):
 def _decide_decrease_infeasible(eng, selection, q):
     """Infeasible-sign decrease of two or more edges: gains on edges at
     violated vertices fight the m*w_max penalty on all other touched edges;
-    deltas or None.  ``run`` decides one edge from its flags alone."""
+    deltas or None."""
     gain = pen = eng.zero
     deltas = []
     for e in selection:
@@ -585,7 +558,8 @@ def run(instance: DynamicInstance, config: RunConfig,
     already be maximal) and after every accepted transition that changes a
     value.
     """
-    eng, q_cap = _make_engine(instance, config)
+    eng = _make_engine(instance, config)
+    q_cap = len(eng.sigma_table) - 1
     m = eng.m
     q = [0] * m
     rng = random.Random(config.seed)

@@ -281,11 +281,9 @@ def reference_fitness(g: WeightedGraph, alpha: Alpha,
     else:
         # value = sum over edges at violated vertices of (y - y') minus
         # m * w_max * |y - y'| summed over every other edge
-        viol_edges = {e for v, s in enumerate(slack) if s > 0
-                      for e in g.adjacency(v)}
         penalty = m * w_max
-        weight = [1 if e in viol_edges else penalty * s
-                  for e, s in enumerate(_signs(diff, alpha))]
+        weight = [1 if slack[u] > 0 or slack[v] > 0 else penalty * s
+                  for (u, v), s in zip(g.edges, _signs(diff, alpha))]
         total = [-sum(c * d for c, d in zip(weight, col)) for col in diff]
     return FitnessOutcome(_exact(alpha, total, den), _sign(total, alpha) >= 0,
                           proposed_slack)

@@ -1,25 +1,13 @@
 """Shared by the tests that hold the engine's acceptance decisions against
 ``oracle.reference_fitness``: the engine's decision on one proposal,
-dispatched exactly as ``heuristics.run`` does, against the oracle's on the
-clamped proposal the reference replay builds.  ``run`` reads the sign from
-the violated-vertex count, as it caches it between commits.  A feasible
-decrease is accepted, unchanged, only where every selected edge's
-``at_zero`` flag is set.  A one-edge increase compares the edge's q with
-its ``lim``, the smaller ``fit`` of its endpoints; a two-edge increase is
-rejected when either edge's q exceeds its ``lim``, and otherwise, like a
-larger one, goes through ``_decide_increase``.  An infeasible one-edge
-decrease is accepted unchanged at zero, accepted with the clamped step
-where the edge's ``viol`` flag is set, and rejected otherwise; a larger one
-goes through ``_decide_decrease_infeasible``.  Each returns its deltas, or
-None on rejection.  Plain ea's rejected two-edge increase demotes the
-edges whose q exceeds their ``lim`` when their endpoint masks are
-disjoint; any other rejected increase of two or more edges demotes
-``_ea_demotions``'s set.
+dispatched as ``heuristics.run`` does (the table in the ``heuristics``
+module docstring), against the oracle's on the clamped proposal the
+reference replay builds.  ``run`` reads the sign from the violated-vertex
+count, as it caches it between commits.  Each decision returns its deltas,
+or None on rejection.
 
-The dispatch is a copy because ``run`` makes it inline: moving it into one
-function that ``run`` calls per nonempty selection cut the ``quarter``
-benchmark's ``trials_per_s`` by about 20% and raised its ``trial_ms_p50``
-by about 70% (see the ``heuristics`` module docstring).
+The dispatch is a copy because ``run`` makes it inline, for speed (see the
+``heuristics`` module docstring).
 """
 
 from dualvc.heuristics import (_decide_decrease_infeasible, _decide_increase,

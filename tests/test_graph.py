@@ -27,17 +27,6 @@ def test_edges_are_canonicalized_and_indexed():
     assert g.max_weight() == 7
 
 
-def test_adjacency():
-    g = WeightedGraph(4, (1, 1, 1, 1), ((0, 1), (1, 2), (1, 3)))
-    assert g.adjacency(1) == (0, 1, 2)
-    assert g.adjacency(0) == (0,)
-    assert g.adjacency(3) == (2,)
-    with pytest.raises(ValueError):
-        g.adjacency(4)
-    with pytest.raises(ValueError):
-        g.adjacency(-1)
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         WeightedGraph(-1, (), ())

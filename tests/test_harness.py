@@ -792,7 +792,6 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
                      "--out", str(tmp_path / "x")]) == 2  # no --wmax
     assert "random gen needs --n, --m and --wmax" in capsys.readouterr().err
     assert cli_main(["solve", "--algo", "rls"]) == 2  # no instance source
-    assert cli_main(["bench"]) == 2                   # no --config
     assert cli_main(["verify", "--graph", "/nonexistent.json",
                      "--dual", "/nonexistent.txt"]) == 2
     capsys.readouterr()
@@ -829,6 +828,16 @@ def test_cli_bench(tmp_path, capsys):
     records = read_records(str(out_path))
     assert len(records) == 2
     assert all(r.algorithm == "rls" for r in records)
+
+
+def test_cli_bench_without_config_exits_two(tmp_path, monkeypatch, capsys):
+    """argparse rejects a bench without --config: status 2, no CSV."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["bench", "--out", "out.csv"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_bench_bad_plan(tmp_path, capsys):

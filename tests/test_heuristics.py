@@ -654,7 +654,7 @@ def test_increase_helpers_match_reference_on_random_selections(alpha):
         for algorithm, values in (("ea", start), ("ea", halves),
                                   ("ea_fifth", start)):
             config = RunConfig(algorithm, alpha, w_max, 1, 0)
-            eng, _cap = _make_engine(
+            eng = _make_engine(
                 SimpleNamespace(graph_star=g, y_init=tuple(values)), config)
             assert eng.sign_now() > 0
             y = coefficient_rows(a, values)

@@ -157,7 +157,7 @@ def test_hard_instance_weight_decrease():
 
 
 def _load_exceeds(g, values, v):
-    load = sum(values[e] for e in g.adjacency(v))
+    load = sum(y for e, y in zip(g.edges, values) if v in e)
     return load > g.weights[v]
 
 

@@ -155,6 +155,19 @@ def test_bench_pr_counts_src_lines(tmp_path):
     (pkg / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "setup.py").write_text("outside = 1\n")
     assert script.src_lines(tmp_path) == 5
+    assert script.src_code_lines(tmp_path) == 3
+    # a docstring, a comment and a blank line count only in src_lines; a
+    # string that is not a docstring is code
+    (pkg / "doc.py").write_text(
+        '"""Module docstring\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f():\n"
+        '    """One-line docstring."""\n'
+        '    return """two\n'
+        '    lines"""  # trailing comment\n')
+    assert script.src_lines(tmp_path) == 13
+    assert script.src_code_lines(tmp_path) == 6
 
 
 #: Runs bench_pr.main with every benchmark run replaced by a child that
