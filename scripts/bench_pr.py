@@ -152,8 +152,8 @@ def src_lines(checkout: Path) -> int:
                for path in (checkout / "src").rglob("*.py"))
 
 
-#: Tokens that hold no code: the rest of a line of only these is blank or
-#: a comment.
+#: Token types that hold no code: a line holding only these is blank or a
+#: comment.
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
