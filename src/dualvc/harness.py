@@ -480,13 +480,14 @@ class RunLogger:
     """Streams one CSV-compatible line per evaluation: index, accepted, |I|,
     direction, sign after the step, and a decimal approximation of sum(Y)
     tracked incrementally from the changed values.  The decimal is
-    recomputed only after a step that changed a value."""
+    recomputed only after a step that changed a value.  ``__call__`` runs
+    once per evaluation: it reads a record in one unpack by position."""
 
     HEADER = "eval,accepted,i_size,direction,sign,sum_y"
 
     def __init__(self, fh: TextIO, instance: DynamicInstance,
                  alpha: int) -> None:
-        self._fh = fh
+        self._write = fh.write
         self._alpha = canonicalize_alpha(alpha)
         # exact per-coordinate totals: int starts keep int totals
         rows = oracle.coefficient_rows(self._alpha, instance.y_init)
@@ -496,12 +497,12 @@ class RunLogger:
         fh.write(self.HEADER + "\n")
 
     def __call__(self, rec: TransitionRecord) -> None:
-        if rec.changed:
+        i, accepted, direction, _before, sign, edges, changed, _v, _d = rec
+        if changed:
             total = self._total
-            for _e, old, new in rec.changed:
+            for _e, old, new in changed:
                 for k, (a, b) in enumerate(zip(old, new)):
                     total[k] += b - a
             self._sum_text = f"{float_value(total, self._alpha):.6g}"
-        self._fh.write(f"{rec.eval_index},{int(rec.accepted)},"
-                       f"{len(rec.edges)},{rec.direction},{rec.sign_after},"
-                       f"{self._sum_text}\n")
+        self._write(f"{i},{1 if accepted else 0},{len(edges)},{direction},"
+                    f"{sign},{self._sum_text}\n")

@@ -20,10 +20,11 @@ from dualvc.harness import (CSV_HEADER, SOLVE_HEADER, BenchCell, BenchPlan,
                             load_plan, plan_from_json, read_records,
                             run_trial, scaling_plan, scaling_report,
                             summarize, thread_count, verify_final)
-from dualvc.heuristics import RunConfig, _VecEngine, run
+from dualvc.heuristics import (ALGORITHMS, RunConfig, _VecEngine, run,
+                               run_reference)
 from dualvc.instances import hard_instance, make_dynamic, random_dynamic
 from dualvc.numeric import canonicalize_alpha, q_max_for, sign_of_coeffs
-from dualvc.oracle import validate_mfds_naive
+from dualvc.oracle import coefficient_rows, validate_mfds_naive
 
 
 def cell(**kw):
@@ -583,6 +584,39 @@ def test_run_logger_trace(monkeypatch):
     assert lines[3] == "3,1,1,1,1,2"     # accept 1 -> 2, tight
     # the start's sum, then one per step that changed a value
     assert sums == [[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0]]
+
+
+def test_run_logger_reads_records_by_position():
+    """RunLogger unpacks each record by position.  Fed run's stream and
+    run_reference's (whose records come from the named tuple's own
+    constructor), it writes the same text, and that text equals the lines
+    rebuilt from the records' named fields, so a slip in the unpack's field
+    order fails here.  W- starts infeasible, so sign_before and sign_after
+    differ on some records."""
+    alpha = canonicalize_alpha(2)
+    for variant in ("E+", "W-"):
+        inst = hard_instance(variant, 8, 2)
+        for algorithm in ALGORITHMS:
+            cfg = RunConfig(algorithm, 2, inst.w_max, 400, 1)
+            texts = []
+            for runner in (run, run_reference):
+                buf = io.StringIO()
+                records = []
+                logger = RunLogger(buf, inst, 2)
+                runner(inst, cfg, hook=lambda r: (records.append(r),
+                                                  logger(r)))
+                texts.append(buf.getvalue())
+            total = [sum(col) for col in zip(
+                *coefficient_rows(alpha, inst.y_init))]
+            lines = [RunLogger.HEADER]
+            for r in records:
+                for _e, old, new in r.changed:
+                    total = [t + b - a for t, a, b in zip(total, old, new)]
+                lines.append(f"{r.eval_index},{int(r.accepted)},"
+                             f"{len(r.edges)},{r.direction},{r.sign_after},"
+                             f"{harness.float_value(total, alpha):.6g}")
+            assert texts[0] == texts[1] == "\n".join(lines) + "\n", (
+                variant, algorithm)
 
 
 # -- CLI ------------------------------------------------------------------------------

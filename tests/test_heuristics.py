@@ -17,7 +17,7 @@ from dualvc.heuristics import (ALGORITHMS, RunConfig, _BaseEngine,
                                _binomial_cdf, _decide_increase,
                                _ea_demotions, _IntEngine, _make_engine,
                                _reference_proposal, _reference_step,
-                               _sample_range, _VecEngine,
+                               _sample_range, _VecEngine, TransitionRecord,
                                draw_direction, draw_ea_selection,
                                draw_rls_selection, run, run_reference)
 from dualvc.instances import (hard_instance, make_dynamic, random_dynamic)
@@ -1140,6 +1140,45 @@ def test_hook_stream_invariants():
         if not r.edges:
             assert r.accepted                  # empty proposals are no-ops
     assert saw_decrease
+
+
+def test_hook_records_are_transition_records_of_tuples():
+    """run builds each record with tuple.__new__, which skips the named
+    tuple's arity check, and == against run_reference's stream ignores the
+    subclass, so a plain tuple, or a list in a field, would pass the stream
+    tests.  Every record is a nine-field TransitionRecord whose edge sets
+    are tuples.  The runs reach each shape run() builds: an empty
+    selection, a rejected one-edge step that demotes its edge (a fifth
+    variant's, and rls's while feasible), plain ea's rejected two-edge step
+    that demotes, an accepted step that changes a value, and selections of
+    three or more edges.  At alpha 3 the fifth variants run on the vector
+    engine."""
+    cases = [(2, hard_instance("E+", 8, 2)), (2, hard_instance("W-", 8, 2)),
+             (3, EQUIV_CASES[2][1])]
+    shapes = Counter()
+    for algorithm in ALGORITHMS:
+        for alpha, inst in cases:
+            cfg = RunConfig(algorithm, alpha, inst.w_max, 400, 1)
+            if alpha == 3 and algorithm.endswith("fifth"):
+                assert type(_make_engine(inst, cfg)) is _VecEngine
+            records = []
+            run(inst, cfg, hook=records.append)
+            for r in records:
+                assert type(r) is TransitionRecord and len(r) == 9
+                assert all(type(x) is tuple for x in (
+                    r.edges, r.changed, r.changed_was_violating, r.demoted))
+                k = len(r.edges)
+                if not r.accepted and r.demoted and r.demoted == r.edges:
+                    if algorithm.endswith("fifth") and k == 1:
+                        shapes["fifth one-edge demotion"] += 1
+                    elif algorithm == "rls" and r.sign_before > 0:
+                        shapes["rls feasible demotion"] += 1
+                if algorithm == "ea" and k == 2 and r.demoted:
+                    shapes["ea two-edge demotion"] += 1
+                shapes["empty"] += k == 0
+                shapes["three or more edges"] += k >= 3
+                shapes["accepted change"] += r.accepted and bool(r.changed)
+    assert len(shapes) == 6 and min(shapes.values()) >= 1, shapes
 
 
 def test_hook_fifth_demotes_selection_on_reject():

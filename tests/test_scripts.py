@@ -170,13 +170,15 @@ def test_bench_pr_counts_src_lines(tmp_path):
     assert script.src_code_lines(tmp_path) == 6
 
 
-#: Runs bench_pr.main with every benchmark run replaced by a child that
-#: writes its pid and working directory (the parent's copy) and sleeps.
+#: Runs bench_pr.main in the git repository argv[3] with every benchmark
+#: run replaced by a child that writes its pid and working directory (the
+#: parent's copy) and sleeps.
 SLEEPING_BENCH = """
-import importlib.util, sys
+import importlib.util, pathlib, sys
 spec = importlib.util.spec_from_file_location("bench_pr", sys.argv[1])
 script = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(script)
+script.ROOT = pathlib.Path(sys.argv[3])
 real = script.run_benchmark
 sleep = ("import os, sys, time; open(sys.argv[1], 'w').write("
          "f'{os.getpid()} {os.getcwd()}'); time.sleep(60)")
@@ -188,12 +190,22 @@ sys.exit(script.main(["--parent", "HEAD", "--pr", "0"]))
 
 def test_bench_pr_on_sigterm_kills_its_run_and_removes_the_copy(tmp_path):
     """SIGTERM during a benchmark run stops the run, removes the temporary
-    copy of the parent and writes no BENCH file."""
+    copy of the parent and writes no BENCH file.  The script runs against
+    a throwaway git repository holding a committed BENCHMARK.json, so the
+    test also runs in a copy of this repository that is not a checkout."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    for args in (["init", "-q"], ["add", "BENCHMARK.json"],
+                 ["-c", "user.name=test", "-c", "user.email=test@example",
+                  "-c", "commit.gpgsign=false", "commit", "-q", "-m", "b"]):
+        subprocess.run(["git", *args], cwd=repo, check=True,
+                       capture_output=True)
     seen = tmp_path / "child"
     bench = subprocess.Popen(
         [sys.executable, "-c", SLEEPING_BENCH,
-         str(ROOT / "scripts" / "bench_pr.py"), str(seen)],
-        cwd=ROOT, stderr=subprocess.DEVNULL)
+         str(ROOT / "scripts" / "bench_pr.py"), str(seen), str(repo)],
+        cwd=repo, stderr=subprocess.DEVNULL)
     pid = copy = None
     try:
         deadline = time.monotonic() + 10
@@ -222,3 +234,4 @@ def test_bench_pr_on_sigterm_kills_its_run_and_removes_the_copy(tmp_path):
     assert not child_alive and not copy_left
     assert status == 128 + signal.SIGTERM
     assert not (ROOT / "BENCH_0.json").exists()
+    assert not (repo / "BENCH_0.json").exists()
