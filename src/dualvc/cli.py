@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--wmax", type=int, default=0, help="weight cap (random)")
     gen.add_argument("--alpha", type=int, default=2)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", help="output path prefix")
+    gen.add_argument("--out", help="output path prefix", required=True)
     gen.set_defaults(func=cmd_gen)
 
     solve = sub.add_parser("solve", help="run one heuristic on one instance")
@@ -119,8 +119,6 @@ def cmd_gen(args) -> int:
             raise ValueError("random gen needs --n, --m and --wmax")
         inst = random_dynamic(args.variant, args.n, args.m, args.d,
                               args.wmax, args.seed)
-    if not args.out:
-        raise ValueError("gen needs --out <prefix>")
     y0 = DualSolution(inst.graph, args.alpha, inst.y_orig)
     paths = (args.out + ".graph.json", args.out + ".edit.json",
              args.out + ".y0.txt")

@@ -57,7 +57,9 @@ A feasible decrease is accepted only unchanged; an infeasible one-edge
 decrease unchanged at zero, else with the clamped step where ``viol`` is
 set.  Acceptance raises each selected q by 4 up to q_cap.  Rejection
 lowers each selected q of a fifth variant by 1; rls demotes as ea does,
-and neither plain variant demotes while infeasible.  Over 99% of the
+and neither plain variant demotes while infeasible.  ``run`` moves every
+q through the two tables ``_moves`` builds once per run, ``up[q]`` and
+``down[q]``, so no exponent arithmetic sits in its loop.  Over 99% of the
 benchmark's evaluations change no value, hence the per-edge state, which
 ``commit`` keeps.  ``run`` decides inline because one decision call per
 nonempty selection slowed the ``quarter`` workload.  The integer engine
@@ -99,7 +101,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, floor, log
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle
@@ -222,9 +224,10 @@ class _BaseEngine:
 
     Each engine sets ``zero`` (which also seeds the loads) and
     ``sigma_table[q]`` (the exact step beta^q) before calling this
-    constructor.  It supplies the value operations ``_vadd``, ``_vsub``,
-    ``vsign``, ``scale_int`` and ``row`` (a value as a coefficient row),
-    ``_gap_sign(load, w)``, the exact sign of load - w, and ``_fit(v)``,
+    constructor.  It supplies the value operations ``_vadd(a, b)``,
+    ``_vsub(a, b)``, ``scale_int(a, k)`` (a times an int) and ``row(a)``
+    (a as a coefficient row); ``_gap_sign(load, w)``, the exact sign of
+    load - w, which with w = 0 is the sign of a value; and ``_fit(v)``,
     the ``fit`` entry of v.  Every load test is an exact sign: no float
     decides one.
     """
@@ -324,38 +327,32 @@ class _IntEngine(_BaseEngine):
     beta^q, or None where that step is irrational.  ``pad`` fills an int
     out to a coefficient row.  ``fit`` ranges over the q of the integer
     steps, the only ones a run here holds: ``int_steps`` lists those steps
-    in rising order, ``int_qs`` their q."""
+    in rising order, and ``fit_q[i]`` the q of the i-th of them, with
+    ``fit_q[0] = -1``, so ``fit`` is ``fit_q`` at the count of steps that
+    fit in the slack."""
 
-    __slots__ = ("pad", "int_steps", "int_qs")
+    __slots__ = ("pad", "int_steps", "fit_q")
 
     def __init__(self, graph, y_init, w_max, alpha: Alpha, q_cap) -> None:
         rows = [step_coeffs(q, alpha) for q in range(q_cap + 1)]
         self.pad = (0,) * (alpha.basis_dim - 1)
         self.zero = 0
         self.sigma_table = [None if any(row[1:]) else row[0] for row in rows]
-        self.int_qs = [q for q, s in enumerate(self.sigma_table)
-                       if s is not None]
-        self.int_steps = [self.sigma_table[q] for q in self.int_qs]
+        qs = [q for q, s in enumerate(self.sigma_table) if s is not None]
+        self.int_steps = [self.sigma_table[q] for q in qs]
+        self.fit_q = [-1] + qs
         super().__init__(graph, [int(v) for v in y_init], w_max)
 
-    def _vadd(self, a, b):
-        return a + b
-
-    def _vsub(self, a, b):
-        return a - b
+    _vadd = staticmethod(add)
+    _vsub = staticmethod(sub)
+    scale_int = staticmethod(mul)
 
     def _gap_sign(self, load, w) -> int:
         return (load > w) - (load < w)
 
     def _fit(self, v: int) -> int:
-        i = bisect_right(self.int_steps, self.weights[v] - self.load[v])
-        return self.int_qs[i - 1] if i else -1
-
-    def vsign(self, a) -> int:
-        return (a > 0) - (a < 0)
-
-    def scale_int(self, a, k: int):
-        return a * k
+        return self.fit_q[bisect_right(self.int_steps,
+                                       self.weights[v] - self.load[v])]
 
     def row(self, v) -> tuple:
         return (v,) + self.pad
@@ -417,11 +414,6 @@ class _VecEngine(_BaseEngine):
         while q < q_cap and gap_sign(vadd(load, sigma[q + 1]), w) <= 0:
             q += 1
         return q
-
-    def vsign(self, a) -> int:
-        if not any(a):
-            return 0
-        return sign_of_coeffs(a, self.alpha)
 
     def scale_int(self, a, k: int):
         return tuple(c * k for c in a)
@@ -502,7 +494,7 @@ def _decide_decrease_infeasible(eng, selection, q):
             continue
         ycur = eng.y[e]
         s = eng.sigma_table[q[e]]
-        if eng.vsign(eng._vsub(ycur, s)) <= 0:
+        if eng._gap_sign(eng._vsub(ycur, s), 0) <= 0:
             dec, new = ycur, eng.zero  # clamped to zero
         else:
             dec, new = s, eng._vsub(ycur, s)
@@ -512,7 +504,7 @@ def _decide_decrease_infeasible(eng, selection, q):
             pen = eng._vadd(pen, dec)
         deltas.append((e, new))
     f = eng._vsub(gain, eng.scale_int(pen, eng.penalty))
-    return deltas if eng.vsign(f) >= 0 else None
+    return deltas if eng._gap_sign(f, 0) >= 0 else None
 
 
 def _sample_range(getrandbits, m: int, k: int) -> list[int]:
@@ -544,6 +536,16 @@ def _sample_range(getrandbits, m: int, k: int) -> list[int]:
     return out
 
 
+def _moves(q_cap: int, step: int) -> tuple[list[int], list[int]]:
+    """``run``'s exponent tables over q in 0..q_cap: ``up[q]`` promotes q
+    by 4 up to q_cap, ``down[q]`` demotes it by `step` down to 0.  Built
+    here, since a comprehension inside ``run`` would make its locals
+    cells."""
+    qs = range(q_cap + 1)
+    return ([min(q + 4, q_cap) for q in qs],
+            [max(q - step, 0) for q in qs])
+
+
 def _changes(eng, deltas):
     """The hook's (edge, old row, new row) triples of an accepted step and
     whether each edge had a violated endpoint, read before the commit."""
@@ -565,7 +567,8 @@ def run(instance: DynamicInstance, config: RunConfig,
     value.
     """
     eng = _make_engine(instance, config)
-    q_cap = len(eng.sigma_table) - 1
+    fifth = config.algorithm.endswith("fifth")
+    up, down = _moves(len(eng.sigma_table) - 1, 1 if fifth else 4)
     m = eng.m
     q = [0] * m
     rng = random.Random(config.seed)
@@ -575,11 +578,14 @@ def run(instance: DynamicInstance, config: RunConfig,
     m_bits = m.bit_length()
     m1 = m - 1
     m1_bits = m1.bit_length()
-    pool2 = m <= 21  # sample(range(m), 2) draws from a pool, else a set
+    # sample(range(m), 2) draws from a pool, else a set; the pool draw
+    # stays inline, since quarter's E- cells run at m* = 21 (24 edges less
+    # a 3-edge removal), and through _sample_range their trial_ms_tail rose
+    # from 11.1-11.5 to 13.1-13.9 ms over three seeds
+    pool2 = m <= 21
     cdf = _binomial_cdf(m) if config.algorithm.startswith("ea") else None
     if cdf:
         cdf0, cdf1 = (cdf + (1.0,))[:2]  # with m = 0 there is no cdf[1]
-    fifth = config.algorithm.endswith("fifth")
     budget = config.budget
     evals = 0
     accepted_n = 0
@@ -594,7 +600,7 @@ def run(instance: DynamicInstance, config: RunConfig,
     zero = eng.zero
     vadd = eng._vadd
     vsub = eng._vsub
-    vsign = eng.vsign
+    gap_sign = eng._gap_sign
     record = tuple.__new__  # TransitionRecord's __new__ without its frame
     # no comprehension reads these locals: it would make them cells, and
     # each read in the loop slower (rls_fifth on quarter, by about 2%)
@@ -662,7 +668,7 @@ def run(instance: DynamicInstance, config: RunConfig,
                 deltas = ()
             elif viol[e]:
                 new = vsub(y[e], sigma[q[e]])
-                deltas = [(e, new if vsign(new) > 0 else zero)]
+                deltas = [(e, new if gap_sign(new, 0) > 0 else zero)]
             else:
                 deltas = None
         else:
@@ -673,38 +679,28 @@ def run(instance: DynamicInstance, config: RunConfig,
         if accept:
             accepted_n += 1
             if k == 1:
-                qe = q[e] + 4
-                q[e] = qe if qe < q_cap else q_cap
+                q[e] = up[q[e]]
             else:
                 for e in selection:
-                    qe = q[e] + 4
-                    q[e] = qe if qe < q_cap else q_cap
-        elif fifth:
+                    q[e] = up[q[e]]
+        elif fifth or sign_before > 0:
             if k == 1:
-                if q[e]:
-                    q[e] -= 1
+                q[e] = down[q[e]]
                 demoted = (e,)
-            else:
+            elif fifth:
                 for e in selection:
-                    if q[e]:
-                        q[e] -= 1
+                    q[e] = down[q[e]]
                 demoted = selection
-        elif sign_before > 0:
-            # demote each selected edge that has an overloaded endpoint and
-            # shares none of them with another selected edge
-            if k == 1:
-                qe = q[e] - 4
-                q[e] = qe if qe > 0 else 0
-                demoted = (e,)
             else:
+                # demote each selected edge that has an overloaded endpoint
+                # and shares none of them with another selected edge
                 if k == 2 and not mask[e] & mask[f]:
                     demoted = ((e,) if q[e] > lim[e] else ()) + (
                         (f,) if q[f] > lim[f] else ())
                 else:
                     demoted = tuple(_ea_demotions(eng, selection, q))
                 for e in demoted:
-                    qe = q[e] - 4
-                    q[e] = qe if qe > 0 else 0
+                    q[e] = down[q[e]]
         # an accepted step without deltas leaves the state, and so its
         # sign, as they were, and the last check found it not maximal
         if deltas:

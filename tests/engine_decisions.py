@@ -42,7 +42,7 @@ def engine_decision(eng, selection, q, direction):
         if not eng.viol[e]:
             return None
         new = eng._vsub(eng.y[e], eng.sigma_table[q[e]])
-        return [(e, new if eng.vsign(new) > 0 else eng.zero)]
+        return [(e, new if eng._gap_sign(new, 0) > 0 else eng.zero)]
     return _decide_decrease_infeasible(eng, selection, q)
 
 

@@ -819,8 +819,6 @@ def test_cli_verification_failure_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_usage_errors_exit_two(tmp_path, capsys):
-    assert cli_main(["gen", "--variant", "E", "--n", "6", "--m", "5",
-                     "--wmax", "8"]) == 2          # no --out
     assert cli_main(["gen", "--out", str(tmp_path / "x")]) == 2  # no variant
     assert cli_main(["gen", "--variant", "E", "--n", "6", "--m", "5",
                      "--out", str(tmp_path / "x")]) == 2  # no --wmax
@@ -862,6 +860,20 @@ def test_cli_bench(tmp_path, capsys):
     records = read_records(str(out_path))
     assert len(records) == 2
     assert all(r.algorithm == "rls" for r in records)
+
+
+def test_cli_gen_without_out_exits_two(tmp_path, monkeypatch, capsys):
+    """argparse rejects a gen without --out before it builds anything:
+    status 2, no file."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["gen", "--variant", "E", "--n", "6", "--m", "5",
+                  "--wmax", "8"],
+                 ["gen", "--hard", "--variant", "W-", "--m", "1030"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_bench_without_config_exits_two(tmp_path, monkeypatch, capsys):

@@ -464,6 +464,22 @@ def test_vector_engine_load_tests_are_exact(alpha):
 
 # -- one-edge increases at exact ties --------------------------------------------------
 
+@pytest.mark.parametrize("variant", ["E+", "W+", "W-"])
+def test_vector_engine_beyond_float_range_matches_reference(variant):
+    """At alpha = 3^201 (field degree 4) the weights are alpha^6, about
+    2^1911, so ``_VecEngine._fit``'s float start overflows on real runs,
+    not only on a faked ``beta_f``; the walk from q_cap still gives the
+    reference replay's stream."""
+    alpha = 3 ** 201
+    inst = hard_instance(variant, 6, alpha)
+    with pytest.raises(OverflowError):
+        float(inst.w_max)
+    for algorithm in ("rls_fifth", "ea_fifth"):
+        cfg = RunConfig(algorithm, alpha, inst.w_max, 200, 1)
+        assert isinstance(_make_engine(inst, cfg), _VecEngine)
+        assert_run_matches_reference(inst, cfg)
+
+
 @pytest.mark.parametrize("alpha", [2, 9, 16])
 def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
     """A feasible one-edge increase is decided as reference_fitness decides
@@ -897,6 +913,14 @@ def test_run_is_deterministic():
     inst = hard_instance("E+", 3, 2)
     cfg = RunConfig("ea", 2, 8, 500, 42)
     assert run(inst, cfg) == run(inst, cfg)
+
+
+def test_run_holds_no_cells():
+    """No comprehension or closure reads ``run``'s locals: a cell makes
+    each read of the local in the loop slower, which is why ``_moves``
+    builds the exponent tables outside it."""
+    assert run.__code__.co_cellvars == ()
+    assert run.__code__.co_freevars == ()
 
 
 def fraction_start_instance():
