@@ -462,8 +462,6 @@ def test_vector_engine_load_tests_are_exact(alpha):
             (sign_of_coeffs(raised, a) > 0)
 
 
-# -- one-edge increases at exact ties --------------------------------------------------
-
 @pytest.mark.parametrize("variant", ["E+", "W+", "W-"])
 def test_vector_engine_beyond_float_range_matches_reference(variant):
     """At alpha = 3^201 (field degree 4) the weights are alpha^6, about
@@ -479,6 +477,8 @@ def test_vector_engine_beyond_float_range_matches_reference(variant):
         assert isinstance(_make_engine(inst, cfg), _VecEngine)
         assert_run_matches_reference(inst, cfg)
 
+
+# -- one-edge increases at exact ties --------------------------------------------------
 
 @pytest.mark.parametrize("alpha", [2, 9, 16])
 def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
