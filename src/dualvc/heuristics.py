@@ -213,14 +213,15 @@ class _BaseEngine:
     Per edge it keeps ``lim[e] = min(fit[u], fit[v])``, so a step of
     exponent q on e fits at both endpoints exactly when q <= lim[e];
     ``at_zero[e]``, whether y[e] is zero; ``viol[e]``, whether an endpoint
-    of e is violated; and the fixed ``mask[e] = (1 << u) | (1 << v)``, so
-    two edges share an endpoint exactly when their masks share a bit.  The
-    module docstring's table says which of these ``run`` reads for each
-    proposal.  ``commit`` refreshes the flag of each committed edge, and
-    ``lim`` and ``viol`` of every edge at a touched vertex, committed or
-    not, once every touched vertex's slack is new: a new load at u moves
-    fit[u] and the sign of u's slack, and with them the limit and the flag
-    of each edge at u.
+    of e is violated; and the fixed ``mask[e] = (1 << u) | (1 << v)``.
+    OR-ing a selection's masks edge by edge, the bits each mask shares
+    with the OR so far are every endpoint that two or more selected edges
+    share, for a selection of any size.  The module docstring's table
+    says which of these ``run`` reads for each proposal.  ``commit``
+    refreshes the flag of each committed edge, and ``lim`` and ``viol`` of
+    every edge at a touched vertex, committed or not, once every touched
+    vertex's slack is new: a new load at u moves fit[u] and the sign of
+    u's slack, and with them the limit and the flag of each edge at u.
 
     Each engine sets ``zero`` (which also seeds the loads) and
     ``sigma_table[q]`` (the exact step beta^q) before calling this
@@ -442,43 +443,60 @@ def _make_engine(instance: DynamicInstance, config: RunConfig):
 def _decide_increase(eng, selection, q):
     """Feasible-sign increase of a selection of two or more edges: accepted
     iff no endpoint gets overloaded.  Every step is positive, so the first
-    edge whose q exceeds its ``lim`` settles the rejection; only when every
-    step fits on its own does an endpoint that two or more selected edges
-    touch sum their steps through ``overloads``.  Returns the deltas, or
-    None on rejection."""
+    edge whose q exceeds its ``lim`` settles the rejection.  Only when every
+    step fits on its own are the edges' masks OR-ed to find the endpoints
+    two or more of them touch, where ``_overloaded`` sums their steps.
+    Returns the deltas, or None on rejection."""
     lim = eng.lim
     for e in selection:
         if q[e] > lim[e]:
             return None
-    edges = eng.graph.edges
+    mask = eng.mask
+    seen = shared = 0
+    for e in selection:
+        shared |= seen & mask[e]
+        seen |= mask[e]
+    if shared and _overloaded(eng, selection, q, shared):
+        return None
     sigma = eng.sigma_table
-    ends = [w for e in selection for w in edges[e]]
-    for w in {w for w in ends if ends.count(w) > 1}:
-        if eng.overloads(w, [sigma[q[e]] for e in selection if w in edges[e]]):
-            return None
     return [(e, eng._vadd(eng.y[e], sigma[q[e]])) for e in selection]
+
+
+def _overloaded(eng, selection, q, shared):
+    """The bits of `shared` (vertices) that the selected edges' steps
+    overload, each summed by one ``overloads`` call at that vertex."""
+    mask = eng.mask
+    sigma = eng.sigma_table
+    over = 0
+    while shared:
+        bit = shared & -shared
+        shared ^= bit
+        steps = []
+        for e in selection:
+            if mask[e] & bit:
+                steps.append(sigma[q[e]])
+        if eng.overloads(bit.bit_length() - 1, steps):
+            over |= bit
+    return over
 
 
 def _ea_demotions(eng, selection, q):
     """Plain ea's rejected increase of two or more edges: the selected
     edges that have an overloaded endpoint and share none of their
     overloaded endpoints with another selected edge.  A q above ``lim``
-    overloads an endpoint; where no endpoint is shared, that alone decides.
-    At an endpoint two or more selected edges touch, ``overloads`` sums
-    their steps, which covers that case too."""
+    overloads an endpoint; where the edges' masks share no bit, that alone
+    decides.  At an endpoint two or more selected edges touch,
+    ``_overloaded`` sums their steps, which covers that case too."""
     lim = eng.lim
-    edges = eng.graph.edges
-    ends = [w for e in selection for w in edges[e]]
-    distinct = set(ends)
-    if len(distinct) == len(ends):
-        return [e for e in selection if q[e] > lim[e]]
-    sigma = eng.sigma_table
-    over = {w for w in distinct if ends.count(w) > 1 and eng.overloads(
-        w, [sigma[q[e]] for e in selection if w in edges[e]])}
+    mask = eng.mask
+    seen = shared = 0
+    for e in selection:
+        shared |= seen & mask[e]
+        seen |= mask[e]
+    over = _overloaded(eng, selection, q, shared) if shared else 0
     demoted = []
     for e in selection:
-        u, v = edges[e]
-        if q[e] > lim[e] and u not in over and v not in over:
+        if q[e] > lim[e] and not mask[e] & over:
             demoted.append(e)
     return demoted
 
@@ -486,7 +504,7 @@ def _ea_demotions(eng, selection, q):
 def _decide_decrease_infeasible(eng, selection, q):
     """Infeasible-sign decrease of two or more edges: gains on edges at
     violated vertices fight the m*w_max penalty on all other touched edges;
-    deltas or None."""
+    deltas or None.  A value equal to its step falls to zero, no sign taken."""
     gain = pen = eng.zero
     deltas = []
     for e in selection:
@@ -494,10 +512,11 @@ def _decide_decrease_infeasible(eng, selection, q):
             continue
         ycur = eng.y[e]
         s = eng.sigma_table[q[e]]
-        if eng._gap_sign(eng._vsub(ycur, s), 0) <= 0:
+        new = eng._vsub(ycur, s)
+        if ycur == s or eng._gap_sign(new, 0) < 0:
             dec, new = ycur, eng.zero  # clamped to zero
         else:
-            dec, new = s, eng._vsub(ycur, s)
+            dec = s
         if eng.viol[e]:
             gain = eng._vadd(gain, dec)
         else:

@@ -14,7 +14,8 @@ from dualvc.dual import DualSolution, dump_dual, parse_dual
 from dualvc.graph import Edit, WeightedGraph
 from dualvc.harness import BenchCell, build_instance
 from dualvc.heuristics import (ALGORITHMS, RunConfig, _BaseEngine,
-                               _binomial_cdf, _decide_increase,
+                               _binomial_cdf, _decide_decrease_infeasible,
+                               _decide_increase,
                                _ea_demotions, _IntEngine, _make_engine,
                                _reference_proposal, _reference_step,
                                _sample_range, _VecEngine, TransitionRecord,
@@ -548,6 +549,37 @@ def test_one_edge_increase_at_exact_ties(alpha, monkeypatch):
     assert len(outcomes) == 4
 
 
+# -- infeasible decreases that empty a value ---------------------------------------
+
+def test_decrease_by_an_equal_step_clamps_without_a_sign(monkeypatch):
+    """An infeasible decrease of two or more edges moves an edge whose value
+    equals its step to zero, on both engines, as _reference_step does; the
+    vector engine takes no exact sign of the zero row the step leaves.  A
+    value above its step still falls by the step."""
+    signed = []
+
+    def counted(coeffs, a):
+        signed.append(coeffs)
+        return sign_of_coeffs(coeffs, a)
+
+    monkeypatch.setattr(heuristics, "sign_of_coeffs", counted)
+    # each edge has a violated endpoint of weight 1: 0, 2 and 4
+    g = WeightedGraph(6, (1, 8, 1, 8, 1, 8), ((0, 1), (2, 3), (4, 5)))
+    zero, one = rows((0, 1))
+    for cls, values, q in ((_IntEngine, [2, 2, 3], [4, 4, 4]),
+                           (_VecEngine, [2, 2, 3], [4, 4, 4]),
+                           (_VecEngine, [(0, 1, 0, 0), 2, 3], [1, 4, 4])):
+        eng = cls(g, values, 8, A2, q_max_for(A2, 8))
+        assert eng.sign_now() < 0
+        del signed[:]
+        deltas = _decide_decrease_infeasible(eng, [0, 1, 2], q)
+        assert [(e, eng.row(v)) for e, v in deltas] == [
+            (0, zero), (1, zero), (2, one)]
+        assert signed if cls is _VecEngine else not signed
+        assert all(any(c) for c in signed), signed
+        assert engine_agrees(eng, values, q, [0, 1, 2], -1, alpha=A2)
+
+
 # -- shared endpoints of an ea increase ---------------------------------------------
 
 @pytest.mark.parametrize("alpha", [2, 9, 16])
@@ -561,7 +593,9 @@ def test_shared_endpoint_decided_by_fit_then_exact_sum(alpha, monkeypatch):
     steps miss its weight by 0, +-1 or +-a Pell gap, and ``overloads``
     decides them once, at the centre.  Some selections add a detached edge
     that may overload its own endpoint, which ea demotes: _ea_demotions
-    gives the demoted set of a rejected selection."""
+    gives the demoted set of a rejected selection, calling ``overloads``
+    at most once, at the centre, and never for a star edge paired with
+    the detached one, whose endpoints are disjoint."""
     calls = []
     overloads = _BaseEngine.overloads
 
@@ -617,6 +651,9 @@ def test_shared_endpoint_decided_by_fit_then_exact_sum(alpha, monkeypatch):
                                               w, a, q_cap))
                 _y, accepted, ref_demoted = _reference_step(
                     g, config, start, 1, list(q), selection, 1)
+                pair = [star[0], 4]
+                _y, pair_accepted, pair_demoted = _reference_step(
+                    g, config, start, 1, list(q), pair, 1)
                 for eng in engines:
                     assert eng.sign_now() > 0
                     assert (q_big > eng.fit[0]) == (case == 1)
@@ -628,9 +665,16 @@ def test_shared_endpoint_decided_by_fit_then_exact_sum(alpha, monkeypatch):
                     assert (deltas is not None) == accepted
                     assert calls == ([] if alone else [0])
                     assert case == 2 or not calls  # case 1 never sums
+                    del calls[:]
                     demoted = (() if accepted else
                                tuple(_ea_demotions(eng, selection, q)))
                     assert demoted == ref_demoted
+                    assert calls in ([], [0])
+                    del calls[:]
+                    pair_engine = tuple(_ea_demotions(eng, pair, q))
+                    assert not calls
+                    assert pair_accepted or pair_engine == pair_demoted
+                    outcomes["pair", pair_accepted, bool(pair_engine)] += 1
                     assert engine_agrees(eng, values, q, selection, 1,
                                          alpha=a)
                     outcomes[case, type(eng).__name__, accepted,
@@ -639,13 +683,16 @@ def test_shared_endpoint_decided_by_fit_then_exact_sum(alpha, monkeypatch):
         (1, "_VecEngine", False, False), (1, "_VecEngine", False, True),
         (2, "_VecEngine", True, False), (2, "_VecEngine", False, False),
         (2, "_VecEngine", False, True), (2, "_IntEngine", True, False),
-        (2, "_IntEngine", False, False)}
+        (2, "_IntEngine", False, False), ("pair", True, False),
+        ("pair", False, True)}
 
 
 # -- random multi-edge increases ------------------------------------------------------
 
-@pytest.mark.parametrize("alpha", [2, 9, 16])
-def test_increase_helpers_match_reference_on_random_selections(alpha):
+@pytest.mark.parametrize("alpha, offset", [
+    pytest.param(2, 0, id="2"), pytest.param(9, 0, id="9"),
+    pytest.param(16, 0, id="16"), pytest.param(2, 100, id="2-ids+100")])
+def test_increase_helpers_match_reference_on_random_selections(alpha, offset):
     """On random feasible starts and selections of 2-5 edges, at least half
     of them sharing an endpoint, _decide_increase rejects exactly when
     _reference_step does and accepts with its proposal, and _ea_demotions
@@ -653,7 +700,9 @@ def test_increase_helpers_match_reference_on_random_selections(alpha):
     integer start (integer engine), ea from a Fraction start (vector
     engine) and ea_fifth from an integer start (vector engine, or integer
     at degree 1).  Some rejections spare an edge whose overloaded endpoint
-    another selected edge shares."""
+    another selected edge shares.  With `offset` 100 the same graphs sit
+    behind 100 isolated vertices, so every endpoint mask, shared ones
+    included, spans more than one 64-bit word."""
     rng = random.Random(23 + alpha)
     a = canonicalize_alpha(alpha)
     w_max = 64
@@ -662,9 +711,11 @@ def test_increase_helpers_match_reference_on_random_selections(alpha):
     shared_n = total = 0
     for _ in range(20):
         n = rng.randint(5, 6)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        g = WeightedGraph(n, tuple(rng.randint(20, w_max) for _ in range(n)),
-                          tuple(sorted(rng.sample(pairs, rng.randint(5, 8)))))
+        ids = range(offset, offset + n)
+        pairs = [(u, v) for u in ids for v in ids if u < v]
+        g = WeightedGraph(offset + n, (w_max,) * offset + tuple(
+            rng.randint(20, w_max) for _ in ids),
+            tuple(sorted(rng.sample(pairs, rng.randint(5, 8)))))
         start = [rng.randint(0, 3) for _ in range(g.m)]
         halves = [Fraction(2 * v + 1, 2) for v in start]
         for algorithm, values in (("ea", start), ("ea", halves),
@@ -677,7 +728,7 @@ def test_increase_helpers_match_reference_on_random_selections(alpha):
             for i in range(6):
                 k = rng.randint(2, min(5, g.m))
                 if i % 2 == 0:  # two edges at one vertex, then any others
-                    x = rng.choice([v for v in range(n)
+                    x = rng.choice([v for v in ids
                                     if sum(v in uv for uv in g.edges) > 1])
                     at_x = [e for e, uv in enumerate(g.edges) if x in uv]
                     selection = rng.sample(at_x, 2)
